@@ -1,18 +1,18 @@
-"""Exact optimization: linearized integer program, file export, a
-built-in branch-and-bound solver, and an exhaustive-enumeration oracle.
+"""Exact optimization: linearized integer program, file export, an
+exact solver, and an exhaustive-enumeration oracle.
 
 The quadratic placement score is linearized with one auxiliary variable
 ``u[t,a,s]`` per transaction/attribute/site triple, constrained by
 ``u <= x``, ``u <= y`` and ``u >= x + y - 1``.  The auxiliaries stay
 continuous: with ``x`` and ``y`` binary those three rows pin ``u`` to
-the product ``x*y``.  The built-in solver runs best-first
-branch-and-bound on the LP relaxation (solved by HiGHS via scipy),
-branching the most fractional transaction variable first and never
-branching the auxiliaries.
+the product ``x*y``.  :func:`build_mip` keeps this full form for export.
+The exact solver hands HiGHS's branch-and-cut (``scipy.optimize.milp``)
+a compact form with the same optimum: auxiliaries only where a
+coefficient needs them, and only the McCormick rows each coefficient's
+sign needs.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, replace
@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import kernels
-from .anneal import SaConfig, solve_sa, solve_subproblem_fix_transactions
+from .anneal import SaConfig, solve_sa
 from .errors import BudgetExceededError, FormatError
 from .grouping import order_transactions_by_load
 from .partitioning import CostBreakdown, Partitioning, check_feasible, evaluate
@@ -109,6 +109,19 @@ class MipModel:
         return self.m_index + 1 + write_pos
 
 
+def _sorted_pins(
+    fixed_replicas: Sequence[Tuple[int, int]], n_attrs: int, n_sites: int
+) -> List[Tuple[int, int]]:
+    """Distinct ``(attribute, site)`` pins in order; rejects unknown ids."""
+    pins = sorted({(int(a), int(s)) for a, s in fixed_replicas})
+    for a, s in pins:
+        if not 0 <= a < n_attrs:
+            raise ValueError(f"pinned replica names unknown attribute {a}")
+        if not 0 <= s < n_sites:
+            raise ValueError(f"pinned replica names unknown site {s}")
+    return pins
+
+
 def build_mip(
     instance: Instance,
     model: Optional[CostModel] = None,
@@ -140,12 +153,7 @@ def build_mip(
     if with_latency and instance.latency_penalty is None:
         raise ValueError("latency indicators need the instance's latency penalty")
 
-    pins = sorted({(int(a), int(s)) for a, s in fixed_replicas})
-    for a, s in pins:
-        if not 0 <= a < n_attrs:
-            raise ValueError(f"pinned replica names unknown attribute {a}")
-        if not 0 <= s < n_sites:
-            raise ValueError(f"pinned replica names unknown site {s}")
+    pins = _sorted_pins(fixed_replicas, n_attrs, n_sites)
 
     variables: List[MipVariable] = []
     for t in range(n_txns):
@@ -401,7 +409,7 @@ def _export_lp(model: MipModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Built-in solver
+# Exact solver
 
 
 @dataclass(frozen=True)
@@ -429,54 +437,170 @@ class ExactConfig:
             raise ValueError("gap must be nonnegative")
 
 
-def _model_arrays(mip: MipModel):
-    """Split a MipModel into the arrays scipy's LP solver consumes."""
-    n = mip.variable_count
-    cost = np.zeros(n, dtype=np.float64)
-    bounds: List[Tuple[float, Optional[float]]] = []
-    for i, var in enumerate(mip.variables):
-        cost[i] = var.objective
-        bounds.append((0.0, var.upper))
-    ub_rows: List[Tuple[Tuple[Tuple[int, float], ...], float]] = []
-    eq_rows: List[Tuple[Tuple[Tuple[int, float], ...], float]] = []
-    for con in mip.constraints:
-        if con.relation == "<=":
-            ub_rows.append((con.terms, con.rhs))
-        elif con.relation == ">=":
-            ub_rows.append((tuple((i, -c) for i, c in con.terms), -con.rhs))
-        else:
-            eq_rows.append((con.terms, con.rhs))
+def _compact_model(
+    instance: Instance,
+    model: CostModel,
+    *,
+    use_symmetry: bool,
+    forbid_replication: bool,
+    fixed_replicas: Sequence[Tuple[int, int]],
+) -> Dict[str, object]:
+    """The solve-time program, as keyword arguments of ``milp``.
 
-    def to_csr(rows):
-        if not rows:
-            return None, None
-        data, ri, ci, rhs = [], [], [], []
-        for r, (terms, b) in enumerate(rows):
-            rhs.append(b)
-            for idx, coef in terms:
-                ri.append(r)
-                ci.append(idx)
-                data.append(coef)
-        mat = sp.coo_matrix((data, (ri, ci)), shape=(len(rows), n)).tocsr()
-        return mat, np.asarray(rhs, dtype=np.float64)
+    It has the optimum of :func:`build_mip`'s program with fewer columns
+    and rows, and is built straight into sparse arrays:
 
-    a_ub, b_ub = to_csr(ub_rows)
-    a_eq, b_eq = to_csr(eq_rows)
-    return cost, bounds, a_ub, b_ub, a_eq, b_eq
+    * ``u[t,a,s]`` exists only where the product ``x[t,s] * y[a,s]``
+      carries an objective or load coefficient or enters a latency row.
+      Where ``a`` is a forced read of ``t``, the read row makes the
+      product equal to ``x[t,s]``, so ``x`` takes its coefficients.
+    * Of the McCormick rows only the sides the objective pushes against
+      are kept: ``u >= x + y - 1`` where a small ``u`` pays (a positive
+      cost or a load term), ``u <= x`` and ``u <= y`` where a large ``u``
+      pays (a negative cost, which writes produce when the network
+      penalty is positive, or a latency row).
+    * Load rows are left out at ``lambda = 1``, where ``m`` is free,
+      and so are latency indicators with a zero charge.  Pins are lower
+      bounds on ``y``.
 
+    Column order: ``x[t,s]`` (site fastest), ``y[a,s]``, the kept
+    ``u[t,a,s]``, ``m``, then one indicator per priced write query.
+    """
+    n_txns = instance.transaction_count
+    n_attrs = instance.attribute_count
+    n_sites = instance.site_count
+    lam = float(instance.cost_weight)
+    reads = model.txn_reads  # (A, T)
+    cost = lam * model.coloc_cost
+    load = model.coloc_load if lam < 1.0 else np.zeros_like(model.coloc_load)
 
-def _pick_fractional(values: np.ndarray, start: int, length: int, tol: float) -> Optional[int]:
-    """Most fractional variable in a block, ties to the lowest index."""
-    block = values[start : start + length]
-    frac = np.minimum(block - np.floor(block), np.ceil(block) - block)
-    frac = np.minimum(frac, np.minimum(block, 1.0 - block))
-    best = -1
-    best_frac = tol
-    for j in range(length):
-        if frac[j] > best_frac:
-            best_frac = frac[j]
-            best = j
-    return start + best if best >= 0 else None
+    write_ids = np.flatnonzero(model.is_write)
+    penalty = 0.0 if instance.latency_penalty is None else float(instance.latency_penalty)
+    psi_cost = lam * penalty * model.frequencies[write_ids]
+    write_ids, psi_cost = write_ids[psi_cost > 0], psi_cost[psi_cost > 0]
+    in_latency = (
+        model.attr_access[:, write_ids].astype(np.int64)
+        @ model.query_txn[write_ids].astype(np.int64)
+    ) > 0
+
+    low = ~reads & ((cost > 0) | (load != 0))
+    high = ~reads & ((cost < 0) | in_latency)
+    pair_t, pair_a = np.nonzero((low | high).T)
+    pair_of = np.full((n_attrs, n_txns), -1, dtype=np.int64)
+    pair_of[pair_a, pair_t] = np.arange(pair_t.size)
+
+    nx = n_txns * n_sites
+    ny = n_attrs * n_sites
+    u0 = nx + ny
+    m_col = u0 + pair_t.size * n_sites
+    psi0 = m_col + 1
+    n = psi0 + write_ids.size
+    sites = np.arange(n_sites)
+
+    def x_cols(t: np.ndarray) -> np.ndarray:
+        return np.asarray(t)[:, None] * n_sites + sites
+
+    def y_cols(a: np.ndarray) -> np.ndarray:
+        return nx + np.asarray(a)[:, None] * n_sites + sites
+
+    def u_cols(k: np.ndarray) -> np.ndarray:
+        return u0 + np.asarray(k)[:, None] * n_sites + sites
+
+    c = np.zeros(n, dtype=np.float64)
+    c[:nx] = np.repeat((cost * reads).sum(axis=0), n_sites)
+    c[nx:u0] = np.repeat(lam * model.replica_cost, n_sites)
+    c[u0:m_col] = np.repeat(cost[pair_a, pair_t], n_sites)
+    c[m_col] = 1.0 - lam
+    c[psi0:] = psi_cost
+
+    entries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    lower: List[np.ndarray] = []
+    upper: List[np.ndarray] = []
+    n_rows = 0
+
+    def emit(count: int, terms, lo: float, hi: float) -> None:
+        """Append ``count`` rows ``lo <= row @ v <= hi``; each term holds
+        local row indices, columns and coefficients that broadcast."""
+        nonlocal n_rows
+        for rows, cols, coef in terms:
+            rows, cols, coef = np.broadcast_arrays(rows, cols, np.asarray(coef, dtype=np.float64))
+            entries.append((n_rows + rows.ravel(), cols.ravel(), coef.ravel()))
+        lower.append(np.full(count, lo))
+        upper.append(np.full(count, hi))
+        n_rows += count
+
+    def per_site_rows(count: int) -> np.ndarray:
+        return np.arange(count * n_sites).reshape(count, n_sites)
+
+    # Each transaction runs on exactly one site; each attribute is stored
+    # somewhere (on exactly one site when disjoint).
+    emit(n_txns, [(np.arange(nx) // n_sites, np.arange(nx), 1.0)], 1.0, 1.0)
+    emit(n_attrs, [(np.arange(ny) // n_sites, nx + np.arange(ny), 1.0)],
+         1.0, 1.0 if forbid_replication else np.inf)
+    # Reads are served locally: y[a,s] >= x[t,s].
+    read_a, read_t = np.nonzero(reads)
+    rows = per_site_rows(read_a.size)
+    emit(rows.size, [(rows, y_cols(read_a), 1.0), (rows, x_cols(read_t), -1.0)], 0.0, np.inf)
+    # m dominates each site's local work.
+    if lam < 1.0:
+        x_load = (load * reads).sum(axis=0)
+        ts = np.flatnonzero(x_load)
+        ks = np.flatnonzero(load[pair_a, pair_t])
+        rs = np.flatnonzero(model.replica_load)
+        emit(n_sites, [
+            (sites, x_cols(ts), x_load[ts, None]),
+            (sites, u_cols(ks), load[pair_a[ks], pair_t[ks], None]),
+            (sites, y_cols(rs), model.replica_load[rs, None]),
+            (sites, m_col, -1.0),
+        ], -np.inf, 0.0)
+    # The McCormick sides the objective pushes against.
+    ks = np.flatnonzero(low[pair_a, pair_t])
+    rows = per_site_rows(ks.size)
+    emit(rows.size, [
+        (rows, u_cols(ks), 1.0), (rows, x_cols(pair_t[ks]), -1.0), (rows, y_cols(pair_a[ks]), -1.0),
+    ], -1.0, np.inf)
+    ks = np.flatnonzero(high[pair_a, pair_t])
+    rows = per_site_rows(ks.size)
+    emit(rows.size, [(rows, u_cols(ks), 1.0), (rows, x_cols(pair_t[ks]), -1.0)], -np.inf, 0.0)
+    emit(rows.size, [(rows, u_cols(ks), 1.0), (rows, y_cols(pair_a[ks]), -1.0)], -np.inf, 0.0)
+    # Site s hosts a transaction only after an earlier one uses site s-1.
+    if use_symmetry and n_sites > 1:
+        rows = np.arange(n_txns * (n_sites - 1)).reshape(n_txns, n_sites - 1)
+        later, earlier = np.nonzero(np.tri(n_txns, k=-1))
+        emit(rows.size, [
+            (rows, x_cols(np.arange(n_txns))[:, 1:], 1.0),
+            (rows[later], x_cols(earlier)[:, :-1], -1.0),
+        ], -np.inf, 0.0)
+    # A write query's indicator turns on when an updated attribute keeps
+    # a replica away from the transaction's site.
+    for j, q in enumerate(write_ids):
+        t = int(model.txn_of_query[q])
+        touched = np.flatnonzero(model.attr_access[:, q])
+        aux = pair_of[touched[~reads[touched, t]], t]
+        emit(1, [
+            (0, psi0 + j, float(touched.size * n_sites)),
+            (0, y_cols(touched), -1.0),
+            (0, x_cols([t]), float(reads[touched, t].sum())),
+            (0, u_cols(aux), 1.0),
+        ], 0.0, np.inf)
+
+    rows, cols, coefs = (np.concatenate(part) for part in zip(*entries))
+    keep = coefs != 0.0
+    matrix = sp.csr_array((coefs[keep], (rows[keep], cols[keep])), shape=(n_rows, n))
+    lb = np.zeros(n)
+    ub = np.ones(n)
+    ub[m_col] = np.inf
+    for a, s in fixed_replicas:
+        lb[nx + a * n_sites + s] = 1.0
+    integrality = np.zeros(n, dtype=np.int8)
+    integrality[:u0] = 1
+    integrality[psi0:] = 1
+    return {
+        "c": c,
+        "integrality": integrality,
+        "bounds": Bounds(lb, ub),
+        "constraints": LinearConstraint(matrix, np.concatenate(lower), np.concatenate(upper)),
+    }
 
 
 def solve_exact(
@@ -484,13 +608,17 @@ def solve_exact(
     config: Optional[ExactConfig] = None,
     model: Optional[CostModel] = None,
 ) -> SolveReport:
-    """Branch-and-bound to a proven optimum of the weighted score.
+    """Solve the linearized program to a proven optimum of the weighted
+    score.
 
-    Transaction variables are branched before replica variables; the
-    auxiliaries and the load bound are never branched (integrality of
-    ``x`` and ``y`` pins them).  Every incumbent is re-priced by the
-    definitional evaluator, so reported objectives and scores never
-    drift from ``evaluate``.
+    HiGHS's branch-and-cut (``scipy.optimize.milp``) solves the compact
+    program of :func:`_compact_model` in whatever remains of
+    ``config.time_limit`` after the starting incumbents: the single-site
+    layouts and, when nothing is pinned or disjoint, a short annealing
+    run.  These stay as the fallback when HiGHS stops without a layout.
+    Every candidate is re-priced by the definitional evaluator, so
+    reported objectives and scores never drift from ``evaluate``; the
+    bound gap compares that score with HiGHS's dual bound.
     """
     started = time.perf_counter()
     if config is None:
@@ -500,18 +628,7 @@ def solve_exact(
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
-    pins = tuple(sorted({(int(a), int(s)) for a, s in config.fixed_replicas}))
-    symmetry = config.use_symmetry and not pins and n_sites > 1
-    mip = build_mip(
-        instance,
-        model,
-        use_symmetry=symmetry,
-        forbid_replication=config.forbid_replication,
-        fixed_replicas=pins,
-    )
-    cost, bounds0, a_ub, b_ub, a_eq, b_eq = _model_arrays(mip)
-    nx = n_txns * n_sites
-    ny = n_attrs * n_sites
+    pins = _sorted_pins(config.fixed_replicas, n_attrs, n_sites)
 
     incumbent: Optional[Tuple[Partitioning, CostBreakdown]] = None
 
@@ -545,72 +662,31 @@ def solve_exact(
         warm_report, _ = solve_sa(instance, warm_cfg, model=model)
         consider(warm_report.partitioning.txn_site, warm_report.partitioning.replica)
 
-    integer_tol = 1e-6
+    def time_left() -> float:
+        return config.time_limit - (time.perf_counter() - started)
+
+    bound = -math.inf
     node_count = 0
-    timed_out = False
-    # Heap entries: (parent LP bound, insertion sequence, bound patches).
-    heap: List[Tuple[float, int, Dict[int, Tuple[float, float]]]] = [(-math.inf, 0, {})]
-    seq = 1
-
-    def prune_margin(inc_score: float) -> float:
-        return max(config.gap * abs(inc_score), 1e-6 * (1.0 + abs(inc_score)))
-
-    while heap:
-        if time.perf_counter() - started > config.time_limit:
-            timed_out = True
-            break
-        parent_bound, _, patch = heapq.heappop(heap)
-        inc_score = incumbent[1].score if incumbent is not None else math.inf
-        if incumbent is not None and parent_bound >= inc_score - prune_margin(inc_score):
-            # Best-first order: every remaining node is at least as bad.
-            heap.clear()
-            break
-        node_bounds = list(bounds0)
-        for idx, pair in patch.items():
-            node_bounds[idx] = pair
-        res = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=node_bounds,
-            method="highs",
+    if time_left() > 0:
+        arrays = _compact_model(
+            instance,
+            model,
+            use_symmetry=config.use_symmetry and not pins,
+            forbid_replication=config.forbid_replication,
+            fixed_replicas=pins,
         )
-        node_count += 1
-        if res.status != 0:
-            continue  # infeasible subtree
-        bound = max(parent_bound, float(res.fun))
-        if incumbent is not None and bound >= inc_score - prune_margin(inc_score):
-            continue
-        values = np.asarray(res.x, dtype=np.float64)
-        branch = _pick_fractional(values, 0, nx, integer_tol)
-        if branch is None:
-            branch = _pick_fractional(values, nx, ny, integer_tol)
-        if branch is None:
-            # Integral leaf: read the layout off the LP point.
-            xs = values[:nx].reshape(n_txns, n_sites)
-            txn_site = np.argmax(xs, axis=1).astype(np.int64)
-            replica = values[nx : nx + ny].reshape(n_attrs, n_sites) > 0.5
-            consider(txn_site, replica)
-            continue
-        # Rounding heuristic: snap transactions, rebuild replicas greedily.
-        if not config.forbid_replication:
-            xs = values[:nx].reshape(n_txns, n_sites)
-            txn_site = np.argmax(xs, axis=1).astype(np.int64)
-            replica = solve_subproblem_fix_transactions(
-                model, txn_site, n_sites, instance.cost_weight
-            ).copy()
-            for a, s in pins:
-                replica[a, s] = True
-            consider(txn_site, replica)
-        value = values[branch]
-        first, second = (1.0, 0.0) if value >= 0.5 else (0.0, 1.0)
-        for choice in (first, second):
-            child = dict(patch)
-            child[branch] = (choice, choice)
-            heapq.heappush(heap, (bound, seq, child))
-            seq += 1
+        limit = time_left()
+        if limit > 0:
+            res = milp(**arrays, options={"time_limit": limit, "mip_rel_gap": config.gap})
+            node_count = int(res.mip_node_count or 0)
+            if res.x is not None:
+                nx = n_txns * n_sites
+                consider(
+                    np.argmax(res.x[:nx].reshape(n_txns, n_sites), axis=1),
+                    res.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
+                )
+            if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
+                bound = float(res.mip_dual_bound)
 
     wall = time.perf_counter() - started
     if incumbent is None:
@@ -624,22 +700,21 @@ def solve_exact(
             status=STATUS_NO_SOLUTION_TIME_LIMIT,
         )
     part, breakdown = incumbent
-    if heap:
-        best_bound = min(entry[0] for entry in heap)
-    else:
-        best_bound = breakdown.score
-    if math.isinf(best_bound):
-        gap = math.inf if timed_out else 0.0
-    else:
-        denom = max(abs(breakdown.score), 1e-12)
-        gap = max(0.0, (breakdown.score - best_bound) / denom)
-    status = STATUS_OPTIMAL if (not timed_out or gap <= config.gap) else STATUS_FEASIBLE_TIME_LIMIT
-    if not timed_out:
+    score = breakdown.score
+    gap = max(0.0, (score - bound) / max(abs(score), 1e-12))
+    # The status follows the proof, not HiGHS's stop reason: optimal when
+    # the re-priced score is within the gap of HiGHS's dual bound (plus
+    # 1e-6 relative for HiGHS's own tolerances), as after a time limit
+    # that came once the bound had caught up with the incumbent.
+    if score - bound <= max(config.gap * abs(score), 1e-6 * (1.0 + abs(score))):
+        status = STATUS_OPTIMAL
         gap = min(gap, config.gap)
+    else:
+        status = STATUS_FEASIBLE_TIME_LIMIT
     return SolveReport(
         partitioning=part,
         objective=breakdown.objective,
-        score=breakdown.score,
+        score=score,
         bound_gap=gap,
         wall_time=wall,
         node_count=node_count,
@@ -751,7 +826,9 @@ def solve_exact_staged(
     The heavy subset is the top ``top_fraction`` of transactions by
     total read weight (at least one).  The final report prices the full
     instance; optimality holds only relative to the pinned replicas.
+    ``config.time_limit`` bounds both stages together.
     """
+    started = time.perf_counter()
     if not 0.0 < top_fraction <= 1.0:
         raise ValueError("top_fraction must lie in (0, 1]")
     if config is None:
@@ -763,13 +840,16 @@ def solve_exact_staged(
     if len(heavy) == instance.transaction_count:
         return solve_exact(instance, config, model=model)
     stage_one = solve_exact(subset_transactions(instance, heavy), config)
-    if stage_one.partitioning is None:
-        return solve_exact(instance, config, model=model)
-    pinned = tuple(
-        (a, s)
-        for a in range(instance.attribute_count)
-        for s in range(instance.site_count)
-        if stage_one.partitioning.replica[a, s]
-    )
-    merged = replace(config, fixed_replicas=tuple(sorted(set(config.fixed_replicas) | set(pinned))))
-    return solve_exact(instance, merged, model=model)
+    config = replace(config, time_limit=max(0.0, config.time_limit - (time.perf_counter() - started)))
+    if stage_one.partitioning is not None:
+        pinned = tuple(
+            (a, s)
+            for a in range(instance.attribute_count)
+            for s in range(instance.site_count)
+            if stage_one.partitioning.replica[a, s]
+        )
+        config = replace(
+            config, fixed_replicas=tuple(sorted(set(config.fixed_replicas) | set(pinned)))
+        )
+    final = solve_exact(instance, config, model=model)
+    return replace(final, wall_time=time.perf_counter() - started)

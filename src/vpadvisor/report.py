@@ -21,7 +21,8 @@ class SolveReport:
     score is proven within the configured gap, ``feasible-time-limit``
     when a solution is returned without proof, and
     ``no-solution-time-limit`` when the solver stopped empty-handed.
-    ``node_count`` counts LP relaxations for the exact solver and
+    ``node_count`` counts the branch-and-cut nodes HiGHS explored for
+    the exact solver (0 when no time was left to start it) and
     candidate evaluations for the annealer.
     """
 

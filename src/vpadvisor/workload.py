@@ -9,6 +9,7 @@ matrices the evaluators and solvers consume.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -215,8 +216,9 @@ def validate(instance: Instance) -> list[str]:
     for q in instance.queries:
         if q.kind not in QUERY_KINDS:
             out.append(f"query '{q.name}': unknown kind {q.kind!r}")
-        if not (q.frequency >= 0):
-            out.append(f"query '{q.name}': frequency must be nonnegative (got {q.frequency!r})")
+        if not (math.isfinite(q.frequency) and q.frequency >= 0):
+            out.append(
+                f"query '{q.name}': frequency must be finite and nonnegative (got {q.frequency!r})")
         if not q.accessed_attributes:
             out.append(f"query '{q.name}' accesses no attributes")
         touched_tables = set()
@@ -232,10 +234,10 @@ def validate(instance: Instance) -> list[str]:
                 out.append(
                     f"query '{q.name}': row count listed for table "
                     f"'{instance.tables[table_id].name}' but no attribute of it is accessed")
-            elif not (rows > 0):
+            elif not (math.isfinite(rows) and rows > 0):
                 out.append(
                     f"query '{q.name}': row count for table "
-                    f"'{instance.tables[table_id].name}' must be > 0 (got {rows!r})")
+                    f"'{instance.tables[table_id].name}' must be finite and > 0 (got {rows!r})")
         for table_id in touched_tables:
             if table_id not in q.rows_per_table:
                 if 0 <= table_id < n_tables:
@@ -262,12 +264,15 @@ def validate(instance: Instance) -> list[str]:
 
     if instance.site_count < 1:
         out.append(f"site count must be >= 1 (got {instance.site_count})")
-    if not (instance.network_penalty >= 0):
-        out.append(f"network penalty must be nonnegative (got {instance.network_penalty!r})")
+    if not (math.isfinite(instance.network_penalty) and instance.network_penalty >= 0):
+        out.append(
+            f"network penalty must be finite and nonnegative (got {instance.network_penalty!r})")
     if not (0.0 <= instance.cost_weight <= 1.0):
         out.append(f"cost weight must lie in [0, 1] (got {instance.cost_weight!r})")
-    if instance.latency_penalty is not None and not (instance.latency_penalty >= 0):
-        out.append(f"latency penalty must be nonnegative (got {instance.latency_penalty!r})")
+    if instance.latency_penalty is not None and not (
+            math.isfinite(instance.latency_penalty) and instance.latency_penalty >= 0):
+        out.append(
+            f"latency penalty must be finite and nonnegative (got {instance.latency_penalty!r})")
 
     return out
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import numpy as np
@@ -198,6 +199,16 @@ def test_solve_rejects_malformed_instance(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["solve", str(bad), "--algo", "sa"]) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+def test_solve_rejects_non_finite_frequency(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    save_instance(t1_instance(), str(path))
+    doc = json.loads(path.read_text())
+    doc["transactions"][0]["queries"][0]["frequency"] = math.inf
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--algo", "sa"]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_solve_rejects_bad_pin_argument(small_path):

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.optimize import milp
 
 from vpadvisor import (
     BudgetExceededError,
     ExactConfig,
+    GenParams,
     Partitioning,
     brute_force,
     build_mip,
@@ -17,11 +20,14 @@ from vpadvisor import (
     enumeration_size,
     evaluate,
     export_model,
+    generate,
     solve_exact,
     solve_exact_staged,
 )
 from vpadvisor.errors import FormatError
+from vpadvisor.mip import _compact_model
 from vpadvisor.report import (
+    STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
     STATUS_OPTIMAL,
 )
@@ -196,6 +202,47 @@ def test_latency_model_agrees_with_reference_integer_solver():
     assert ours.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
 
 
+# Write-heavy instances: a positive network penalty makes some
+# co-location costs negative; at p = 0 only the latency rows want a
+# large product.  (seed, sites, cost_weight, p, latency, disjoint, pins)
+COMPACT_CASES = [
+    (0, 2, 0.0, 8.0, None, False, ()),
+    (1, 3, 0.5, 8.0, None, False, ()),
+    (2, 2, 1.0, 8.0, None, False, ()),
+    (3, 2, 0.5, 8.0, 40.0, False, ()),
+    (4, 3, 1.0, 8.0, 40.0, False, ()),
+    (5, 2, 0.0, 8.0, 40.0, False, ()),
+    (6, 2, 0.5, 8.0, None, True, ()),
+    (7, 2, 1.0, 8.0, None, False, ((0, 1), (1, 0))),
+    (8, 3, 0.5, 8.0, 40.0, True, ((0, 2),)),
+    (9, 2, 0.5, 8.0, 40.0, False, ((1, 1),)),
+    (3, 2, 0.5, 0.0, 40.0, False, ()),
+    (7, 3, 1.0, 0.0, 40.0, False, ()),
+]
+
+
+@pytest.mark.parametrize("seed,sites,lam,p,latency,disjoint,pins", COMPACT_CASES)
+def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, disjoint, pins):
+    inst = random_instance(
+        seed, site_count=sites, cost_weight=lam, network_penalty=p, latency_penalty=latency,
+        update_percent=60.0, transaction_count=4,
+    )
+    model = derive(inst)
+    reference = _milp_solve(
+        build_mip(inst, model, forbid_replication=disjoint, fixed_replicas=pins)
+    )
+    compact = milp(**_compact_model(
+        inst, model, use_symmetry=not pins, forbid_replication=disjoint, fixed_replicas=pins,
+    ))
+    assert compact.success, compact.message
+    assert compact.fun == pytest.approx(reference, rel=1e-7, abs=1e-7)
+    report = solve_exact(inst, ExactConfig(
+        gap=0.0, warm_start=False, forbid_replication=disjoint, fixed_replicas=pins,
+    ))
+    assert report.status == STATUS_OPTIMAL
+    assert report.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # exact solver behavior
 
@@ -239,8 +286,32 @@ def test_exact_timeout_with_warm_start_still_returns_solution():
     assert report.partitioning is not None
     assert report.status == "feasible-time-limit"
     assert report.score < math.inf
+    # no time was left for the integer solver: no nodes, no bound
+    assert report.node_count == 0
+    assert math.isinf(report.bound_gap)
     model = derive(inst)
     assert check_feasible(inst, model, report.partitioning) == []
+
+
+@pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
+def test_exact_keeps_its_deadline_on_a_large_instance(staged):
+    inst = generate(
+        GenParams(transaction_count=60, table_count=40, max_attributes_per_table=15, seed=3),
+        site_count=4,
+    )
+    model = derive(inst)
+    limit = 2.0
+    started = time.perf_counter()
+    if staged:
+        report = solve_exact_staged(inst, ExactConfig(time_limit=limit))
+    else:
+        report = solve_exact(inst, ExactConfig(time_limit=limit), model=model)
+    wall = time.perf_counter() - started
+    assert report.wall_time <= wall
+    assert wall <= limit + 1.5, f"took {wall:.2f} s against a {limit} s limit"
+    assert report.status == STATUS_FEASIBLE_TIME_LIMIT
+    assert check_feasible(inst, model, report.partitioning) == []
+    assert report.score == evaluate(inst, model, report.partitioning).score
 
 
 def test_exact_timeout_without_any_incumbent_reports_no_solution():

@@ -1,6 +1,9 @@
 """Instance validation and derived coefficient matrices."""
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,23 @@ def test_width_zero_rejected():
     problems = validate(inst)
     assert len(problems) == 1
     assert "width" in problems[0]
+
+
+_NON_FINITE = {
+    "frequency": lambda inst: replace(
+        inst, queries=(replace(inst.queries[0], frequency=math.inf),)),
+    "rows": lambda inst: replace(
+        inst, queries=(replace(inst.queries[0], rows_per_table={0: math.inf}),)),
+    "network_penalty": lambda inst: replace(inst, network_penalty=math.inf),
+    "latency_penalty": lambda inst: replace(inst, latency_penalty=math.inf),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_NON_FINITE))
+def test_non_finite_inputs_are_rejected(t1, field):
+    problems = validate(_NON_FINITE[field](t1))
+    assert len(problems) == 1
+    assert "finite" in problems[0]
 
 
 def test_validation_catches_cross_reference_problems():
