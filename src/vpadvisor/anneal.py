@@ -20,7 +20,7 @@ import numpy as np
 from . import kernels
 from .errors import InfeasibleLayoutError
 from .grouping import order_transactions_by_load
-from .partitioning import Partitioning, evaluate, weighted_score, _write_latency
+from .partitioning import Partitioning, _folded_score, evaluate
 from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .workload import CostModel, Instance, derive
 
@@ -224,27 +224,6 @@ def solve_subproblem_fix_replicas(
     return txn_site
 
 
-def _score_layout(
-    instance: Instance,
-    model: CostModel,
-    txn_site: np.ndarray,
-    replicas: np.ndarray,
-) -> float:
-    objective, max_load = kernels.folded_cost(
-        model.coloc_cost,
-        model.replica_cost,
-        model.coloc_load,
-        model.replica_load,
-        txn_site,
-        replicas,
-        float(instance.cost_weight),
-    )
-    latency = None
-    if instance.latency_penalty is not None:
-        latency = _write_latency(instance, model, txn_site, replicas)
-    return weighted_score(objective, max_load, latency, instance.cost_weight)
-
-
 def solve_sa(
     instance: Instance,
     config: Optional[SaConfig] = None,
@@ -271,7 +250,7 @@ def solve_sa(
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
     cur_y = solve_subproblem_fix_transactions(model, cur_x, n_sites, instance.cost_weight)
-    cur_score = _score_layout(instance, model, cur_x, cur_y)
+    cur_score = _folded_score(instance, model, cur_x, cur_y).score
 
     best_x, best_y, best_score = cur_x, cur_y, cur_score
 
@@ -309,7 +288,7 @@ def solve_sa(
                 )
             fix_transactions = not fix_transactions
             evaluations += 1
-            cand_score = _score_layout(instance, model, cand_x, cand_y)
+            cand_score = _folded_score(instance, model, cand_x, cand_y).score
             if time.perf_counter() - move_started > config.iteration_time_limit:
                 continue
             delta = cand_score - cur_score
@@ -349,39 +328,29 @@ def solve_sa_best_of(
     instance: Instance,
     runs: int,
     config: Optional[SaConfig] = None,
-    max_workers: Optional[int] = None,
 ) -> Tuple[SolveReport, Tuple[SaTrace, ...]]:
-    """Run ``runs`` independent annealing searches concurrently and keep
-    the best result.
+    """Run ``runs`` independent annealing searches one after another and
+    keep the best result.
 
     Run ``i`` uses seed ``config.seed + i``; the returned report is the
-    one with the lowest score (ties broken by the lower run index), so
-    the outcome does not depend on thread scheduling.
+    one with the lowest score (ties broken by the lower run index).  Its
+    ``wall_time`` is the total time of all runs and its ``node_count``
+    the total number of evaluations.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     if config is None:
         config = SaConfig()
     model = derive(instance)
-    if runs == 1:
-        report, trace = solve_sa(instance, config, model=model)
-        return report, (trace,)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    configs = [replace(config, seed=config.seed + i) for i in range(runs)]
-    with ThreadPoolExecutor(max_workers=max_workers or min(runs, 8)) as pool:
-        results = list(pool.map(lambda cfg: solve_sa(instance, cfg, model=model), configs))
+    started = time.perf_counter()
+    results = [
+        solve_sa(instance, replace(config, seed=config.seed + i), model=model)
+        for i in range(runs)
+    ]
     best_index = min(range(runs), key=lambda i: (results[i][0].score, i))
-    report = results[best_index][0]
-    wall = max(r.wall_time for r, _ in results)
-    report = SolveReport(
-        partitioning=report.partitioning,
-        objective=report.objective,
-        score=report.score,
-        bound_gap=report.bound_gap,
-        wall_time=wall,
+    report = replace(
+        results[best_index][0],
+        wall_time=time.perf_counter() - started,
         node_count=sum(r.node_count for r, _ in results),
-        status=report.status,
     )
     return report, tuple(trace for _, trace in results)

@@ -511,7 +511,7 @@ def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.Argument
     solve.add_argument("instance")
     solve.add_argument("--algo", choices=["sa", "exact", "brute"], default="sa")
     solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--runs", type=int, default=None, help="concurrent annealing runs")
+    solve.add_argument("--runs", type=int, default=None, help="independent annealing runs")
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     solve.add_argument("--gap", type=float, default=None)
     solve.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)

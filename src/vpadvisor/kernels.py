@@ -1,17 +1,4 @@
-"""Hot numeric kernels with two interchangeable implementations.
-
-Every kernel ships as a plain numpy/Python implementation
-(``*_numpy``) and, when numba is importable and not disabled, a
-compiled ``@njit`` twin (``*_numba``).  The canonical names
-(:func:`folded_cost`, :func:`greedy_replicas`,
-:func:`assign_transactions`, :func:`enumerate_layouts`) point at the
-active implementation.
-
-Set the environment variable ``VPADVISOR_NO_NUMBA=1`` before import to
-force the numpy path (useful for debugging and as a dependency-light
-mode).  ``USING_NUMBA`` reports which path is live.  Both paths produce
-identical results on integral workloads (all arithmetic stays exact in
-float64); with fractional frequencies they agree to ~1e-9 relative.
+"""Hot numeric kernels, written in numpy.
 
 Conventions shared by all kernels:
 
@@ -29,33 +16,20 @@ Conventions shared by all kernels:
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("VPADVISOR_NO_NUMBA", "").strip().lower()
-    return flag not in {"1", "true", "yes", "on"}
-
-
+# The kernels have no compiled variant; benchmark run records still
+# report this flag as the kernel path that ran.
 USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # folded cost: objective and maximum site load for a fixed layout
 # ---------------------------------------------------------------------------
 
-def folded_cost_numpy(coloc_cost, replica_cost, coloc_load, replica_load,
-                      txn_site, replicas, cost_weight):
-    """Return ``(objective, max_load)`` for a layout; numpy path."""
+def folded_cost(coloc_cost, replica_cost, coloc_load, replica_load,
+                txn_site, replicas):
+    """Return ``(objective, max_load)`` for a layout."""
     rep_f = replicas.astype(np.float64)
     site_of = replicas[:, txn_site]  # (A, T): is a on t's site
     obj = float((coloc_cost * site_of).sum()) + float(replica_cost @ rep_f.sum(axis=1))
@@ -65,147 +39,14 @@ def folded_cost_numpy(coloc_cost, replica_cost, coloc_load, replica_load,
     return obj, float(loads.max())
 
 
-def _folded_cost_py(coloc_cost, replica_cost, coloc_load, replica_load,
-                    txn_site, replicas, cost_weight):
-    n_attrs, n_txns = coloc_cost.shape
-    n_sites = replicas.shape[1]
-    obj = 0.0
-    for a in range(n_attrs):
-        cnt = 0
-        for s in range(n_sites):
-            if replicas[a, s]:
-                cnt += 1
-        obj += replica_cost[a] * cnt
-    for t in range(n_txns):
-        s = txn_site[t]
-        for a in range(n_attrs):
-            if replicas[a, s]:
-                obj += coloc_cost[a, t]
-    loads = np.zeros(n_sites, np.float64)
-    for s in range(n_sites):
-        for a in range(n_attrs):
-            if replicas[a, s]:
-                loads[s] += replica_load[a]
-    for t in range(n_txns):
-        s = txn_site[t]
-        for a in range(n_attrs):
-            if replicas[a, s]:
-                loads[s] += coloc_load[a, t]
-    m = loads[0]
-    for s in range(1, n_sites):
-        if loads[s] > m:
-            m = loads[s]
-    return obj, m
-
-
 # ---------------------------------------------------------------------------
 # greedy replica construction for a fixed transaction assignment
 # ---------------------------------------------------------------------------
 
-def _greedy_replicas_py(txn_site, txn_reads, coloc_cost, replica_cost,
-                        coloc_load, replica_load, cost_weight, n_sites):
-    """Shared reference logic: forced replicas, then profitable extras in
-    ascending marginal-score order, then one covering replica for
-    attributes still unplaced."""
-    n_attrs, n_txns = coloc_cost.shape
-    lam = cost_weight
-    replicas = np.zeros((n_attrs, n_sites), np.bool_)
-    csum = np.zeros((n_attrs, n_sites), np.float64)
-    lsum = np.zeros((n_attrs, n_sites), np.float64)
-    for t in range(n_txns):
-        s = txn_site[t]
-        for a in range(n_attrs):
-            csum[a, s] += coloc_cost[a, t]
-            lsum[a, s] += coloc_load[a, t]
-    for t in range(n_txns):
-        s = txn_site[t]
-        for a in range(n_attrs):
-            if txn_reads[a, t]:
-                replicas[a, s] = True
-    loads = np.zeros(n_sites, np.float64)
-    for a in range(n_attrs):
-        for s in range(n_sites):
-            if replicas[a, s]:
-                loads[s] += lsum[a, s] + replica_load[a]
-    m = loads[0]
-    for s in range(1, n_sites):
-        if loads[s] > m:
-            m = loads[s]
-
-    # candidates that can ever have a negative marginal score: the load
-    # term of an addition is nonnegative, so the weighted base must be < 0
-    cap = 0
-    for a in range(n_attrs):
-        for s in range(n_sites):
-            if not replicas[a, s] and lam * (csum[a, s] + replica_cost[a]) < 0.0:
-                cap += 1
-    cand_a = np.empty(cap, np.int64)
-    cand_s = np.empty(cap, np.int64)
-    cand_base = np.empty(cap, np.float64)
-    cand_inc = np.empty(cap, np.float64)
-    k = 0
-    for a in range(n_attrs):
-        for s in range(n_sites):
-            if not replicas[a, s]:
-                base = csum[a, s] + replica_cost[a]
-                if lam * base < 0.0:
-                    cand_a[k] = a
-                    cand_s[k] = s
-                    cand_base[k] = base
-                    cand_inc[k] = lsum[a, s] + replica_load[a]
-                    k += 1
-    alive = np.ones(cap, np.bool_)
-    remaining = cap
-    while remaining > 0:
-        best = -1
-        best_delta = 0.0
-        for i in range(cap):
-            if alive[i]:
-                grow = loads[cand_s[i]] + cand_inc[i] - m
-                if grow < 0.0:
-                    grow = 0.0
-                delta = lam * cand_base[i] + (1.0 - lam) * grow
-                if best < 0 or delta < best_delta:
-                    best = i
-                    best_delta = delta
-        if best < 0 or not (best_delta < 0.0):
-            break
-        replicas[cand_a[best], cand_s[best]] = True
-        loads[cand_s[best]] += cand_inc[best]
-        if loads[cand_s[best]] > m:
-            m = loads[cand_s[best]]
-        alive[best] = False
-        remaining -= 1
-
-    # coverage: every attribute needs at least one site
-    for a in range(n_attrs):
-        placed = False
-        for s in range(n_sites):
-            if replicas[a, s]:
-                placed = True
-                break
-        if not placed:
-            best_s = 0
-            best_delta = np.inf
-            for s in range(n_sites):
-                inc = lsum[a, s] + replica_load[a]
-                grow = loads[s] + inc - m
-                if grow < 0.0:
-                    grow = 0.0
-                delta = lam * (csum[a, s] + replica_cost[a]) + (1.0 - lam) * grow
-                if delta < best_delta:
-                    best_delta = delta
-                    best_s = s
-            replicas[a, best_s] = True
-            loads[best_s] += lsum[a, best_s] + replica_load[a]
-            if loads[best_s] > m:
-                m = loads[best_s]
-    return replicas
-
-
-def greedy_replicas_numpy(txn_site, txn_reads, coloc_cost, replica_cost,
-                          coloc_load, replica_load, cost_weight, n_sites):
-    """Numpy path: vectorized forced/candidate setup, sequential additions."""
+def greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
+                    coloc_load, replica_load, cost_weight, n_sites):
+    """Forced replicas, then profitable extras in ascending marginal-score
+    order, then one covering replica for attributes still unplaced."""
     n_attrs, n_txns = coloc_cost.shape
     lam = cost_weight
     onehot = np.zeros((n_txns, n_sites), np.float64)
@@ -219,6 +60,8 @@ def greedy_replicas_numpy(txn_site, txn_reads, coloc_cost, replica_cost,
     m = float(loads.max())
     base_all = csum + replica_cost[:, None]
 
+    # candidates that can ever have a negative marginal score: the load
+    # term of an addition is nonnegative, so the weighted base must be < 0
     cand = np.argwhere(~replicas & (lam * base_all < 0.0))  # row-major order
     cand_list = [(int(a), int(s), base_all[a, s], inc_all[a, s]) for a, s in cand]
     alive = [True] * len(cand_list)
@@ -243,6 +86,7 @@ def greedy_replicas_numpy(txn_site, txn_reads, coloc_cost, replica_cost,
         alive[best] = False
         remaining -= 1
 
+    # coverage: every attribute needs at least one site
     for a in np.flatnonzero(~replicas.any(axis=1)):
         grow = np.maximum(loads + inc_all[a] - m, 0.0)
         delta = lam * base_all[a] + (1.0 - lam) * grow
@@ -257,58 +101,11 @@ def greedy_replicas_numpy(txn_site, txn_reads, coloc_cost, replica_cost,
 # greedy transaction assignment for a fixed replica placement
 # ---------------------------------------------------------------------------
 
-def _assign_transactions_py(replicas, txn_reads, coloc_cost, coloc_load,
-                            replica_load, cost_weight, order):
-    n_attrs, n_txns = coloc_cost.shape
-    n_sites = replicas.shape[1]
-    lam = cost_weight
-    x = np.full(n_txns, -1, np.int64)
-    loads = np.zeros(n_sites, np.float64)
-    for s in range(n_sites):
-        for a in range(n_attrs):
-            if replicas[a, s]:
-                loads[s] += replica_load[a]
-    for i in range(n_txns):
-        t = order[i]
-        m = loads[0]
-        for s in range(1, n_sites):
-            if loads[s] > m:
-                m = loads[s]
-        best_s = -1
-        best_cost = np.inf
-        best_inc = 0.0
-        for s in range(n_sites):
-            ok = True
-            for a in range(n_attrs):
-                if txn_reads[a, t] and not replicas[a, s]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            cval = 0.0
-            inc = 0.0
-            for a in range(n_attrs):
-                if replicas[a, s]:
-                    cval += coloc_cost[a, t]
-                    inc += coloc_load[a, t]
-            grow = loads[s] + inc - m
-            if grow < 0.0:
-                grow = 0.0
-            cost = lam * cval + (1.0 - lam) * grow
-            if cost < best_cost:
-                best_cost = cost
-                best_s = s
-                best_inc = inc
-        if best_s < 0:
-            return x
-        x[t] = best_s
-        loads[best_s] += best_inc
-    return x
-
-
-def assign_transactions_numpy(replicas, txn_reads, coloc_cost, coloc_load,
-                              replica_load, cost_weight, order):
-    """Numpy path: per-transaction site choice vectorized across sites."""
+def assign_transactions(replicas, txn_reads, coloc_cost, coloc_load,
+                        replica_load, cost_weight, order):
+    """Place transactions in ``order``, each on the feasible site with the
+    lowest weighted-score increase; ``-1`` from the first one that fits
+    on no site onwards."""
     n_attrs, n_txns = coloc_cost.shape
     lam = cost_weight
     rep_f = replicas.astype(np.float64)
@@ -335,243 +132,22 @@ def assign_transactions_numpy(replicas, txn_reads, coloc_cost, coloc_load,
 # exhaustive enumeration of all feasible layouts (oracle)
 # ---------------------------------------------------------------------------
 
-def _enumerate_layouts_py(coloc_cost, replica_cost, coloc_load, replica_load,
-                          txn_reads, cost_weight, n_sites, forbid_replication):
-    """Reference enumeration: every assignment x, every replica-set choice
-    per attribute that covers the forced sites, in lexicographic order.
-    Returns ``(found, best_score, best_x, best_masks)`` where masks are
-    site bitmasks per attribute."""
-    n_attrs, n_txns = coloc_cost.shape
-    n_s = n_sites
-    lam = cost_weight
-    full = (1 << n_s) - 1
-    best_score = np.inf
-    best_x = np.zeros(n_txns, np.int64)
-    best_mask = np.zeros(n_attrs, np.int64)
-    found = False
+def enumerate_layouts(coloc_cost, replica_cost, coloc_load, replica_load,
+                      txn_reads, cost_weight, n_sites, forbid_replication,
+                      write_attr, write_txn, write_freq, latency_penalty,
+                      chunk=1 << 13):
+    """Score every feasible layout and return the lexicographically first
+    minimizer as ``(found, best_score, best_x, best_masks)``, where the
+    masks are site bitmasks per attribute.
 
-    x = np.zeros(n_txns, np.int64)
-    csum = np.zeros((n_attrs, n_s), np.float64)
-    lsum = np.zeros((n_attrs, n_s), np.float64)
-    valid = np.zeros((n_attrs, full + 1), np.int64)
-    obj_tab = np.zeros((n_attrs, full + 1), np.float64)
-    vcount = np.zeros(n_attrs, np.int64)
-    digit = np.zeros(n_attrs, np.int64)
-    loads = np.zeros(n_s, np.float64)
-
-    while True:
-        for a in range(n_attrs):
-            for s in range(n_s):
-                csum[a, s] = 0.0
-                lsum[a, s] = 0.0
-        for t in range(n_txns):
-            s = x[t]
-            for a in range(n_attrs):
-                csum[a, s] += coloc_cost[a, t]
-                lsum[a, s] += coloc_load[a, t]
-        x_ok = True
-        for a in range(n_attrs):
-            forced = 0
-            for t in range(n_txns):
-                if txn_reads[a, t]:
-                    forced |= 1 << x[t]
-            cnt = 0
-            for mask in range(1, full + 1):
-                if (mask & forced) == forced:
-                    if forbid_replication and (mask & (mask - 1)) != 0:
-                        continue
-                    valid[a, cnt] = mask
-                    val = 0.0
-                    m2 = mask
-                    s = 0
-                    while m2:
-                        if m2 & 1:
-                            val += csum[a, s] + replica_cost[a]
-                        m2 >>= 1
-                        s += 1
-                    obj_tab[a, cnt] = val
-                    cnt += 1
-            if cnt == 0:
-                x_ok = False
-                break
-            vcount[a] = cnt
-
-        if x_ok and n_attrs > 0:
-            for a in range(n_attrs):
-                digit[a] = 0
-            obj = 0.0
-            for s in range(n_s):
-                loads[s] = 0.0
-            for a in range(n_attrs):
-                obj += obj_tab[a, 0]
-                m2 = valid[a, 0]
-                s = 0
-                while m2:
-                    if m2 & 1:
-                        loads[s] += lsum[a, s] + replica_load[a]
-                    m2 >>= 1
-                    s += 1
-            while True:
-                mx = loads[0]
-                for s in range(1, n_s):
-                    if loads[s] > mx:
-                        mx = loads[s]
-                score = lam * obj + (1.0 - lam) * mx
-                if score < best_score:
-                    best_score = score
-                    found = True
-                    for t in range(n_txns):
-                        best_x[t] = x[t]
-                    for a in range(n_attrs):
-                        best_mask[a] = valid[a, digit[a]]
-                pos = n_attrs - 1
-                while pos >= 0:
-                    old = valid[pos, digit[pos]]
-                    if digit[pos] + 1 < vcount[pos]:
-                        digit[pos] += 1
-                        new = valid[pos, digit[pos]]
-                        obj += obj_tab[pos, digit[pos]] - obj_tab[pos, digit[pos] - 1]
-                    else:
-                        new = valid[pos, 0]
-                        obj += obj_tab[pos, 0] - obj_tab[pos, digit[pos]]
-                        digit[pos] = 0
-                    m2 = old
-                    s = 0
-                    while m2:
-                        if m2 & 1:
-                            loads[s] -= lsum[pos, s] + replica_load[pos]
-                        m2 >>= 1
-                        s += 1
-                    m2 = new
-                    s = 0
-                    while m2:
-                        if m2 & 1:
-                            loads[s] += lsum[pos, s] + replica_load[pos]
-                        m2 >>= 1
-                        s += 1
-                    if digit[pos] != 0:
-                        break
-                    pos -= 1
-                if pos < 0:
-                    break
-        elif x_ok:
-            # no attributes: score is 0 for any x
-            if 0.0 < best_score:
-                best_score = 0.0
-                found = True
-                for t in range(n_txns):
-                    best_x[t] = x[t]
-
-        tpos = n_txns - 1
-        while tpos >= 0:
-            if x[tpos] + 1 < n_s:
-                x[tpos] += 1
-                break
-            x[tpos] = 0
-            tpos -= 1
-        if tpos < 0:
-            break
-    return found, best_score, best_x, best_mask
-
-
-def enumerate_layouts_numpy(coloc_cost, replica_cost, coloc_load, replica_load,
-                            txn_reads, cost_weight, n_sites, forbid_replication,
-                            chunk=1 << 14):
-    """Numpy path: chunked vectorized scoring of the replica-set odometer."""
-    n_attrs, n_txns = coloc_cost.shape
-    n_s = n_sites
-    lam = cost_weight
-    full = (1 << n_s) - 1
-    best_score = np.inf
-    best_x = np.zeros(n_txns, np.int64)
-    best_mask = np.zeros(n_attrs, np.int64)
-    found = False
-
-    all_masks = np.arange(1, full + 1, dtype=np.int64)
-    mask_bits = ((all_masks[:, None] >> np.arange(n_s)) & 1).astype(np.float64)  # (M, S)
-    if forbid_replication:
-        keep = mask_bits.sum(axis=1) == 1
-        all_masks = all_masks[keep]
-        mask_bits = mask_bits[keep]
-
-    x = np.zeros(n_txns, np.int64)
-    while True:
-        onehot = np.zeros((n_txns, n_s), np.float64)
-        if n_txns:
-            onehot[np.arange(n_txns), x] = 1.0
-        csum = coloc_cost @ onehot
-        lsum = coloc_load @ onehot
-        forced = np.zeros(n_attrs, np.int64)
-        for t in range(n_txns):
-            forced |= np.where(txn_reads[:, t], np.int64(1) << np.int64(x[t]), 0)
-
-        per_attr_masks: list[np.ndarray] = []
-        per_attr_obj: list[np.ndarray] = []
-        per_attr_load: list[np.ndarray] = []
-        x_ok = True
-        for a in range(n_attrs):
-            sel = (all_masks & forced[a]) == forced[a]
-            masks_a = all_masks[sel]
-            if masks_a.size == 0:
-                x_ok = False
-                break
-            bits_a = mask_bits[sel]  # (K, S)
-            inc_a = bits_a * (lsum[a] + replica_load[a])[None, :]
-            obj_a = bits_a @ csum[a] + bits_a.sum(axis=1) * replica_cost[a]
-            per_attr_masks.append(masks_a)
-            per_attr_obj.append(obj_a)
-            per_attr_load.append(inc_a)
-
-        if x_ok:
-            counts = np.array([m.size for m in per_attr_masks], np.int64)
-            total = int(np.prod(counts)) if n_attrs else 1
-            for start in range(0, total, chunk):
-                stop = min(start + chunk, total)
-                idx = np.arange(start, stop, dtype=np.int64)
-                obj = np.zeros(stop - start, np.float64)
-                loads = np.zeros((stop - start, n_s), np.float64)
-                digits = np.empty((n_attrs, stop - start), np.int64)
-                rem = idx
-                for a in range(n_attrs - 1, -1, -1):
-                    digits[a] = rem % counts[a]
-                    rem = rem // counts[a]
-                for a in range(n_attrs):
-                    d = digits[a]
-                    obj += per_attr_obj[a][d]
-                    loads += per_attr_load[a][d]
-                score = lam * obj + (1.0 - lam) * (loads.max(axis=1) if n_s else 0.0)
-                k = int(np.argmin(score))
-                if score[k] < best_score:
-                    best_score = float(score[k])
-                    found = True
-                    best_x = x.copy()
-                    for a in range(n_attrs):
-                        best_mask[a] = per_attr_masks[a][digits[a, k]]
-
-        tpos = n_txns - 1
-        while tpos >= 0:
-            if x[tpos] + 1 < n_s:
-                x[tpos] += 1
-                break
-            x[tpos] = 0
-            tpos -= 1
-        if tpos < 0:
-            break
-    return found, best_score, best_x, best_mask
-
-
-def enumerate_layouts_latency_numpy(coloc_cost, replica_cost, coloc_load,
-                                    replica_load, txn_reads, cost_weight,
-                                    n_sites, forbid_replication,
-                                    write_attr, write_txn, write_freq,
-                                    latency_penalty, chunk=1 << 13):
-    """Exhaustive search including the per-write-query latency term.
-
-    ``write_attr[a, w]`` flags attributes updated by write query ``w``,
-    ``write_txn[w]`` is its transaction, ``write_freq[w]`` its frequency.
-    A write query pays ``latency_penalty * frequency`` (weighted into the
-    score like the rest of the objective) whenever any updated attribute
-    keeps a replica off the transaction's site.
+    Transaction assignments are walked as an odometer; for each, the
+    replica-set choices per attribute that cover the forced sites are
+    scored in vectorized chunks.  ``write_attr[a, w]`` flags attributes
+    updated by write query ``w``, ``write_txn[w]`` is its transaction,
+    ``write_freq[w]`` its frequency.  A write query pays
+    ``latency_penalty * frequency`` (weighted into the score like the rest
+    of the objective) whenever any updated attribute keeps a replica off
+    the transaction's site.  Pass no write queries to price no latency.
     """
     n_attrs, n_txns = coloc_cost.shape
     n_s = n_sites
@@ -584,11 +160,10 @@ def enumerate_layouts_latency_numpy(coloc_cost, replica_cost, coloc_load,
     found = False
 
     all_masks = np.arange(1, full + 1, dtype=np.int64)
-    mask_bits = ((all_masks[:, None] >> np.arange(n_s)) & 1).astype(np.float64)
-    popcount = mask_bits.sum(axis=1)
+    mask_bits = ((all_masks[:, None] >> np.arange(n_s)) & 1).astype(np.float64)  # (M, S)
     if forbid_replication:
-        keep = popcount == 1
-        all_masks, mask_bits, popcount = all_masks[keep], mask_bits[keep], popcount[keep]
+        keep = mask_bits.sum(axis=1) == 1
+        all_masks, mask_bits = all_masks[keep], mask_bits[keep]
 
     x = np.zeros(n_txns, np.int64)
     while True:
@@ -609,15 +184,14 @@ def enumerate_layouts_latency_numpy(coloc_cost, replica_cost, coloc_load,
             if masks_a.size == 0:
                 x_ok = False
                 break
-            bits_a = mask_bits[sel]
+            bits_a = mask_bits[sel]  # (K, S)
             per_masks.append(masks_a)
             per_obj.append(bits_a @ csum[a] + bits_a.sum(axis=1) * replica_cost[a])
             per_load.append(bits_a * (lsum[a] + replica_load[a])[None, :])
             # remote replica count of a per write query: replicas minus the
             # one on the write's own site (if any)
-            onsite = bits_a[:, x[write_txn]] if n_w else np.zeros((bits_a.shape[0], 0))
-            rem = (bits_a.sum(axis=1)[:, None] - onsite) * write_attr[a][None, :]
-            per_remote.append(rem)
+            onsite = bits_a[:, x[write_txn]]
+            per_remote.append((bits_a.sum(axis=1)[:, None] - onsite) * write_attr[a][None, :])
 
         if x_ok:
             counts = np.array([m.size for m in per_masks], np.int64)
@@ -639,8 +213,7 @@ def enumerate_layouts_latency_numpy(coloc_cost, replica_cost, coloc_load,
                     loads += per_load[a][d]
                     remote += per_remote[a][d]
                 latency = latency_penalty * ((remote > 0) @ write_freq)
-                score = (lam * (obj + latency)
-                         + (1.0 - lam) * loads.max(axis=1))
+                score = lam * (obj + latency) + (1.0 - lam) * loads.max(axis=1)
                 k = int(np.argmin(score))
                 if score[k] < best_score:
                     best_score = float(score[k])
@@ -659,30 +232,3 @@ def enumerate_layouts_latency_numpy(coloc_cost, replica_cost, coloc_load,
         if tpos < 0:
             break
     return found, best_score, best_x, best_mask
-
-
-# ---------------------------------------------------------------------------
-# path selection
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-    _jit = njit(cache=True, nogil=True)
-    folded_cost_numba = _jit(_folded_cost_py)
-    greedy_replicas_numba = _jit(_greedy_replicas_py)
-    assign_transactions_numba = _jit(_assign_transactions_py)
-    enumerate_layouts_numba = _jit(_enumerate_layouts_py)
-
-    folded_cost = folded_cost_numba
-    greedy_replicas = greedy_replicas_numba
-    assign_transactions = assign_transactions_numba
-    enumerate_layouts = enumerate_layouts_numba
-else:
-    folded_cost_numba = None
-    greedy_replicas_numba = None
-    assign_transactions_numba = None
-    enumerate_layouts_numba = None
-
-    folded_cost = folded_cost_numpy
-    greedy_replicas = greedy_replicas_numpy
-    assign_transactions = assign_transactions_numpy
-    enumerate_layouts = enumerate_layouts_numpy

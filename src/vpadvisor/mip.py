@@ -762,36 +762,24 @@ def brute_force(
         )
     if model is None:
         model = derive(instance)
-    if instance.latency_penalty is not None:
-        write_ids = [q.id for q in instance.queries if q.is_write]
-        write_attr = np.ascontiguousarray(model.attr_access[:, write_ids], dtype=np.bool_)
-        write_txn = np.asarray([model.txn_of_query[q] for q in write_ids], dtype=np.int64)
-        write_freq = np.asarray([model.frequencies[q] for q in write_ids], dtype=np.float64)
-        found, _, best_x, best_mask = kernels.enumerate_layouts_latency_numpy(
-            model.coloc_cost,
-            model.replica_cost,
-            model.coloc_load,
-            model.replica_load,
-            model.txn_reads,
-            float(instance.cost_weight),
-            instance.site_count,
-            forbid_replication,
-            write_attr,
-            write_txn,
-            write_freq,
-            float(instance.latency_penalty),
-        )
+    if instance.latency_penalty is None:
+        writes, latency_penalty = np.empty(0, dtype=np.int64), 0.0
     else:
-        found, _, best_x, best_mask = kernels.enumerate_layouts(
-            model.coloc_cost,
-            model.replica_cost,
-            model.coloc_load,
-            model.replica_load,
-            model.txn_reads,
-            float(instance.cost_weight),
-            instance.site_count,
-            forbid_replication,
-        )
+        writes, latency_penalty = np.flatnonzero(model.is_write), float(instance.latency_penalty)
+    found, _, best_x, best_mask = kernels.enumerate_layouts(
+        model.coloc_cost,
+        model.replica_cost,
+        model.coloc_load,
+        model.replica_load,
+        model.txn_reads,
+        float(instance.cost_weight),
+        instance.site_count,
+        forbid_replication,
+        model.attr_access[:, writes],
+        model.txn_of_query[writes],
+        model.frequencies[writes],
+        latency_penalty,
+    )
     if not found:
         raise BudgetExceededError("enumeration found no feasible layout")
     replica = np.zeros((instance.attribute_count, instance.site_count), dtype=np.bool_)

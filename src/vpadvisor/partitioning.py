@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import InfeasibleLayoutError
 from .workload import CostModel, Instance
 
@@ -185,18 +186,22 @@ def _write_latency(instance: Instance, model: CostModel,
     if instance.latency_penalty is None:
         return None
     writes = np.flatnonzero(model.is_write)
-    if writes.size == 0:
-        return 0.0
-    total = 0.0
-    counts = replica.sum(axis=1)
-    for q in writes:
-        t = int(model.txn_of_query[q])
-        s = int(txn_site[t])
-        touched = model.attr_access[:, q]
-        remote = int(counts[touched].sum() - replica[touched, s].sum())
-        if remote > 0:
-            total += float(model.frequencies[q])
-    return float(instance.latency_penalty) * total
+    home = txn_site[model.txn_of_query[writes]]  # (W,)
+    off_home = replica.sum(axis=1)[:, None] - replica[:, home]  # (A, W)
+    remote = (model.attr_access[:, writes] & (off_home > 0)).any(axis=0)
+    return float(instance.latency_penalty) * float(model.frequencies[writes][remote].sum())
+
+
+def _folded_score(instance: Instance, model: CostModel,
+                  txn_site: np.ndarray, replica: np.ndarray) -> FoldedCost:
+    """Objective and score of a layout through the folded coefficients,
+    without feasibility checks."""
+    objective, max_load = kernels.folded_cost(
+        model.coloc_cost, model.replica_cost, model.coloc_load,
+        model.replica_load, txn_site, replica)
+    latency = _write_latency(instance, model, txn_site, replica)
+    score = weighted_score(objective, max_load, latency, float(instance.cost_weight))
+    return FoldedCost(objective=objective, score=score)
 
 
 def evaluate(instance: Instance, model: CostModel,
@@ -275,27 +280,14 @@ def evaluate_folded(instance: Instance, model: CostModel,
     violations = check_feasible(instance, model, partitioning)
     if violations:
         raise InfeasibleLayoutError(violations)
-
-    x = partitioning.txn_site
-    rep = partitioning.replica
-    rep_f = rep.astype(np.float64)
-    on_site = rep[:, x]
-
-    objective = float((model.coloc_cost * on_site).sum()
-                      + model.replica_cost @ rep_f.sum(axis=1))
-    loads = rep_f.T @ model.replica_load
-    np.add.at(loads, x, (model.coloc_load * on_site).sum(axis=0))
-    latency = _write_latency(instance, model, x, rep)
-    score = weighted_score(objective, float(loads.max()), latency,
-                           float(instance.cost_weight))
-    return FoldedCost(objective=objective, score=score)
+    return _folded_score(instance, model, partitioning.txn_site, partitioning.replica)
 
 
 def delta_add_replica(instance: Instance, model: CostModel,
                       partitioning: Partitioning, attribute_id: int,
                       site: int) -> float:
-    """Score change from adding one replica, without re-evaluating from
-    scratch.  Equals ``evaluate(after).score - evaluate(before).score``.
+    """Score change from adding one replica, priced through the folded
+    coefficients.  Equals ``evaluate(after).score - evaluate(before).score``.
 
     Raises ``ValueError`` if the replica already exists.
     """
@@ -310,41 +302,6 @@ def delta_add_replica(instance: Instance, model: CostModel,
             f"attribute '{_attr_ref(instance, a)}' already has a replica on site {s}")
 
     x = partitioning.txn_site
-    rep = partitioning.replica
-    rep_f = rep.astype(np.float64)
-    on_site = rep[:, x]
-
-    objective = float((model.coloc_cost * on_site).sum()
-                      + model.replica_cost @ rep_f.sum(axis=1))
-    loads = rep_f.T @ model.replica_load
-    np.add.at(loads, x, (model.coloc_load * on_site).sum(axis=0))
-    max_load = float(loads.max())
-    latency = _write_latency(instance, model, x, rep)
-    before = weighted_score(objective, max_load, latency,
-                            float(instance.cost_weight))
-
-    here = x == s
-    obj_after = objective + float(model.coloc_cost[a, here].sum()) + float(model.replica_cost[a])
-    load_inc = float(model.coloc_load[a, here].sum()) + float(model.replica_load[a])
-    new_site_load = float(loads[s]) + load_inc
-    max_after = max(max_load, new_site_load)
-
-    if latency is None:
-        lat_after = None
-    else:
-        # write queries updating this attribute from another site may newly
-        # pay the latency charge
-        lat_after = latency
-        counts = rep.sum(axis=1)
-        for q in np.flatnonzero(model.is_write & model.attr_access[a]):
-            t = int(model.txn_of_query[q])
-            if int(x[t]) == s:
-                continue
-            touched = model.attr_access[:, q]
-            remote = int(counts[touched].sum() - rep[touched, int(x[t])].sum())
-            if remote == 0:  # this addition flips the query to remote
-                lat_after += float(instance.latency_penalty) * float(model.frequencies[q])
-
-    after = weighted_score(obj_after, max_after, lat_after,
-                           float(instance.cost_weight))
-    return after - before
+    grown = partitioning.with_replica(a, s).replica
+    before = _folded_score(instance, model, x, partitioning.replica).score
+    return _folded_score(instance, model, x, grown).score - before
