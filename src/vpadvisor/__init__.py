@@ -5,7 +5,7 @@ statistics, the package recommends a placement of attributes (possibly
 replicated) and transactions (exactly one home site each) across a set
 of sites, minimizing a weighted mix of storage-access cost, network
 transfer, and peak site load.  Two solvers are provided: an exact
-branch-and-bound over a linearized integer program, and a simulated
+solver that hands a linearized integer program to HiGHS, and a simulated
 annealing heuristic that alternates between the two halves of the
 placement.
 """
@@ -52,9 +52,7 @@ from .mip import (
     DEFAULT_ENUMERATION_BUDGET,
     BruteResult,
     ExactConfig,
-    MipConstraint,
     MipModel,
-    MipVariable,
     brute_force,
     build_mip,
     enumeration_size,
@@ -133,8 +131,6 @@ __all__ = [
     "solve_sa",
     "solve_sa_best_of",
     # exact / enumeration
-    "MipVariable",
-    "MipConstraint",
     "MipModel",
     "build_mip",
     "export_model",

@@ -35,9 +35,9 @@ class SaConfig:
     attributes (rounded up).  The search stops when the temperature
     drops below ``freeze_temperature_ratio`` times the initial
     temperature or when ``freeze_stall_loops`` consecutive temperature
-    steps pass without improving the best score.  A single candidate
-    construction longer than ``iteration_time_limit`` seconds is
-    abandoned instead of entering the acceptance test.
+    steps pass without improving the best score, or when ``time_limit``
+    seconds of wall time have passed (checked before each candidate
+    move; the default sets no limit).
     """
 
     inner_loops: int = 50
@@ -45,7 +45,7 @@ class SaConfig:
     move_fraction: float = 0.1
     freeze_temperature_ratio: float = 1e-6
     freeze_stall_loops: int = 20
-    iteration_time_limit: float = 30.0
+    time_limit: float = math.inf
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +59,8 @@ class SaConfig:
             raise ValueError("freeze_temperature_ratio must be positive")
         if self.freeze_stall_loops < 1:
             raise ValueError("freeze_stall_loops must be at least 1")
-        if self.iteration_time_limit <= 0.0:
-            raise ValueError("iteration_time_limit must be positive")
+        if not self.time_limit >= 0.0:
+            raise ValueError("time_limit must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -241,6 +241,7 @@ def solve_sa(
         model = derive(instance)
     rng = np.random.default_rng(config.seed)
     started = time.perf_counter()
+    deadline = started + config.time_limit
 
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
@@ -269,11 +270,12 @@ def solve_sa(
     current_scores: List[float] = []
     accepted_moves: List[int] = []
 
-    while tau > freeze_at and stall < config.freeze_stall_loops:
+    while tau > freeze_at and stall < config.freeze_stall_loops and time.perf_counter() < deadline:
         accepted = 0
         best_before = best_score
         for _ in range(config.inner_loops):
-            move_started = time.perf_counter()
+            if time.perf_counter() >= deadline:
+                break
             pert_x = perturb_transactions(cur_x, n_sites, config.move_fraction, rng)
             pert_y = perturb_replicas(cur_y, config.move_fraction, rng)
             if fix_transactions:
@@ -289,8 +291,6 @@ def solve_sa(
             fix_transactions = not fix_transactions
             evaluations += 1
             cand_score = _folded_score(instance, model, cand_x, cand_y).score
-            if time.perf_counter() - move_started > config.iteration_time_limit:
-                continue
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
                 cur_x, cur_y, cur_score = cand_x, cand_y, cand_score
@@ -335,7 +335,10 @@ def solve_sa_best_of(
     Run ``i`` uses seed ``config.seed + i``; the returned report is the
     one with the lowest score (ties broken by the lower run index).  Its
     ``wall_time`` is the total time of all runs and its ``node_count``
-    the total number of evaluations.
+    the total number of evaluations.  The runs share one deadline,
+    ``config.time_limit`` from the start: each run gets the time left,
+    and the runs after the first are skipped once none is left, so
+    fewer than ``runs`` traces may come back.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -343,11 +346,14 @@ def solve_sa_best_of(
         config = SaConfig()
     model = derive(instance)
     started = time.perf_counter()
-    results = [
-        solve_sa(instance, replace(config, seed=config.seed + i), model=model)
-        for i in range(runs)
-    ]
-    best_index = min(range(runs), key=lambda i: (results[i][0].score, i))
+    results = []
+    for i in range(runs):
+        left = config.time_limit - (time.perf_counter() - started)
+        if i > 0 and left <= 0.0:
+            break
+        run_config = replace(config, seed=config.seed + i, time_limit=max(left, 0.0))
+        results.append(solve_sa(instance, run_config, model=model))
+    best_index = min(range(len(results)), key=lambda i: (results[i][0].score, i))
     report = replace(
         results[best_index][0],
         wall_time=time.perf_counter() - started,

@@ -243,6 +243,21 @@ def _parse_pins(instance: Instance, pin_args: List[str]) -> Tuple[Tuple[int, int
     return tuple(pins)
 
 
+def _brute_report(instance: Instance, budget: int, forbid_replication: bool) -> SolveReport:
+    """Exhaustive enumeration, reported like the other solvers."""
+    started = time.perf_counter()
+    result = brute_force(instance, budget=budget, forbid_replication=forbid_replication)
+    return SolveReport(
+        partitioning=result.partitioning,
+        objective=result.objective,
+        score=result.score,
+        bound_gap=0.0,
+        wall_time=time.perf_counter() - started,
+        node_count=result.combinations,
+        status=STATUS_OPTIMAL,
+    )
+
+
 def _solve_dispatch(
     instance: Instance, args: argparse.Namespace
 ) -> Tuple[SolveReport, Optional[Tuple[SaTrace, ...]]]:
@@ -253,7 +268,7 @@ def _solve_dispatch(
             raise _UsageError("--pin is only supported with --algo exact")
         cfg = SaConfig(seed=args.seed if args.seed is not None else 0)
         if args.time_limit is not None:
-            cfg = replace(cfg, iteration_time_limit=args.time_limit)
+            cfg = replace(cfg, time_limit=args.time_limit)
         runs = args.runs if args.runs is not None else 1
         report, traces = solve_sa_best_of(instance, runs, cfg)
         return report, traces
@@ -273,22 +288,7 @@ def _solve_dispatch(
     if args.algo == "brute":
         if args.pin:
             raise _UsageError("--pin is only supported with --algo exact")
-        started = time.perf_counter()
-        result = brute_force(
-            instance,
-            budget=args.budget,
-            forbid_replication=args.disjoint,
-        )
-        report = SolveReport(
-            partitioning=result.partitioning,
-            objective=result.objective,
-            score=result.score,
-            bound_gap=0.0,
-            wall_time=time.perf_counter() - started,
-            node_count=result.combinations,
-            status=STATUS_OPTIMAL,
-        )
-        return report, None
+        return _brute_report(instance, args.budget, args.disjoint), None
     raise _UsageError(f"unknown algorithm '{args.algo}'")
 
 
@@ -381,21 +381,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # compare
 
 
-def _exact_for_compare(instance: Instance, args: argparse.Namespace, forbid: bool) -> SolveReport:
+def _exact_for_compare(
+    instance: Instance, args: argparse.Namespace, forbid: bool, time_limit: float
+) -> SolveReport:
     if args.algo == "brute":
-        started = time.perf_counter()
-        result = brute_force(instance, budget=args.budget, forbid_replication=forbid)
-        return SolveReport(
-            partitioning=result.partitioning,
-            objective=result.objective,
-            score=result.score,
-            bound_gap=0.0,
-            wall_time=time.perf_counter() - started,
-            node_count=result.combinations,
-            status=STATUS_OPTIMAL,
-        )
+        return _brute_report(instance, args.budget, forbid)
     cfg = ExactConfig(
-        time_limit=args.time_limit if args.time_limit is not None else 1800.0,
+        time_limit=time_limit,
         gap=args.gap if args.gap is not None else 1e-3,
         forbid_replication=forbid,
     )
@@ -403,18 +395,22 @@ def _exact_for_compare(instance: Instance, args: argparse.Namespace, forbid: boo
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    """Solve both sides within one ``--time-limit``: the left side gets
+    half of it, the right side what is left."""
+    started = time.perf_counter()
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.mode == "replication":
         left_label, right_label = "replicated", "disjoint"
         left_instance = right_instance = instance
-        left = _exact_for_compare(instance, args, forbid=False)
-        right = _exact_for_compare(instance, args, forbid=True)
     else:
         left_label, right_label = "local (p=0)", f"remote (p={instance.network_penalty:g})"
         left_instance = replace(instance, network_penalty=0.0)
         right_instance = instance
-        left = _exact_for_compare(left_instance, args, forbid=False)
-        right = _exact_for_compare(right_instance, args, forbid=False)
+    right_forbid = args.mode == "replication"
+    time_limit = args.time_limit if args.time_limit is not None else 1800.0
+    left = _exact_for_compare(left_instance, args, False, time_limit / 2)
+    time_left = max(0.0, time_limit - (time.perf_counter() - started))
+    right = _exact_for_compare(right_instance, args, right_forbid, time_left)
     sides = ((left_label, left, left_instance), (right_label, right, right_instance))
     for label, rep, _ in sides:
         if rep.status == STATUS_NO_SOLUTION_TIME_LIMIT or rep.partitioning is None:

@@ -9,11 +9,14 @@ the product ``x*y``.  :func:`build_mip` keeps this full form for export.
 The exact solver hands HiGHS's branch-and-cut (``scipy.optimize.milp``)
 a compact form with the same optimum: auxiliaries only where a
 coefficient needs them, and only the McCormick rows each coefficient's
-sign needs.
+sign needs.  Both forms are built block by block into sparse arrays by
+one row builder, :class:`_Rows`.
 """
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,46 +38,32 @@ from .report import (
 )
 from .workload import CostModel, Instance, derive, subset_transactions
 
-BINARY = "binary"
-CONTINUOUS = "continuous-nonnegative"
-
 #: Nominal layout count enumerated by :func:`brute_force` at most.
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class MipVariable:
-    """One column of the integer program."""
-
-    name: str
-    kind: str  # BINARY or CONTINUOUS
-    objective: float
-    upper: Optional[float] = None  # None = unbounded above
-
-
-@dataclass(frozen=True)
-class MipConstraint:
-    """One row: sum(coef * var) <relation> rhs."""
-
-    name: str
-    terms: Tuple[Tuple[int, float], ...]
-    relation: str  # "<=", ">=" or "="
-    rhs: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MipModel:
-    """A minimization program over binary placement variables.
+    """The program ``min c @ v`` subject to ``lower <= v <= upper``,
+    ``row_lower <= matrix @ v <= row_upper`` and ``v[j]`` integral where
+    ``integrality[j]`` is 1 (those columns are binary).
 
-    Variable order: ``x[t,s]`` (site fastest), ``y[a,s]``, ``u[t,a,s]``,
+    Column order: ``x[t,s]`` (site fastest), ``y[a,s]``, ``u[t,a,s]``,
     ``m``, then one indicator per write query when the latency term is
-    modeled.  Base constraint order: assignment, coverage, read
-    co-location, per-site load, linearization triples; optional
-    symmetry-breaking, pinned-replica, and latency rows follow.
+    modeled.  Base row order: assignment, coverage, read co-location,
+    per-site load, linearization triples; optional symmetry-breaking,
+    pinned-replica, and latency rows follow.
     """
 
-    variables: Tuple[MipVariable, ...]
-    constraints: Tuple[MipConstraint, ...]
+    c: np.ndarray
+    integrality: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    matrix: sp.csr_array
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    column_names: Tuple[str, ...]
+    row_names: Tuple[str, ...]
     n_txns: int
     n_attrs: int
     n_sites: int
@@ -83,11 +72,11 @@ class MipModel:
 
     @property
     def variable_count(self) -> int:
-        return len(self.variables)
+        return self.c.size
 
     @property
     def constraint_count(self) -> int:
-        return len(self.constraints)
+        return self.matrix.shape[0]
 
     def x_index(self, t: int, s: int) -> int:
         return t * self.n_sites + s
@@ -107,6 +96,62 @@ class MipModel:
         if not self.has_latency:
             raise ValueError("model has no latency indicators")
         return self.m_index + 1 + write_pos
+
+
+class _Rows:
+    """Constraint rows ``lower <= row @ v <= upper``, collected block by
+    block as sparse triples."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self._entries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._bounds: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def add(self, count: int, terms, lo, hi) -> None:
+        """Append ``count`` rows.  Each term holds row indices local to
+        the block, columns and coefficients, which broadcast together;
+        ``lo`` and ``hi`` are scalars or one value per row."""
+        for rows, cols, coef in terms:
+            rows, cols, coef = np.broadcast_arrays(rows, cols, np.asarray(coef, dtype=np.float64))
+            self._entries.append((self.count + rows.ravel(), cols.ravel(), coef.ravel()))
+        lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), count) for b in (lo, hi))
+        self._bounds.append((lo, hi))
+        self.count += count
+
+    def arrays(self, n_cols: int) -> Tuple[sp.csr_array, np.ndarray, np.ndarray]:
+        """The matrix without zero entries, and the row bounds."""
+        rows, cols, coefs = (np.concatenate(part) for part in zip(*self._entries))
+        keep = coefs != 0.0
+        matrix = sp.csr_array((coefs[keep], (rows[keep], cols[keep])), shape=(self.count, n_cols))
+        lower, upper = (np.concatenate(part) for part in zip(*self._bounds))
+        return matrix, lower, upper
+
+
+def _per_site(base: int, ids, n_sites: int) -> np.ndarray:
+    """Indices ``base + id * n_sites + s``, one row per id."""
+    return base + np.asarray(ids, dtype=np.int64)[:, None] * n_sites + np.arange(n_sites)
+
+
+def _placement_rows(
+    rows: _Rows, n_txns: int, n_attrs: int, n_sites: int, forbid_replication: bool
+) -> None:
+    """Each transaction runs on exactly one site; each attribute is
+    stored somewhere (on exactly one site when disjoint).  Columns
+    ``x[t,s]`` come first, ``y[a,s]`` right after them."""
+    nx, ny = n_txns * n_sites, n_attrs * n_sites
+    rows.add(n_txns, [(np.arange(nx) // n_sites, np.arange(nx), 1.0)], 1.0, 1.0)
+    rows.add(n_attrs, [(np.arange(ny) // n_sites, nx + np.arange(ny), 1.0)],
+             1.0, 1.0 if forbid_replication else np.inf)
+
+
+def _symmetry_rows(rows: _Rows, n_txns: int, n_sites: int) -> None:
+    """Interchangeable sites are opened in order: site ``s`` hosts
+    transaction ``t`` only after an earlier transaction uses ``s-1``."""
+    local = np.arange(n_txns * (n_sites - 1)).reshape(n_txns, n_sites - 1)
+    later, earlier = np.nonzero(np.tri(n_txns, k=-1))
+    x = _per_site(0, np.arange(n_txns), n_sites)
+    rows.add(local.size, [(local, x[:, 1:], 1.0), (local[later], x[earlier, :-1], -1.0)],
+             -np.inf, 0.0)
 
 
 def _sorted_pins(
@@ -129,7 +174,6 @@ def build_mip(
     use_symmetry: bool = False,
     forbid_replication: bool = False,
     fixed_replicas: Sequence[Tuple[int, int]] = (),
-    with_latency: Optional[bool] = None,
 ) -> MipModel:
     """Construct the linearized program for ``instance``.
 
@@ -139,8 +183,9 @@ def build_mip(
     sites are interchangeable, so callers must leave it off when
     pinning replicas.  ``forbid_replication`` turns the coverage rows
     into equalities (each attribute on exactly one site).
-    ``fixed_replicas`` pins ``y[a,s] = 1`` for the given pairs.
-    ``with_latency`` defaults to whether the instance prices latency.
+    ``fixed_replicas`` pins ``y[a,s] = 1`` for the given pairs.  The
+    latency indicators and rows are there when the instance prices
+    latency.
     """
     if model is None:
         model = derive(instance)
@@ -148,131 +193,106 @@ def build_mip(
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
     lam = float(instance.cost_weight)
-    if with_latency is None:
-        with_latency = instance.latency_penalty is not None
-    if with_latency and instance.latency_penalty is None:
-        raise ValueError("latency indicators need the instance's latency penalty")
-
+    has_latency = instance.latency_penalty is not None
     pins = _sorted_pins(fixed_replicas, n_attrs, n_sites)
+    write_ids = np.flatnonzero(model.is_write) if has_latency else np.zeros(0, dtype=np.int64)
 
-    variables: List[MipVariable] = []
-    for t in range(n_txns):
-        for s in range(n_sites):
-            variables.append(MipVariable(f"x_{t}_{s}", BINARY, 0.0, upper=1.0))
-    for a in range(n_attrs):
-        for s in range(n_sites):
-            variables.append(
-                MipVariable(f"y_{a}_{s}", BINARY, lam * float(model.replica_cost[a]), upper=1.0)
-            )
-    for t in range(n_txns):
-        for a in range(n_attrs):
-            coef = lam * float(model.coloc_cost[a, t])
-            for s in range(n_sites):
-                variables.append(MipVariable(f"u_{t}_{a}_{s}", CONTINUOUS, coef, upper=None))
-    variables.append(MipVariable("m", CONTINUOUS, 1.0 - lam, upper=None))
+    nx = n_txns * n_sites
+    u0 = nx + n_attrs * n_sites
+    m_col = u0 + n_txns * n_attrs * n_sites
+    psi0 = m_col + 1
+    n = psi0 + write_ids.size
+    txns, attrs, sites = np.arange(n_txns), np.arange(n_attrs), np.arange(n_sites)
 
-    write_query_ids: Tuple[int, ...] = ()
-    if with_latency:
-        write_query_ids = tuple(q.id for q in instance.queries if q.is_write)
-        for q in write_query_ids:
-            coef = lam * float(instance.latency_penalty) * float(model.frequencies[q])
-            variables.append(MipVariable(f"psi_q{q}", BINARY, coef, upper=1.0))
+    c = np.zeros(n)
+    c[nx:u0] = np.repeat(lam * model.replica_cost, n_sites)
+    c[u0:m_col] = np.repeat(lam * model.coloc_cost.T.ravel(), n_sites)
+    c[m_col] = 1.0 - lam
+    if has_latency:
+        c[psi0:] = lam * float(instance.latency_penalty) * model.frequencies[write_ids]
+    integrality = np.zeros(n, dtype=np.int8)
+    integrality[:u0] = 1
+    integrality[psi0:] = 1
+    column_names = (
+        [f"x_{t}_{s}" for t in range(n_txns) for s in range(n_sites)]
+        + [f"y_{a}_{s}" for a in range(n_attrs) for s in range(n_sites)]
+        + [f"u_{t}_{a}_{s}" for t in range(n_txns) for a in range(n_attrs) for s in range(n_sites)]
+        + ["m"]
+        + [f"psi_q{q}" for q in write_ids]
+    )
 
-    shell = MipModel(
-        variables=tuple(variables),
-        constraints=(),
+    rows = _Rows()
+    _placement_rows(rows, n_txns, n_attrs, n_sites, forbid_replication)
+    row_names = [f"assign_t{t}" for t in range(n_txns)] + [f"cover_a{a}" for a in range(n_attrs)]
+    # Reads are served locally: a transaction's site holds what it reads
+    # (y[a,s] >= x[t,s]; a bare y[a,s] >= 0 where t does not read a).
+    x = _per_site(0, txns, n_sites)
+    y = _per_site(nx, attrs, n_sites)
+    local = np.arange(n_attrs * n_txns * n_sites).reshape(n_attrs, n_txns, n_sites)
+    rows.add(local.size, [
+        (local, y[:, None, :], 1.0),
+        (local, x[None, :, :], -model.txn_reads[:, :, None].astype(np.float64)),
+    ], 0.0, np.inf)
+    row_names += [
+        f"coloc_a{a}_t{t}_s{s}"
+        for a in range(n_attrs) for t in range(n_txns) for s in range(n_sites)
+    ]
+    # m dominates each site's local work.
+    rows.add(n_sites, [
+        (sites, _per_site(u0, np.arange(n_txns * n_attrs), n_sites),
+         model.coloc_load.T.reshape(-1, 1)),
+        (sites, y, model.replica_load[:, None]),
+        (sites, m_col, -1.0),
+    ], -np.inf, 0.0)
+    row_names += [f"load_s{s}" for s in range(n_sites)]
+    # u = x * y once x and y are binary: u <= x, u <= y, u >= x + y - 1.
+    u = u0 + np.arange(n_txns * n_attrs * n_sites).reshape(n_txns, n_attrs, n_sites)
+    first = 3 * (u - u0)
+    xt, ya = x[:, None, :], y[None, :, :]
+    rows.add(3 * u.size, [
+        (first, u, 1.0), (first, xt, -1.0),
+        (first + 1, u, 1.0), (first + 1, ya, -1.0),
+        (first + 2, u, 1.0), (first + 2, xt, -1.0), (first + 2, ya, -1.0),
+    ], np.tile([-np.inf, -np.inf, -1.0], u.size), np.tile([0.0, 0.0, np.inf], u.size))
+    row_names += [
+        f"lin_{side}_t{t}_a{a}_s{s}"
+        for t in range(n_txns) for a in range(n_attrs) for s in range(n_sites)
+        for side in ("x", "y", "xy")
+    ]
+    if use_symmetry and n_sites > 1:
+        _symmetry_rows(rows, n_txns, n_sites)
+        row_names += [f"sym_t{t}_s{s}" for t in range(n_txns) for s in range(1, n_sites)]
+    pin_cols = nx + np.array(pins, dtype=np.int64).reshape(-1, 2) @ np.array([n_sites, 1])
+    rows.add(len(pins), [(np.arange(len(pins)), pin_cols, 1.0)], 1.0, 1.0)
+    row_names += [f"pin_a{a}_s{s}" for a, s in pins]
+    # A write query's indicator turns on when any updated attribute keeps
+    # a replica away from the transaction's site (no rows without latency).
+    pos, touched = np.nonzero(model.attr_access[:, write_ids].T)
+    t_of = model.txn_of_query[write_ids][pos]
+    rows.add(write_ids.size, [
+        (np.arange(write_ids.size), psi0 + np.arange(write_ids.size), float(n_attrs * n_sites)),
+        (pos[:, None], _per_site(nx, touched, n_sites), -1.0),
+        (pos[:, None], _per_site(u0, t_of * n_attrs + touched, n_sites), 1.0),
+    ], 0.0, np.inf)
+    row_names += [f"remote_q{q}" for q in write_ids]
+
+    matrix, row_lower, row_upper = rows.arrays(n)
+    return MipModel(
+        c=c,
+        integrality=integrality,
+        lower=np.zeros(n),
+        upper=np.where(integrality == 1, 1.0, np.inf),
+        matrix=matrix,
+        row_lower=row_lower,
+        row_upper=row_upper,
+        column_names=tuple(column_names),
+        row_names=tuple(row_names),
         n_txns=n_txns,
         n_attrs=n_attrs,
         n_sites=n_sites,
-        has_latency=with_latency,
-        write_query_ids=write_query_ids,
+        has_latency=has_latency,
+        write_query_ids=tuple(int(q) for q in write_ids),
     )
-
-    constraints: List[MipConstraint] = []
-    # Each transaction runs on exactly one site.
-    for t in range(n_txns):
-        terms = tuple((shell.x_index(t, s), 1.0) for s in range(n_sites))
-        constraints.append(MipConstraint(f"assign_t{t}", terms, "=", 1.0))
-    # Each attribute is stored somewhere (exactly one site when disjoint).
-    cover_rel = "=" if forbid_replication else ">="
-    for a in range(n_attrs):
-        terms = tuple((shell.y_index(a, s), 1.0) for s in range(n_sites))
-        constraints.append(MipConstraint(f"cover_a{a}", terms, cover_rel, 1.0))
-    # Reads are served locally: a transaction's site holds what it reads.
-    for a in range(n_attrs):
-        for t in range(n_txns):
-            reads = bool(model.txn_reads[a, t])
-            for s in range(n_sites):
-                if reads:
-                    terms = ((shell.y_index(a, s), 1.0), (shell.x_index(t, s), -1.0))
-                else:
-                    terms = ((shell.y_index(a, s), 1.0),)
-                constraints.append(MipConstraint(f"coloc_a{a}_t{t}_s{s}", terms, ">=", 0.0))
-    # m dominates each site's local work.
-    for s in range(n_sites):
-        terms: List[Tuple[int, float]] = []
-        for t in range(n_txns):
-            for a in range(n_attrs):
-                coef = float(model.coloc_load[a, t])
-                if coef != 0.0:
-                    terms.append((shell.u_index(t, a, s), coef))
-        for a in range(n_attrs):
-            coef = float(model.replica_load[a])
-            if coef != 0.0:
-                terms.append((shell.y_index(a, s), coef))
-        terms.append((shell.m_index, -1.0))
-        constraints.append(MipConstraint(f"load_s{s}", tuple(terms), "<=", 0.0))
-    # u = x * y once x and y are binary.
-    for t in range(n_txns):
-        for a in range(n_attrs):
-            for s in range(n_sites):
-                u = shell.u_index(t, a, s)
-                x = shell.x_index(t, s)
-                y = shell.y_index(a, s)
-                constraints.append(
-                    MipConstraint(f"lin_x_t{t}_a{a}_s{s}", ((u, 1.0), (x, -1.0)), "<=", 0.0)
-                )
-                constraints.append(
-                    MipConstraint(f"lin_y_t{t}_a{a}_s{s}", ((u, 1.0), (y, -1.0)), "<=", 0.0)
-                )
-                constraints.append(
-                    MipConstraint(
-                        f"lin_xy_t{t}_a{a}_s{s}",
-                        ((u, 1.0), (x, -1.0), (y, -1.0)),
-                        ">=",
-                        -1.0,
-                    )
-                )
-    # Optional: interchangeable sites are opened in order of the first
-    # transaction assigned to them.
-    if use_symmetry and n_sites > 1:
-        for t in range(n_txns):
-            for s in range(1, n_sites):
-                terms = ((shell.x_index(t, s), 1.0),) + tuple(
-                    (shell.x_index(tp, s - 1), -1.0) for tp in range(t)
-                )
-                constraints.append(MipConstraint(f"sym_t{t}_s{s}", terms, "<=", 0.0))
-    # Optional: pinned replicas.
-    for a, s in pins:
-        constraints.append(
-            MipConstraint(f"pin_a{a}_s{s}", ((shell.y_index(a, s), 1.0),), "=", 1.0)
-        )
-    # Optional: a write query's indicator turns on when any updated
-    # attribute keeps a replica away from the transaction's site.
-    if with_latency:
-        big_m = float(n_attrs * n_sites)
-        for pos, q in enumerate(write_query_ids):
-            t = int(model.txn_of_query[q])
-            touched = np.flatnonzero(model.attr_access[:, q])
-            terms = [(shell.psi_index(pos), big_m)]
-            for a in touched:
-                a = int(a)
-                for s in range(n_sites):
-                    terms.append((shell.y_index(a, s), -1.0))
-                    terms.append((shell.u_index(t, a, s), 1.0))
-            constraints.append(MipConstraint(f"remote_q{q}", tuple(terms), ">=", 0.0))
-
-    return replace(shell, constraints=tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +304,7 @@ def _num(value: float) -> str:
     v = float(value)
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
-    text = repr(v)
-    return text
+    return repr(v)
 
 
 def export_model(model: MipModel, fmt: str) -> str:
@@ -298,49 +317,52 @@ def export_model(model: MipModel, fmt: str) -> str:
     raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
 
 
-# Short-form alias.
-export = export_model
+def _row_senses(model: MipModel) -> Tuple[List[str], List[float]]:
+    """Each row's relation (``E``, ``L`` or ``G``) and right-hand side;
+    the model has no ranged rows."""
+    lo, hi = model.row_lower, model.row_upper
+    senses = np.where(lo == hi, "E", np.where(np.isinf(lo), "L", "G"))
+    return senses.tolist(), np.where(np.isinf(lo), hi, lo).tolist()
 
 
 def _export_mps(model: MipModel) -> str:
-    rel_tag = {"<=": "L", ">=": "G", "=": "E"}
+    senses, rhs = _row_senses(model)
+    row_names = model.row_names
     lines = ["NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"]
-    for con in model.constraints:
-        lines.append(f" {rel_tag[con.relation]} {con.name}")
-    # Column-major entries; integer columns inside INTORG/INTEND markers.
-    entries: List[List[Tuple[str, float]]] = [[] for _ in model.variables]
-    for i, var in enumerate(model.variables):
-        if var.objective != 0.0:
-            entries[i].append(("obj", var.objective))
-    for con in model.constraints:
-        for idx, coef in con.terms:
-            if coef != 0.0:
-                entries[idx].append((con.name, coef))
+    lines.extend(f" {sense} {name}" for sense, name in zip(senses, row_names))
+    # Column-major entries, each column's in row order; integer columns
+    # inside INTORG/INTEND markers.
+    by_column = model.matrix.tocsc()
+    by_column.sort_indices()
+    starts, rows_of = by_column.indptr.tolist(), by_column.indices.tolist()
+    values, which = np.unique(by_column.data, return_inverse=True)
+    texts = [_num(v) for v in values.tolist()]
+    coef_texts = [texts[k] for k in which.tolist()]  # few distinct values: format each once
     lines.append("COLUMNS")
     in_integer = False
     marker = 0
-    for i, var in enumerate(model.variables):
-        want_integer = var.kind == BINARY
-        if want_integer and not in_integer:
-            lines.append(f"    MARKER{marker} 'MARKER' 'INTORG'")
+    columns = zip(model.column_names, model.integrality.tolist(), model.c.tolist())
+    for j, (name, integer, objective) in enumerate(columns):
+        if bool(integer) != in_integer:
+            lines.append(f"    MARKER{marker} 'MARKER' '{'INTEND' if in_integer else 'INTORG'}'")
             marker += 1
-            in_integer = True
-        elif not want_integer and in_integer:
-            lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
-            marker += 1
-            in_integer = False
-        for row, coef in entries[i]:
-            lines.append(f"    {var.name} {row} {_num(coef)}")
+            in_integer = not in_integer
+        if objective != 0.0:
+            lines.append(f"    {name} obj {_num(objective)}")
+        for k in range(starts[j], starts[j + 1]):
+            lines.append(f"    {name} {row_names[rows_of[k]]} {coef_texts[k]}")
     if in_integer:
         lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
     lines.append("RHS")
-    for con in model.constraints:
-        if con.rhs != 0.0:
-            lines.append(f"    RHS {con.name} {_num(con.rhs)}")
+    lines.extend(
+        f"    RHS {name} {_num(value)}" for name, value in zip(row_names, rhs) if value != 0.0
+    )
     lines.append("BOUNDS")
-    for var in model.variables:
-        if var.upper is not None:
-            lines.append(f" UP BND {var.name} {_num(var.upper)}")
+    lines.extend(
+        f" UP BND {name} {_num(up)}"
+        for name, up in zip(model.column_names, model.upper.tolist())
+        if math.isfinite(up)
+    )
     lines.append("ENDATA")
     return "\n".join(lines) + "\n"
 
@@ -375,35 +397,35 @@ def _wrap_expr(label: str, tokens: List[str], tail: str) -> List[str]:
 
 
 def _export_lp(model: MipModel) -> str:
+    """LP text; each row lists its terms in column order."""
+    names = model.column_names
     lines: List[str] = ["\\ vpadvisor linearized placement model", "Minimize"]
-    obj_terms = [
-        (var.name, var.objective) for var in model.variables if var.objective != 0.0
-    ]
-    if not obj_terms:
-        obj_terms = [(model.variables[-1].name, 0.0)]
-        tokens = [f"0 {obj_terms[0][0]}"]
+    obj = np.flatnonzero(model.c).tolist()
+    if obj:
+        tokens = _lp_terms([(names[j], model.c[j]) for j in obj])
     else:
-        tokens = _lp_terms(obj_terms)
+        tokens = [f"0 {names[-1]}"]
     lines.extend(_wrap_expr("obj", tokens, ""))
     lines.append("Subject To")
-    rel_txt = {"<=": "<=", ">=": ">=", "=": "="}
-    for con in model.constraints:
-        named = [(model.variables[idx].name, coef) for idx, coef in con.terms if coef != 0.0]
-        tokens = _lp_terms(named) if named else ["0 " + model.variables[0].name]
-        tail = f"{rel_txt[con.relation]} {_num(con.rhs)}"
-        lines.extend(_wrap_expr(con.name, tokens, tail))
-    binaries = [var.name for var in model.variables if var.kind == BINARY]
-    bounded = [
-        var for var in model.variables if var.kind != BINARY and var.upper is not None
+    rel_txt = {"E": "=", "L": "<=", "G": ">="}
+    senses, rhs = _row_senses(model)
+    by_row = model.matrix
+    starts, cols, coefs = by_row.indptr.tolist(), by_row.indices.tolist(), by_row.data.tolist()
+    for i, row_name in enumerate(model.row_names):
+        named = [(names[cols[k]], coefs[k]) for k in range(starts[i], starts[i + 1])]
+        tokens = _lp_terms(named) if named else ["0 " + names[0]]
+        lines.extend(_wrap_expr(row_name, tokens, f"{rel_txt[senses[i]]} {_num(rhs[i])}"))
+    integer = model.integrality.tolist()
+    bounds = [
+        f" {name} <= {_num(up)}"
+        for name, k, up in zip(names, integer, model.upper.tolist())
+        if not k and math.isfinite(up)
     ]
-    if bounded:
-        lines.append("Bounds")
-        for var in bounded:
-            lines.append(f" {var.name} <= {_num(var.upper)}")
-    if binaries:
-        lines.append("Binary")
-        for name in binaries:
-            lines.append(f" {name}")
+    binaries = [f" {name}" for name, k in zip(names, integer) if k]
+    for header, section in (("Bounds", bounds), ("Binary", binaries)):
+        if section:
+            lines.append(header)
+            lines.extend(section)
     lines.append("End")
     return "\n".join(lines) + "\n"
 
@@ -417,15 +439,14 @@ class ExactConfig:
     """Knobs for :func:`solve_exact`.
 
     Defaults: a 30-minute wall limit and a 0.1% relative gap.  The
-    symmetry rows are used internally whenever no replicas are pinned
-    (pins make sites distinguishable).  ``warm_start`` seeds the
-    incumbent with a quick annealing run when the model is
+    symmetry rows are used whenever no replicas are pinned (pins make
+    sites distinguishable).  ``warm_start`` seeds the incumbent with a
+    quick annealing run, within the time limit, when the model is
     unconstrained.
     """
 
     time_limit: float = 1800.0
     gap: float = 1e-3
-    use_symmetry: bool = True
     warm_start: bool = True
     forbid_replication: bool = False
     fixed_replicas: Tuple[Tuple[int, int], ...] = ()
@@ -448,7 +469,7 @@ def _compact_model(
     """The solve-time program, as keyword arguments of ``milp``.
 
     It has the optimum of :func:`build_mip`'s program with fewer columns
-    and rows, and is built straight into sparse arrays:
+    and rows:
 
     * ``u[t,a,s]`` exists only where the product ``x[t,s] * y[a,s]``
       carries an objective or load coefficient or enters a latency row.
@@ -497,15 +518,6 @@ def _compact_model(
     n = psi0 + write_ids.size
     sites = np.arange(n_sites)
 
-    def x_cols(t: np.ndarray) -> np.ndarray:
-        return np.asarray(t)[:, None] * n_sites + sites
-
-    def y_cols(a: np.ndarray) -> np.ndarray:
-        return nx + np.asarray(a)[:, None] * n_sites + sites
-
-    def u_cols(k: np.ndarray) -> np.ndarray:
-        return u0 + np.asarray(k)[:, None] * n_sites + sites
-
     c = np.zeros(n, dtype=np.float64)
     c[:nx] = np.repeat((cost * reads).sum(axis=0), n_sites)
     c[nx:u0] = np.repeat(lam * model.replica_cost, n_sites)
@@ -513,80 +525,54 @@ def _compact_model(
     c[m_col] = 1.0 - lam
     c[psi0:] = psi_cost
 
-    entries: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    lower: List[np.ndarray] = []
-    upper: List[np.ndarray] = []
-    n_rows = 0
-
-    def emit(count: int, terms, lo: float, hi: float) -> None:
-        """Append ``count`` rows ``lo <= row @ v <= hi``; each term holds
-        local row indices, columns and coefficients that broadcast."""
-        nonlocal n_rows
-        for rows, cols, coef in terms:
-            rows, cols, coef = np.broadcast_arrays(rows, cols, np.asarray(coef, dtype=np.float64))
-            entries.append((n_rows + rows.ravel(), cols.ravel(), coef.ravel()))
-        lower.append(np.full(count, lo))
-        upper.append(np.full(count, hi))
-        n_rows += count
-
-    def per_site_rows(count: int) -> np.ndarray:
-        return np.arange(count * n_sites).reshape(count, n_sites)
-
-    # Each transaction runs on exactly one site; each attribute is stored
-    # somewhere (on exactly one site when disjoint).
-    emit(n_txns, [(np.arange(nx) // n_sites, np.arange(nx), 1.0)], 1.0, 1.0)
-    emit(n_attrs, [(np.arange(ny) // n_sites, nx + np.arange(ny), 1.0)],
-         1.0, 1.0 if forbid_replication else np.inf)
+    rows = _Rows()
+    _placement_rows(rows, n_txns, n_attrs, n_sites, forbid_replication)
     # Reads are served locally: y[a,s] >= x[t,s].
     read_a, read_t = np.nonzero(reads)
-    rows = per_site_rows(read_a.size)
-    emit(rows.size, [(rows, y_cols(read_a), 1.0), (rows, x_cols(read_t), -1.0)], 0.0, np.inf)
+    local = _per_site(0, np.arange(read_a.size), n_sites)
+    rows.add(local.size, [
+        (local, _per_site(nx, read_a, n_sites), 1.0), (local, _per_site(0, read_t, n_sites), -1.0),
+    ], 0.0, np.inf)
     # m dominates each site's local work.
     if lam < 1.0:
         x_load = (load * reads).sum(axis=0)
         ts = np.flatnonzero(x_load)
         ks = np.flatnonzero(load[pair_a, pair_t])
         rs = np.flatnonzero(model.replica_load)
-        emit(n_sites, [
-            (sites, x_cols(ts), x_load[ts, None]),
-            (sites, u_cols(ks), load[pair_a[ks], pair_t[ks], None]),
-            (sites, y_cols(rs), model.replica_load[rs, None]),
+        rows.add(n_sites, [
+            (sites, _per_site(0, ts, n_sites), x_load[ts, None]),
+            (sites, _per_site(u0, ks, n_sites), load[pair_a[ks], pair_t[ks], None]),
+            (sites, _per_site(nx, rs, n_sites), model.replica_load[rs, None]),
             (sites, m_col, -1.0),
         ], -np.inf, 0.0)
     # The McCormick sides the objective pushes against.
     ks = np.flatnonzero(low[pair_a, pair_t])
-    rows = per_site_rows(ks.size)
-    emit(rows.size, [
-        (rows, u_cols(ks), 1.0), (rows, x_cols(pair_t[ks]), -1.0), (rows, y_cols(pair_a[ks]), -1.0),
+    local = _per_site(0, np.arange(ks.size), n_sites)
+    rows.add(local.size, [
+        (local, _per_site(u0, ks, n_sites), 1.0),
+        (local, _per_site(0, pair_t[ks], n_sites), -1.0),
+        (local, _per_site(nx, pair_a[ks], n_sites), -1.0),
     ], -1.0, np.inf)
     ks = np.flatnonzero(high[pair_a, pair_t])
-    rows = per_site_rows(ks.size)
-    emit(rows.size, [(rows, u_cols(ks), 1.0), (rows, x_cols(pair_t[ks]), -1.0)], -np.inf, 0.0)
-    emit(rows.size, [(rows, u_cols(ks), 1.0), (rows, y_cols(pair_a[ks]), -1.0)], -np.inf, 0.0)
-    # Site s hosts a transaction only after an earlier one uses site s-1.
+    local = _per_site(0, np.arange(ks.size), n_sites)
+    for other in (_per_site(0, pair_t[ks], n_sites), _per_site(nx, pair_a[ks], n_sites)):
+        rows.add(local.size, [(local, _per_site(u0, ks, n_sites), 1.0), (local, other, -1.0)],
+                 -np.inf, 0.0)
     if use_symmetry and n_sites > 1:
-        rows = np.arange(n_txns * (n_sites - 1)).reshape(n_txns, n_sites - 1)
-        later, earlier = np.nonzero(np.tri(n_txns, k=-1))
-        emit(rows.size, [
-            (rows, x_cols(np.arange(n_txns))[:, 1:], 1.0),
-            (rows[later], x_cols(earlier)[:, :-1], -1.0),
-        ], -np.inf, 0.0)
+        _symmetry_rows(rows, n_txns, n_sites)
     # A write query's indicator turns on when an updated attribute keeps
     # a replica away from the transaction's site.
     for j, q in enumerate(write_ids):
         t = int(model.txn_of_query[q])
         touched = np.flatnonzero(model.attr_access[:, q])
         aux = pair_of[touched[~reads[touched, t]], t]
-        emit(1, [
+        rows.add(1, [
             (0, psi0 + j, float(touched.size * n_sites)),
-            (0, y_cols(touched), -1.0),
-            (0, x_cols([t]), float(reads[touched, t].sum())),
-            (0, u_cols(aux), 1.0),
+            (0, _per_site(nx, touched, n_sites), -1.0),
+            (0, _per_site(0, [t], n_sites), float(reads[touched, t].sum())),
+            (0, _per_site(u0, aux, n_sites), 1.0),
         ], 0.0, np.inf)
 
-    rows, cols, coefs = (np.concatenate(part) for part in zip(*entries))
-    keep = coefs != 0.0
-    matrix = sp.csr_array((coefs[keep], (rows[keep], cols[keep])), shape=(n_rows, n))
     lb = np.zeros(n)
     ub = np.ones(n)
     ub[m_col] = np.inf
@@ -599,7 +585,7 @@ def _compact_model(
         "c": c,
         "integrality": integrality,
         "bounds": Bounds(lb, ub),
-        "constraints": LinearConstraint(matrix, np.concatenate(lower), np.concatenate(upper)),
+        "constraints": LinearConstraint(*rows.arrays(n)),
     }
 
 
@@ -615,7 +601,8 @@ def solve_exact(
     program of :func:`_compact_model` in whatever remains of
     ``config.time_limit`` after the starting incumbents: the single-site
     layouts and, when nothing is pinned or disjoint, a short annealing
-    run.  These stay as the fallback when HiGHS stops without a layout.
+    run that shares the time limit.  These stay as the fallback when
+    HiGHS stops without a layout.
     Every candidate is re-priced by the definitional evaluator, so
     reported objectives and scores never drift from ``evaluate``; the
     bound gap compares that score with HiGHS's dual bound.
@@ -657,13 +644,14 @@ def solve_exact(
         consider(np.full(n_txns, k, dtype=np.int64), replica)
         if not pins:
             break  # all single-site layouts price identically without pins
-    if config.warm_start and not pins and not config.forbid_replication:
-        warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0)
-        warm_report, _ = solve_sa(instance, warm_cfg, model=model)
-        consider(warm_report.partitioning.txn_site, warm_report.partitioning.replica)
 
     def time_left() -> float:
         return config.time_limit - (time.perf_counter() - started)
+
+    if config.warm_start and not pins and not config.forbid_replication and time_left() > 0:
+        warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0, time_limit=time_left())
+        warm_report, _ = solve_sa(instance, warm_cfg, model=model)
+        consider(warm_report.partitioning.txn_site, warm_report.partitioning.replica)
 
     bound = -math.inf
     node_count = 0
@@ -671,13 +659,23 @@ def solve_exact(
         arrays = _compact_model(
             instance,
             model,
-            use_symmetry=config.use_symmetry and not pins,
+            use_symmetry=not pins,
             forbid_replication=config.forbid_replication,
             fixed_replicas=pins,
         )
         limit = time_left()
         if limit > 0:
-            res = milp(**arrays, options={"time_limit": limit, "mip_rel_gap": config.gap})
+            # HiGHS writes some messages straight to file descriptor 1,
+            # past sys.stdout; send them to standard error so the
+            # standard output stays the program's own (a JSON record).
+            sys.stdout.flush()
+            saved_stdout = os.dup(1)
+            os.dup2(2, 1)
+            try:
+                res = milp(**arrays, options={"time_limit": limit, "mip_rel_gap": config.gap})
+            finally:
+                os.dup2(saved_stdout, 1)
+                os.close(saved_stdout)
             node_count = int(res.mip_node_count or 0)
             if res.x is not None:
                 nx = n_txns * n_sites

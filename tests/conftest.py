@@ -282,17 +282,10 @@ def set_load_and_latency(model, instance, values, breakdown) -> np.ndarray:
 
 
 def check_point(model, values, atol=1e-9):
-    """Names of constraints the variable vector violates."""
-    violated = []
-    for con in model.constraints:
-        lhs = sum(values[i] * c for i, c in con.terms)
-        if con.relation == "<=" and lhs > con.rhs + atol:
-            violated.append(con.name)
-        elif con.relation == ">=" and lhs < con.rhs - atol:
-            violated.append(con.name)
-        elif con.relation == "=" and abs(lhs - con.rhs) > atol:
-            violated.append(con.name)
-    return violated
+    """Names of the rows the variable vector violates."""
+    lhs = model.matrix @ values
+    bad = (lhs < model.row_lower - atol) | (lhs > model.row_upper + atol)
+    return [model.row_names[i] for i in np.flatnonzero(bad)]
 
 
 def oracle_best(instance: Instance, forbid_replication: bool = False):

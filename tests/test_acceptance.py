@@ -129,7 +129,7 @@ def test_criterion_3_lifted_points_satisfy_model_and_reproduce_score():
             values = set_load_and_latency(mip, inst, values, breakdown)
             bad = check_point(mip, values)
             assert bad == [], f"seed {seed}: violated {bad[:3]}"
-            linear = sum(values[i] * v.objective for i, v in enumerate(mip.variables))
+            linear = mip.c @ values
             assert linear == pytest.approx(breakdown.score, rel=1e-9, abs=1e-9)
             points += 1
     assert points == 100

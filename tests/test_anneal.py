@@ -208,7 +208,19 @@ def test_best_of_picks_minimum_and_sums_work():
     assert best.node_count == sum(r.node_count for r in singles)
 
 
+def test_best_of_runs_share_one_deadline():
+    inst = random_instance(8, site_count=3)
+    # no time at all: the first run still returns its starting layout,
+    # and the other runs are skipped
+    best, traces = solve_sa_best_of(inst, 4, SaConfig(seed=4, time_limit=0.0))
+    assert len(traces) == 1
+    assert best.node_count == 0
+    assert check_feasible(inst, derive(inst), best.partitioning) == []
+
+
 def test_sa_config_validation():
+    with pytest.raises(ValueError):
+        SaConfig(time_limit=-1.0)
     with pytest.raises(ValueError):
         SaConfig(inner_loops=0)
     with pytest.raises(ValueError):

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from vpadvisor import save_instance, tpcc
+from vpadvisor import ExactConfig, save_instance, solve_exact, tpcc
+from vpadvisor import cli
 from vpadvisor.cli import main
 
 from conftest import random_instance, t1_instance
@@ -282,6 +283,19 @@ def test_compare_structured(small_path, capsys):
     assert record["score_ratio"] <= 1.0 + 1e-9
 
 
+def test_compare_shares_one_time_limit(small_path, monkeypatch):
+    limits = []
+
+    def spy(instance, config):
+        limits.append(config.time_limit)
+        return solve_exact(instance, config)
+
+    monkeypatch.setattr(cli, "solve_exact", spy)
+    assert main(["compare", small_path, "--mode", "replication", "--time-limit", "10"]) == 0
+    assert limits[0] == 5.0
+    assert 5.0 <= limits[1] < 10.0
+
+
 def test_compare_requires_mode(small_path):
     assert main(["compare", small_path]) == 1
 
@@ -340,3 +354,24 @@ def test_env_config_rejects_unknown_keys(small_path, tmp_path, capsys, monkeypat
     monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
     assert main(["solve", small_path, "--algo", "brute"]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# standard output
+
+
+def test_exact_solve_keeps_solver_messages_off_stdout(tmp_path, capfd):
+    # HiGHS prints "transformNewIntegerFeasibleSolution" lines straight
+    # to file descriptor 1 on this instance.
+    inst = random_instance(
+        12, site_count=3, cost_weight=0.5, update_percent=60.0, transaction_count=4,
+        latency_penalty=40.0,
+    )
+    solve_exact(inst, ExactConfig(gap=0.0))
+    assert capfd.readouterr().out == ""
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    argv = ["solve", str(path), "--algo", "exact", "--gap", "0", "--format", "structured"]
+    assert main(argv) == 0
+    record = json.loads(capfd.readouterr().out)
+    assert record["report"]["status"] == "optimal"

@@ -1,18 +1,20 @@
 """Integer-program construction, export, exact solver, enumeration."""
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
 import numpy as np
 import pytest
-from scipy.optimize import milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from vpadvisor import (
     BudgetExceededError,
     ExactConfig,
     GenParams,
     Partitioning,
+    SaConfig,
     brute_force,
     build_mip,
     check_feasible,
@@ -23,6 +25,7 @@ from vpadvisor import (
     generate,
     solve_exact,
     solve_exact_staged,
+    solve_sa,
 )
 from vpadvisor.errors import FormatError
 from vpadvisor.mip import _compact_model
@@ -65,11 +68,16 @@ def test_variable_count_formula_holds_generally():
 
 def test_u_variables_are_continuous(t1):
     model = build_mip(t1)
-    kinds = {v.name.split("_")[0]: v.kind for v in model.variables}
-    assert kinds["x"] == "binary"
-    assert kinds["y"] == "binary"
-    assert kinds["u"] == "continuous-nonnegative"
-    assert kinds["m"] == "continuous-nonnegative"
+    kinds = {
+        name.split("_")[0]: (int(integer), lo, up)
+        for name, integer, lo, up in zip(
+            model.column_names, model.integrality, model.lower, model.upper
+        )
+    }
+    assert kinds["x"] == (1, 0.0, 1.0)
+    assert kinds["y"] == (1, 0.0, 1.0)
+    assert kinds["u"] == (0, 0.0, math.inf)
+    assert kinds["m"] == (0, 0.0, math.inf)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -85,7 +93,7 @@ def test_lifted_layouts_satisfy_every_constraint(seed):
         values = set_load_and_latency(mip, inst, values, breakdown)
         assert check_point(mip, values) == []
         # the linear objective at the lifted point reproduces the score
-        obj = sum(values[i] * v.objective for i, v in enumerate(mip.variables))
+        obj = mip.c @ values
         assert obj == pytest.approx(breakdown.score, rel=1e-9, abs=1e-9)
 
 
@@ -137,49 +145,43 @@ def test_exported_mps_matches_lp_variable_sets(t1):
     mip = build_mip(t1)
     mps = export_model(mip, "free-mps")
     lp = export_model(mip, "lp-text")
-    names = {v.name for v in mip.variables}
-    for name in names:
+    for name in mip.column_names:
         assert name in mps
         assert name in lp
+
+
+# The sha256 of each free-MPS text as the object-per-row build_mip of
+# commit f6eba67 wrote it, before the model moved to sparse arrays.
+EXPORT_HASHES = [
+    ("t1", {}, "db3188c9553353cb2e572a9f18ff1a140781a533942891bf0ad72f020df753c6"),
+    ("t1", {"use_symmetry": True},
+     "eb5282529d8e837fec969fc7222cfcbcc53e9de8ccc68746de2c48c4ff8a18e1"),
+    ("latency", {}, "4816ea22f92d0c1e921fa3454c06ed35842f8edf2630ca78992a5203e9a59210"),
+    ("latency", {"forbid_replication": True, "fixed_replicas": ((0, 1), (1, 0))},
+     "7bca2e171437e739d487d4e3c74e99c96de9dc718b1a75b75f9099731538389c"),
+]
+
+
+@pytest.mark.parametrize("name,options,digest", EXPORT_HASHES)
+def test_mps_export_text_is_pinned(name, options, digest):
+    if name == "t1":
+        inst = t1_instance()
+    else:
+        inst = random_instance(2, site_count=2, latency_penalty=7.0, update_percent=60.0)
+    text = export_model(build_mip(inst, **options), "free-mps")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
 # independent integer solver on the exported matrices
 
 
-def _milp_solve(mip):
-    from scipy.optimize import LinearConstraint, milp
-
-    n = mip.variable_count
-    cost = np.array([v.objective for v in mip.variables])
-    integrality = np.array(
-        [1 if v.kind == "binary" else 0 for v in mip.variables]
-    )
-    lb = np.zeros(n)
-    ub = np.array(
-        [
-            1.0 if v.kind == "binary" else (v.upper if v.upper is not None else np.inf)
-            for v in mip.variables
-        ]
-    )
-    constraints = []
-    for con in mip.constraints:
-        row = np.zeros(n)
-        for i, c in con.terms:
-            row[i] += c
-        if con.relation == "<=":
-            constraints.append(LinearConstraint(row, -np.inf, con.rhs))
-        elif con.relation == ">=":
-            constraints.append(LinearConstraint(row, con.rhs, np.inf))
-        else:
-            constraints.append(LinearConstraint(row, con.rhs, con.rhs))
-    from scipy.optimize import Bounds
-
+def _full_optimum(mip):
     res = milp(
-        c=cost,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
+        mip.c,
+        integrality=mip.integrality,
+        bounds=Bounds(mip.lower, mip.upper),
+        constraints=LinearConstraint(mip.matrix, mip.row_lower, mip.row_upper),
     )
     assert res.success, res.message
     return res.fun
@@ -189,7 +191,7 @@ def _milp_solve(mip):
 def test_model_optimum_agrees_with_reference_integer_solver(seed):
     inst = random_instance(seed, site_count=2)
     mip = build_mip(inst)
-    reference = _milp_solve(mip)
+    reference = _full_optimum(mip)
     ours = solve_exact(inst, ExactConfig(gap=0.0))
     assert ours.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
 
@@ -197,7 +199,7 @@ def test_model_optimum_agrees_with_reference_integer_solver(seed):
 def test_latency_model_agrees_with_reference_integer_solver():
     inst = random_instance(2, site_count=2, latency_penalty=7.0, update_percent=60.0)
     mip = build_mip(inst)
-    reference = _milp_solve(mip)
+    reference = _full_optimum(mip)
     ours = solve_exact(inst, ExactConfig(gap=0.0))
     assert ours.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
 
@@ -228,7 +230,7 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
         update_percent=60.0, transaction_count=4,
     )
     model = derive(inst)
-    reference = _milp_solve(
+    reference = _full_optimum(
         build_mip(inst, model, forbid_replication=disjoint, fixed_replicas=pins)
     )
     compact = milp(**_compact_model(
@@ -293,17 +295,23 @@ def test_exact_timeout_with_warm_start_still_returns_solution():
     assert check_feasible(inst, model, report.partitioning) == []
 
 
-@pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
-def test_exact_keeps_its_deadline_on_a_large_instance(staged):
+@pytest.mark.parametrize("solver,limit", [
+    pytest.param("exact", 2.0, id="plain"),
+    pytest.param("staged", 2.0, id="staged"),
+    pytest.param("exact", 0.3, id="plain-short"),
+    pytest.param("sa", 0.5, id="sa"),
+])
+def test_exact_keeps_its_deadline_on_a_large_instance(solver, limit):
     inst = generate(
         GenParams(transaction_count=60, table_count=40, max_attributes_per_table=15, seed=3),
         site_count=4,
     )
     model = derive(inst)
-    limit = 2.0
     started = time.perf_counter()
-    if staged:
+    if solver == "staged":
         report = solve_exact_staged(inst, ExactConfig(time_limit=limit))
+    elif solver == "sa":
+        report, _ = solve_sa(inst, SaConfig(time_limit=limit), model=model)
     else:
         report = solve_exact(inst, ExactConfig(time_limit=limit), model=model)
     wall = time.perf_counter() - started
