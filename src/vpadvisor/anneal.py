@@ -132,9 +132,9 @@ def perturb_transactions(
     chosen = rng.choice(n_txns, size=count, replace=False)
     if site_count <= 1:
         return moved
-    for t in chosen:
-        draw = int(rng.integers(0, site_count - 1))
-        moved[t] = draw if draw < moved[t] else draw + 1
+    # one call draws what one call per transaction would, in the same order
+    draws = rng.integers(0, site_count - 1, size=count)
+    moved[chosen] = draws + (draws >= moved[chosen])
     return moved
 
 
@@ -144,21 +144,22 @@ def perturb_replicas(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Give a random ``move_fraction`` of the attributes (at least one,
-    rounded up) one additional uniformly drawn site each.
+    rounded up) one more replica each.
 
-    Attributes already present on every site are left alone.  Only
-    additions are made, so any layout feasible with the old replica
-    sets stays feasible with the new ones.
+    The site index is a uniform draw below the number of sites the
+    attribute lacks: the move may land on a site the attribute already
+    holds (no change), and sites at or above that count are never drawn.
+    Attributes already present on every site are left
+    alone.  Only additions are made, so any layout feasible with the old
+    replica sets stays feasible with the new ones.
     """
     n_attrs, n_sites = replicas.shape
     grown = replicas.copy()
     count = min(n_attrs, math.ceil(move_fraction * n_attrs))
     chosen = rng.choice(n_attrs, size=count, replace=False)
-    for a in chosen:
-        missing = np.flatnonzero(~grown[a])
-        if missing.size == 0:
-            continue
-        grown[a, int(rng.integers(0, missing.size))] = True
+    free = n_sites - replicas[chosen].sum(axis=1)
+    # one call draws what one call per attribute would, in the same order
+    grown[chosen[free > 0], rng.integers(0, free[free > 0])] = True
     return grown
 
 
@@ -173,7 +174,9 @@ def solve_subproblem_fix_transactions(
     Every attribute read by a transaction is forced onto that
     transaction's site; further replicas are added greedily while they
     lower the weighted score, and unread attributes land on the site
-    where they are cheapest.
+    where they are cheapest.  These greedy choices do not price the
+    write-latency charge; the annealer's Metropolis score and the final
+    :func:`evaluate` do.
     """
     return kernels.greedy_replicas(
         np.ascontiguousarray(txn_site, dtype=np.int64),
@@ -197,6 +200,8 @@ def solve_subproblem_fix_replicas(
 
     Transactions are placed one at a time, heaviest read weight first,
     each on the feasible site with the lowest weighted-score increase.
+    These greedy choices do not price the write-latency charge; the
+    annealer's Metropolis score and the final :func:`evaluate` do.
     Raises :class:`InfeasibleLayoutError` when some transaction cannot
     read all of its attributes on any single site.
     """
@@ -246,7 +251,7 @@ def solve_sa(
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
-    order = order_transactions_by_load(instance, model)
+    order = np.array(order_transactions_by_load(instance, model), np.int64)
 
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)

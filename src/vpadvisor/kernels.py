@@ -40,92 +40,106 @@ def folded_cost(coloc_cost, replica_cost, coloc_load, replica_load,
 
 
 # ---------------------------------------------------------------------------
-# greedy replica construction for a fixed transaction assignment
+# greedy repairs
+#
+# Each repair picks, item by item, the site with the lowest increase of
+# the weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
+# with ``m`` the current peak load, the lowest site winning ties.  The
+# choice among a handful of sites loops over them in plain Python on
+# lists: numpy's per-call overhead on 4-element arrays costs far more
+# than the arithmetic.
 # ---------------------------------------------------------------------------
 
 def greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
                     coloc_load, replica_load, cost_weight, n_sites):
     """Forced replicas, then profitable extras in ascending marginal-score
-    order, then one covering replica for attributes still unplaced."""
-    n_attrs, n_txns = coloc_cost.shape
+    order, then one covering replica for attributes still unplaced.
+
+    An extra needs a negative weighted base cost.  The folded
+    coefficients of a valid instance rule that out up to rounding, which
+    shows only at network penalties of about ``2**52`` and above, so the
+    extras step almost never has a candidate.
+    """
+    n_txns = coloc_cost.shape[1]
     lam = cost_weight
+    rest = 1.0 - lam
     onehot = np.zeros((n_txns, n_sites), np.float64)
     if n_txns:
         onehot[np.arange(n_txns), txn_site] = 1.0
     csum = coloc_cost @ onehot
     lsum = coloc_load @ onehot
-    replicas = (txn_reads.astype(np.int64) @ onehot.astype(np.int64)) > 0
+    # read counts are small integers, which a float product sums exactly
+    replicas = (txn_reads.astype(np.float64) @ onehot) > 0.0
     inc_all = lsum + replica_load[:, None]
     loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
     m = float(loads.max())
     base_all = csum + replica_cost[:, None]
 
-    # candidates that can ever have a negative marginal score: the load
-    # term of an addition is nonnegative, so the weighted base must be < 0
-    cand = np.argwhere(~replicas & (lam * base_all < 0.0))  # row-major order
-    cand_list = [(int(a), int(s), base_all[a, s], inc_all[a, s]) for a, s in cand]
-    alive = [True] * len(cand_list)
-    remaining = len(cand_list)
-    while remaining > 0:
-        best = -1
-        best_delta = 0.0
-        for i, ok in enumerate(alive):
-            if ok:
-                _, s, base, inc = cand_list[i]
-                grow = max(loads[s] + inc - m, 0.0)
-                delta = lam * base + (1.0 - lam) * grow
-                if best < 0 or delta < best_delta:
-                    best = i
-                    best_delta = delta
-        if best < 0 or not (best_delta < 0.0):
-            break
-        a, s, _, inc = cand_list[best]
-        replicas[a, s] = True
-        loads[s] += inc
-        m = max(m, float(loads[s]))
-        alive[best] = False
-        remaining -= 1
+    # extras, in row-major candidate order: each round adds the first
+    # candidate with the lowest marginal score while that is negative
+    cand_a, cand_s = np.nonzero(~replicas & (lam * base_all < 0.0))
+    if cand_a.size:
+        cand_base = base_all[cand_a, cand_s]
+        cand_inc = inc_all[cand_a, cand_s]
+        taken = np.zeros(cand_a.size, bool)
+        while not taken.all():
+            delta = lam * cand_base + rest * np.maximum(loads[cand_s] + cand_inc - m, 0.0)
+            delta[taken] = np.inf
+            i = int(np.argmin(delta))
+            if not delta[i] < 0.0:
+                break
+            s = cand_s[i]
+            replicas[cand_a[i], s] = True
+            loads[s] += cand_inc[i]
+            m = max(m, float(loads[s]))
+            taken[i] = True
 
     # coverage: every attribute needs at least one site
-    for a in np.flatnonzero(~replicas.any(axis=1)):
-        grow = np.maximum(loads + inc_all[a] - m, 0.0)
-        delta = lam * base_all[a] + (1.0 - lam) * grow
-        s = int(np.argmin(delta))  # first minimum: lowest site wins ties
+    uncovered = np.flatnonzero(~replicas.any(axis=1))
+    loads = loads.tolist()
+    for a, base, inc in zip(uncovered.tolist(), base_all[uncovered].tolist(),
+                            inc_all[uncovered].tolist()):
+        s, best = 0, lam * base[0] + rest * max(loads[0] + inc[0] - m, 0.0)
+        for k in range(1, n_sites):
+            delta = lam * base[k] + rest * max(loads[k] + inc[k] - m, 0.0)
+            if delta < best:
+                s, best = k, delta
         replicas[a, s] = True
-        loads[s] += inc_all[a, s]
-        m = max(m, float(loads[s]))
+        loads[s] += inc[s]
+        m = max(m, loads[s])
     return replicas
 
-
-# ---------------------------------------------------------------------------
-# greedy transaction assignment for a fixed replica placement
-# ---------------------------------------------------------------------------
 
 def assign_transactions(replicas, txn_reads, coloc_cost, coloc_load,
                         replica_load, cost_weight, order):
     """Place transactions in ``order``, each on the feasible site with the
     lowest weighted-score increase; ``-1`` from the first one that fits
     on no site onwards."""
-    n_attrs, n_txns = coloc_cost.shape
+    n_txns = coloc_cost.shape[1]
+    sites = range(replicas.shape[1])
     lam = cost_weight
+    rest = 1.0 - lam
     rep_f = replicas.astype(np.float64)
-    x = np.full(n_txns, -1, np.int64)
-    loads = rep_f.T @ replica_load
-    cval_all = coloc_cost.T @ rep_f  # (T, S)
-    inc_all = coloc_load.T @ rep_f
-    missing = txn_reads.astype(np.int64).T @ (~replicas).astype(np.int64)  # (T, S)
-    for t in order:
-        feasible = missing[t] == 0
-        if not feasible.any():
-            return x
-        m = loads.max()
-        grow = np.maximum(loads + inc_all[t] - m, 0.0)
-        cost = lam * cval_all[t] + (1.0 - lam) * grow
-        cost = np.where(feasible, cost, np.inf)
-        s = int(np.argmin(cost))  # first minimum: lowest site wins ties
+    x = [-1] * n_txns
+    loads = (rep_f.T @ replica_load).tolist()
+    cval_all = (coloc_cost.T @ rep_f).tolist()  # (T, S)
+    inc_all = (coloc_load.T @ rep_f).tolist()
+    # missing reads per site: small integer counts, exact in a float product
+    missing = (txn_reads.T.astype(np.float64) @ (1.0 - rep_f)).tolist()
+    for t in np.asarray(order).tolist():
+        miss, cval, inc = missing[t], cval_all[t], inc_all[t]
+        m = max(loads)
+        s, best = -1, 0.0
+        for k in sites:
+            if miss[k] == 0.0:
+                delta = lam * cval[k] + rest * max(loads[k] + inc[k] - m, 0.0)
+                if s < 0 or delta < best:
+                    s, best = k, delta
+        if s < 0:
+            break
         x[t] = s
-        loads[s] += inc_all[t, s]
-    return x
+        loads[s] += inc[s]
+    return np.array(x, np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Simulated annealing: temperature schedule, moves, subproblems, runs."""
 from __future__ import annotations
 
+import hashlib
 import math
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +154,80 @@ def test_subproblem_outputs_always_feasible(seed):
 
 # ---------------------------------------------------------------------------
 # full runs
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+GOLDEN_SHAPE = dict(
+    transaction_count=10, table_count=5, max_attributes_per_table=5, max_queries_per_transaction=3
+)
+GOLDEN_INSTANCES = {
+    "plain": lambda: random_instance(11, site_count=3, **GOLDEN_SHAPE),
+    "latency": lambda: random_instance(
+        12, site_count=3, latency_penalty=5.0, update_percent=50.0, **GOLDEN_SHAPE
+    ),
+    "cost-only": lambda: random_instance(13, site_count=4, cost_weight=1.0, **GOLDEN_SHAPE),
+}
+
+# (instance, seed): (score as float.hex, evaluations, temperature steps,
+# sha256 prefixes of txn_site, replica and the trace), recorded with the
+# per-element kernels the scalar-loop kernels replaced.
+GOLDEN = {
+    ("plain", 0): ("0x1.07a6666666667p+11", 1250, 25, "f6b6883f18348ef2", "ec5e14c7556e15d1", "10bed764826e704d"),
+    ("plain", 1): ("0x1.07a6666666667p+11", 1100, 22, "f6b6883f18348ef2", "ec5e14c7556e15d1", "c121453918470813"),
+    ("plain", 2): ("0x1.07a6666666667p+11", 1250, 25, "c5014d13de5a5a77", "f729ea3380977c06", "e4e9259780393a88"),
+    ("latency", 0): ("0x1.e666666666666p+9", 1450, 29, "bb0c54d5c60986dc", "5317bb742c9dc751", "e6a4ab5d8298d99e"),
+    ("latency", 1): ("0x1.e666666666666p+9", 1150, 23, "f020a6e208dc2f77", "42d62fb5bcc7958a", "08471387aa3e756a"),
+    ("latency", 2): ("0x1.e666666666666p+9", 1250, 25, "c3534e7adbc6814a", "5317bb742c9dc751", "84a17f39e1fc9013"),
+    ("cost-only", 0): ("0x1.c300000000000p+11", 1250, 25, "da7d58182a6953de", "f5521ba3c5e9e4ae", "ca611ec80b349158"),
+    ("cost-only", 1): ("0x1.c300000000000p+11", 1450, 29, "8128a9daefce07e6", "99036f39ded07f50", "e2aea110fbac7b83"),
+    ("cost-only", 2): ("0x1.c300000000000p+11", 1800, 36, "84d9a97c9ba99318", "1cb59075440459c0", "b5f53b0e61858352"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_INSTANCES))
+def test_solve_sa_follows_its_recorded_trajectory(name):
+    # any change to the random stream, the tie-breaking or the rounding
+    # of a score moves at least one of these figures
+    inst = GOLDEN_INSTANCES[name]()
+    for seed in range(3):
+        report, trace = solve_sa(inst, SaConfig(seed=seed))
+        part = report.partitioning
+        steps = repr((
+            tuple(float(v).hex() for v in trace.temperatures),
+            tuple(float(v).hex() for v in trace.best_scores),
+            tuple(float(v).hex() for v in trace.current_scores),
+            tuple(int(v) for v in trace.accepted_moves),
+        )).encode()
+        got = (
+            report.score.hex(),
+            report.node_count,
+            len(trace),
+            _sha(part.txn_site.astype("<i8").tobytes()),
+            _sha(part.replica.astype(np.uint8).tobytes()),
+            _sha(steps),
+        )
+        assert got == GOLDEN[name, seed], (name, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solve_sa_score_includes_write_latency(seed):
+    # the greedy repairs ignore the latency charge; the Metropolis score
+    # and the final re-pricing include it, so the reported score is the
+    # full price of the returned layout
+    inst = random_instance(
+        seed, site_count=3, latency_penalty=50.0, update_percent=60.0, **GOLDEN_SHAPE
+    )
+    model = derive(inst)
+    report, trace = solve_sa(inst, SaConfig(seed=seed))
+    full = evaluate(inst, model, report.partitioning)
+    assert report.score == full.score
+    assert full.latency > 0.0
+    assert trace.best_scores[-1] == report.score
+    unpriced = replace(inst, latency_penalty=None)
+    assert evaluate(unpriced, derive(unpriced), report.partitioning).score < report.score
 
 
 def test_solve_sa_finds_t1_optimum():
