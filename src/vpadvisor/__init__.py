@@ -58,7 +58,6 @@ from .mip import (
     enumeration_size,
     export_model,
     solve_exact,
-    solve_exact_staged,
 )
 from .partitioning import (
     CostBreakdown,
@@ -86,7 +85,6 @@ from .workload import (
     Transaction,
     derive,
     lint,
-    subset_transactions,
     validate,
 )
 
@@ -104,7 +102,6 @@ __all__ = [
     "derive",
     "validate",
     "lint",
-    "subset_transactions",
     # partitioning
     "Partitioning",
     "CostBreakdown",
@@ -136,7 +133,6 @@ __all__ = [
     "export_model",
     "ExactConfig",
     "solve_exact",
-    "solve_exact_staged",
     "BruteResult",
     "brute_force",
     "enumeration_size",

@@ -206,9 +206,7 @@ def solve_subproblem_fix_replicas(
     read all of its attributes on any single site.
     """
     if order is None:
-        weights = model.coloc_load.sum(axis=0)
-        ids = np.arange(weights.shape[0], dtype=np.int64)
-        order = np.lexsort((ids, -weights)).astype(np.int64)
+        order = order_transactions_by_load(model)
     txn_site = kernels.assign_transactions(
         np.ascontiguousarray(replicas, dtype=np.bool_),
         model.txn_reads,
@@ -251,7 +249,7 @@ def solve_sa(
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
-    order = np.array(order_transactions_by_load(instance, model), np.int64)
+    order = np.array(order_transactions_by_load(model), np.int64)
 
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)

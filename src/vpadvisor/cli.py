@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .anneal import SaConfig, SaTrace, solve_sa, solve_sa_best_of
+from .anneal import SaConfig, SaTrace, solve_sa_best_of
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -33,13 +33,11 @@ from .errors import (
 )
 from .fileio import (
     fingerprint_instance,
-    instance_to_obj,
     load_instance,
     load_partitioning,
     partitioning_to_obj,
     save_instance,
     save_partitioning,
-    serialize_instance,
 )
 from .generators import GenParams, generate
 from .grouping import expand_solution, group_attributes
@@ -50,7 +48,6 @@ from .mip import (
     build_mip,
     export_model,
     solve_exact,
-    solve_exact_staged,
 )
 from .partitioning import CostBreakdown, evaluate
 from .report import (
@@ -280,10 +277,6 @@ def _solve_dispatch(
             warm_start=not args.no_warm_start,
             fixed_replicas=_parse_pins(instance, args.pin),
         )
-        if args.iterative:
-            if args.disjoint:
-                raise _UsageError("--iterative cannot be combined with --disjoint")
-            return solve_exact_staged(instance, cfg, top_fraction=args.top_fraction), None
         return solve_exact(instance, cfg), None
     if args.algo == "brute":
         if args.pin:
@@ -320,11 +313,11 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> Tuple[Solve
 
 def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
     echo: Dict[str, Any] = {"algo": args.algo}
-    for key in ("seed", "runs", "time_limit", "gap", "budget", "top_fraction"):
+    for key in ("seed", "runs", "time_limit", "gap", "budget"):
         value = getattr(args, key, None)
         if value is not None:
             echo[key] = value
-    for key in ("group", "iterative", "disjoint", "no_warm_start"):
+    for key in ("group", "disjoint", "no_warm_start"):
         if getattr(args, key, False):
             echo[key] = True
     if getattr(args, "pin", None):
@@ -512,10 +505,6 @@ def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.Argument
     solve.add_argument("--gap", type=float, default=None)
     solve.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
     solve.add_argument("--group", action="store_true", help="merge indistinguishable attributes")
-    solve.add_argument(
-        "--iterative", action="store_true", help="heavy transactions first, then the rest"
-    )
-    solve.add_argument("--top-fraction", dest="top_fraction", type=float, default=0.2)
     solve.add_argument("--disjoint", action="store_true", help="forbid replication")
     solve.add_argument(
         "--pin",

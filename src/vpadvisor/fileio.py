@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .partitioning import Partitioning
+from .partitioning import Partitioning, _attr_ref
 from .workload import Attribute, Instance, Query, Table, Transaction, validate
 
 
@@ -40,11 +40,6 @@ def _expect_keys(obj: Mapping[str, Any], required: set, optional: set, where: st
 def _expect(condition: bool, message: str) -> None:
     if not condition:
         raise FormatError(message)
-
-
-def _attr_ref(instance: Instance, attribute_id: int) -> str:
-    attr = instance.attributes[attribute_id]
-    return f"{instance.tables[attr.table_id].name}.{attr.name}"
 
 
 # ---------------------------------------------------------------------------

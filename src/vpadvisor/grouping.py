@@ -9,8 +9,8 @@ help balance — the merge is exact for the pure-cost objective and a
 mild restriction otherwise; see the test suite.)
 
 :func:`order_transactions_by_load` ranks transactions by their total
-read weight, used both by the greedy assignment heuristic and by the
-staged solve that handles the heaviest transactions first.
+read weight, the order in which the greedy assignment heuristic places
+them.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .partitioning import Partitioning
-from .workload import Attribute, CostModel, Instance, Query, Table, Transaction
+from .workload import Attribute, CostModel, Instance, Query, Table
 
 
 @dataclass(frozen=True)
@@ -123,12 +123,12 @@ def expand_solution(partitioning: Partitioning,
     return Partitioning(partitioning.txn_site, partitioning.replica[rows])
 
 
-def order_transactions_by_load(instance: Instance, model: CostModel) -> list[int]:
+def order_transactions_by_load(model: CostModel) -> list[int]:
     """Transaction ids sorted by total read weight, heaviest first.
 
     Ties break toward the lower transaction id so the order is stable.
     """
     weight = model.coloc_load.sum(axis=0)
-    ids = np.arange(instance.transaction_count)
+    ids = np.arange(weight.size)
     order = np.lexsort((ids, -weight))
     return [int(t) for t in order]

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from . import kernels
 from .anneal import SaConfig, solve_sa
 from .errors import BudgetExceededError, FormatError
-from .grouping import order_transactions_by_load
 from .partitioning import CostBreakdown, Partitioning, check_feasible, evaluate
 from .report import (
     STATUS_FEASIBLE_TIME_LIMIT,
@@ -36,7 +35,7 @@ from .report import (
     STATUS_OPTIMAL,
     SolveReport,
 )
-from .workload import CostModel, Instance, derive, subset_transactions
+from .workload import CostModel, Instance, derive
 
 #: Nominal layout count enumerated by :func:`brute_force` at most.
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -795,47 +794,3 @@ def brute_force(
         score=breakdown.score,
         combinations=size,
     )
-
-
-# ---------------------------------------------------------------------------
-# Workload-prioritized staged solve
-
-
-def solve_exact_staged(
-    instance: Instance,
-    config: Optional[ExactConfig] = None,
-    top_fraction: float = 0.2,
-) -> SolveReport:
-    """Two-stage solve: optimize the heaviest transactions first, keep
-    their replicas as pinned lower bounds, then solve the full workload.
-
-    The heavy subset is the top ``top_fraction`` of transactions by
-    total read weight (at least one).  The final report prices the full
-    instance; optimality holds only relative to the pinned replicas.
-    ``config.time_limit`` bounds both stages together.
-    """
-    started = time.perf_counter()
-    if not 0.0 < top_fraction <= 1.0:
-        raise ValueError("top_fraction must lie in (0, 1]")
-    if config is None:
-        config = ExactConfig()
-    model = derive(instance)
-    order = order_transactions_by_load(instance, model)
-    keep = max(1, math.ceil(top_fraction * instance.transaction_count))
-    heavy = [int(t) for t in order[:keep]]
-    if len(heavy) == instance.transaction_count:
-        return solve_exact(instance, config, model=model)
-    stage_one = solve_exact(subset_transactions(instance, heavy), config)
-    config = replace(config, time_limit=max(0.0, config.time_limit - (time.perf_counter() - started)))
-    if stage_one.partitioning is not None:
-        pinned = tuple(
-            (a, s)
-            for a in range(instance.attribute_count)
-            for s in range(instance.site_count)
-            if stage_one.partitioning.replica[a, s]
-        )
-        config = replace(
-            config, fixed_replicas=tuple(sorted(set(config.fixed_replicas) | set(pinned)))
-        )
-    final = solve_exact(instance, config, model=model)
-    return replace(final, wall_time=time.perf_counter() - started)

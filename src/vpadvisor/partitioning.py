@@ -12,7 +12,7 @@ the test suite holds them to that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,42 +44,10 @@ class Partitioning:
     def site_count(self) -> int:
         return self.replica.shape[1]
 
-    @classmethod
-    def single_site(cls, instance: Instance) -> "Partitioning":
-        """Everything on site 0 — always feasible, the trivial layout."""
-        replica = np.zeros((instance.attribute_count, instance.site_count), dtype=bool)
-        replica[:, 0] = True
-        return cls(np.zeros(instance.transaction_count, dtype=np.int64), replica)
-
-    @classmethod
-    def from_maps(cls, instance: Instance, txn_map: Mapping[int, int],
-                  attr_map: Mapping[int, Iterable[int]]) -> "Partitioning":
-        """Build from ``{transaction_id: site}`` and ``{attribute_id: sites}``."""
-        txn_site = np.zeros(instance.transaction_count, dtype=np.int64)
-        for t in range(instance.transaction_count):
-            if t not in txn_map:
-                raise ValueError(f"transaction id {t} missing from assignment")
-            txn_site[t] = txn_map[t]
-        replica = np.zeros((instance.attribute_count, instance.site_count), dtype=bool)
-        for a in range(instance.attribute_count):
-            if a not in attr_map:
-                raise ValueError(f"attribute id {a} missing from placement")
-            for s in attr_map[a]:
-                replica[a, int(s)] = True
-        return cls(txn_site, replica)
-
-    def sites_of(self, attribute_id: int) -> tuple[int, ...]:
-        return tuple(int(s) for s in np.flatnonzero(self.replica[attribute_id]))
-
     def with_replica(self, attribute_id: int, site: int) -> "Partitioning":
         replica = self.replica.copy()
         replica[attribute_id, site] = True
         return Partitioning(self.txn_site, replica)
-
-    def as_maps(self) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
-        txn_map = {t: int(s) for t, s in enumerate(self.txn_site)}
-        attr_map = {a: self.sites_of(a) for a in range(self.replica.shape[0])}
-        return txn_map, attr_map
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partitioning):

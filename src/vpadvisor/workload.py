@@ -10,7 +10,7 @@ matrices the evaluators and solvers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -153,7 +153,6 @@ class CostModel:
     replica_cost: np.ndarray
     coloc_load: np.ndarray
     replica_load: np.ndarray
-    attr_table: np.ndarray
     frequencies: np.ndarray
     txn_of_query: np.ndarray
 
@@ -303,11 +302,13 @@ def lint(instance: Instance) -> list[str]:
     return warnings
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported below
 def derive(instance: Instance) -> CostModel:
     """Build the dense flag matrices and folded cost coefficients.
 
     Raises :class:`ValidationError` carrying the violation list when the
-    instance is not well formed.
+    instance is not well formed, or when the coefficients leave no finite
+    bound on a layout's score (the inputs multiply past the float range).
     """
     violations = validate(instance)
     if violations:
@@ -317,7 +318,6 @@ def derive(instance: Instance) -> CostModel:
     n_q = instance.query_count
     n_t = instance.transaction_count
 
-    attr_table = np.array([a.table_id for a in instance.attributes], dtype=np.int64)
     widths = np.array([a.width for a in instance.attributes], dtype=np.float64)
     freqs = np.array([q.frequency for q in instance.queries], dtype=np.float64)
 
@@ -365,6 +365,17 @@ def derive(instance: Instance) -> CostModel:
     coloc_load = (access_weight * table_f * read_f[None, :]) @ q_txn_f
     replica_load = (access_weight * table_f * write_f[None, :]).sum(axis=1)
 
+    # No layout's score exceeds this bound in magnitude; NaN fails too.
+    sites = instance.site_count
+    bound = (np.abs(coloc_cost).sum() + sites * np.abs(replica_cost).sum()
+             + coloc_load.sum() + sites * replica_load.sum())
+    if instance.latency_penalty is not None:
+        bound += instance.latency_penalty * freqs[is_write].sum()
+    if not math.isfinite(bound):
+        raise ValidationError([
+            f"costs overflow: the network penalty ({penalty!r}), latency penalty, "
+            f"frequencies, row counts and widths multiply past the float range"])
+
     return CostModel(
         attr_access=_freeze(attr_access),
         table_access=_freeze(table_access),
@@ -376,51 +387,6 @@ def derive(instance: Instance) -> CostModel:
         replica_cost=_freeze(replica_cost),
         coloc_load=_freeze(coloc_load),
         replica_load=_freeze(replica_load),
-        attr_table=_freeze(attr_table),
         frequencies=_freeze(freqs),
         txn_of_query=_freeze(txn_of_query),
-    )
-
-
-def subset_transactions(instance: Instance, transaction_ids) -> Instance:
-    """Restrict an instance to the given transactions (schema unchanged).
-
-    Queries of dropped transactions are removed and the kept queries are
-    renumbered densely in their original order.  Used by the staged solve
-    that fixes replicas found for the heaviest transactions first.
-    """
-    keep = sorted(set(int(t) for t in transaction_ids))
-    n_t = instance.transaction_count
-    for t in keep:
-        if not (0 <= t < n_t):
-            raise ValueError(f"unknown transaction id {t}")
-    if not keep:
-        raise ValueError("at least one transaction must be kept")
-
-    query_map: dict[int, int] = {}
-    new_queries: list[Query] = []
-    new_txns: list[Transaction] = []
-    for new_tid, tid in enumerate(keep):
-        txn = instance.transactions[tid]
-        new_qids = []
-        for qid in txn.query_ids:
-            q = instance.queries[qid]
-            new_qid = len(new_queries)
-            query_map[qid] = new_qid
-            new_queries.append(Query(
-                id=new_qid, name=q.name, kind=q.kind, frequency=q.frequency,
-                accessed_attributes=q.accessed_attributes,
-                rows_per_table=dict(q.rows_per_table)))
-            new_qids.append(new_qid)
-        new_txns.append(Transaction(id=new_tid, name=txn.name, query_ids=tuple(new_qids)))
-
-    return Instance(
-        tables=instance.tables,
-        attributes=instance.attributes,
-        queries=tuple(new_queries),
-        transactions=tuple(new_txns),
-        site_count=instance.site_count,
-        network_penalty=instance.network_penalty,
-        cost_weight=instance.cost_weight,
-        latency_penalty=instance.latency_penalty,
     )

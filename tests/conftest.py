@@ -8,6 +8,7 @@ evaluator.  Tests compare the two routes; agreement is the evidence.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -50,6 +51,13 @@ def t2_instance(site_count: int = 2) -> Instance:
         site_count=site_count,
         network_penalty=8.0,
     )
+
+
+def overflow_instance() -> Instance:
+    """t2 with a penalty, frequency and row count whose product overflows."""
+    t2 = t2_instance()
+    write = replace(t2.queries[0], frequency=1e12, rows_per_table={0: 1e6})
+    return replace(t2, queries=(write,), network_penalty=1e300)
 
 
 @pytest.fixture

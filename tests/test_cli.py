@@ -12,7 +12,7 @@ from vpadvisor import ExactConfig, save_instance, solve_exact, tpcc
 from vpadvisor import cli
 from vpadvisor.cli import main
 
-from conftest import random_instance, t1_instance
+from conftest import overflow_instance, random_instance, t1_instance
 
 
 @pytest.fixture
@@ -167,11 +167,6 @@ def test_solve_runs_flag(small_path, capsys):
     assert record["config"]["runs"] == 3
 
 
-def test_solve_iterative_flag(small_path, capsys):
-    assert main(["solve", small_path, "--algo", "exact", "--iterative"]) == 0
-    assert "status" in capsys.readouterr().out
-
-
 def test_solve_timeout_without_solution_exits_3(tmp_path, capsys):
     path = tmp_path / "pair.json"
     save_instance(t1_instance(), str(path))
@@ -210,6 +205,19 @@ def test_solve_rejects_non_finite_frequency(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path), "--algo", "sa"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_overflowing_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    save_instance(overflow_instance(), str(path))
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"x": {"t1": 0}, "y": {"S.b": [0]}}))
+    for argv in (["solve", str(path)], ["solve", str(path), "--algo", "exact"],
+                 ["eval", str(path), str(layout)], ["export", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "invalid input" in captured.err and "overflow" in captured.err
+        assert captured.out == ""
 
 
 def test_solve_rejects_bad_pin_argument(small_path):

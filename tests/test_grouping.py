@@ -144,7 +144,7 @@ def test_grouping_can_restrict_load_balancing_below_lambda_one():
 def test_order_transactions_by_load_ranks_read_weight():
     inst = random_instance(4)
     model = derive(inst)
-    order = order_transactions_by_load(inst, model)
+    order = order_transactions_by_load(model)
     weights = model.coloc_load.sum(axis=0)
     assert sorted(order) == list(range(inst.transaction_count))
     ordered = [weights[t] for t in order]
@@ -162,4 +162,4 @@ def test_order_breaks_ties_by_id():
         transactions=(Transaction(0, "t0", (0,)), Transaction(1, "t1", (1,))),
         site_count=2,
     )
-    assert order_transactions_by_load(inst, derive(inst)) == [0, 1]
+    assert order_transactions_by_load(derive(inst)) == [0, 1]

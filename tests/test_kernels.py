@@ -24,6 +24,7 @@ from vpadvisor import (
     Query,
     Table,
     Transaction,
+    ValidationError,
     derive,
     evaluate,
     evaluate_folded,
@@ -364,7 +365,7 @@ def test_perturbations_match_reference_values_and_stream(n_sites, move_fraction)
 
 
 @st.composite
-def _valid_instances(draw, penalties):
+def _valid_instances(draw, penalties, frequencies=st.floats(0.0, 1e12)):
     """Small generated instances with drawn frequencies, row counts,
     network penalty and cost weight."""
     params = GenParams(
@@ -384,7 +385,7 @@ def _valid_instances(draw, penalties):
         cost_weight=draw(st.floats(0.0, 1.0)),
     )
     queries = tuple(
-        replace(q, frequency=draw(st.floats(0.0, 1e12)),
+        replace(q, frequency=draw(frequencies),
                 rows_per_table={k: draw(st.floats(1e-6, 1e6)) for k in q.rows_per_table})
         for q in inst.queries
     )
@@ -426,6 +427,27 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
     assert np.array_equal(kernels.greedy_replicas(*args), _ref_greedy_replicas(*args))
+
+
+@_PROPERTY
+@given(_valid_instances(st.floats(0.0, 1.7e308), st.floats(0.0, 1.7e308)),
+       st.none() | st.floats(0.0, 1.7e308))
+def test_derive_rejects_what_would_price_past_the_float_range(case, latency):
+    # every valid instance either fails in derive or prices, without a
+    # float error, its single-site layout to a finite score, and so its
+    # fully replicated one, which pays every transfer and latency charge
+    inst, txn_site = case
+    inst = replace(inst, latency_penalty=latency)
+    try:
+        model = derive(inst)
+    except ValidationError:
+        return
+    single = np.zeros((inst.attribute_count, inst.site_count), dtype=bool)
+    single[:, 0] = True
+    layouts = [(np.zeros_like(txn_site), single), (txn_site, np.ones_like(single))]
+    with np.errstate(over="raise", invalid="raise"):
+        for x, replica in layouts:
+            assert math.isfinite(evaluate(inst, model, Partitioning(x, replica)).score)
 
 
 def test_greedy_replicas_extras_step_runs_at_huge_penalties():

@@ -24,7 +24,6 @@ from vpadvisor import (
     export_model,
     generate,
     solve_exact,
-    solve_exact_staged,
     solve_sa,
 )
 from vpadvisor.errors import FormatError
@@ -297,7 +296,6 @@ def test_exact_timeout_with_warm_start_still_returns_solution():
 
 @pytest.mark.parametrize("solver,limit", [
     pytest.param("exact", 2.0, id="plain"),
-    pytest.param("staged", 2.0, id="staged"),
     pytest.param("exact", 0.3, id="plain-short"),
     pytest.param("sa", 0.5, id="sa"),
 ])
@@ -308,9 +306,7 @@ def test_exact_keeps_its_deadline_on_a_large_instance(solver, limit):
     )
     model = derive(inst)
     started = time.perf_counter()
-    if solver == "staged":
-        report = solve_exact_staged(inst, ExactConfig(time_limit=limit))
-    elif solver == "sa":
+    if solver == "sa":
         report, _ = solve_sa(inst, SaConfig(time_limit=limit), model=model)
     else:
         report = solve_exact(inst, ExactConfig(time_limit=limit), model=model)
@@ -376,24 +372,3 @@ def test_brute_force_with_latency_dispatches_and_agrees_with_exact():
     result = brute_force(inst)
     report = solve_exact(inst, ExactConfig(gap=0.0))
     assert report.score == pytest.approx(result.score, abs=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# staged solving
-
-
-def test_staged_solve_is_feasible_and_near_exact():
-    inst = random_instance(12, site_count=2, transaction_count=5)
-    model = derive(inst)
-    staged = solve_exact_staged(inst, ExactConfig(gap=0.0), top_fraction=0.4)
-    assert check_feasible(inst, model, staged.partitioning) == []
-    full = solve_exact(inst, ExactConfig(gap=0.0))
-    # staging is a heuristic: never better than optimal, usually equal
-    assert staged.score >= full.score - 1e-9
-
-
-def test_staged_solve_with_all_transactions_equals_plain_exact():
-    inst = random_instance(2, site_count=2)
-    staged = solve_exact_staged(inst, ExactConfig(gap=0.0), top_fraction=1.0)
-    full = solve_exact(inst, ExactConfig(gap=0.0))
-    assert staged.score == pytest.approx(full.score, abs=1e-9)

@@ -13,13 +13,19 @@ from vpadvisor import (
     Query,
     Table,
     Transaction,
+    ValidationError,
     derive,
     lint,
-    subset_transactions,
     validate,
 )
 
-from conftest import oracle_flags, random_instance, t1_instance, t2_instance
+from conftest import (
+    oracle_flags,
+    overflow_instance,
+    random_instance,
+    t1_instance,
+    t2_instance,
+)
 
 
 def test_t1_shape_and_validation(t1):
@@ -163,15 +169,16 @@ def test_reads_matrix_reflects_read_queries_only(t2):
     assert not model1.txn_reads[1, 0]
 
 
-def test_subset_transactions_keeps_referenced_structure():
-    inst = random_instance(3, site_count=2)
-    keep = [0, inst.transaction_count - 1]
-    sub = subset_transactions(inst, keep)
-    assert validate(sub) == []
-    assert sub.transaction_count == len(set(keep))
-    assert sub.attribute_count == inst.attribute_count
-    kept_names = {inst.transactions[t].name for t in keep}
-    assert {txn.name for txn in sub.transactions} == kept_names
+def test_derive_rejects_costs_that_overflow():
+    inst = overflow_instance()
+    assert validate(inst) == []
+    with pytest.raises(ValidationError, match="overflow"):
+        derive(inst)
+    latency = replace(t2_instance(), latency_penalty=1e300,
+                      queries=(replace(t2_instance().queries[0], frequency=1e10),))
+    with pytest.raises(ValidationError, match="overflow"):
+        derive(latency)
+    derive(replace(latency, latency_penalty=1e290))
 
 
 def test_lint_flags_blind_writes_without_failing_validation(t1, t2):
