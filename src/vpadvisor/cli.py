@@ -447,16 +447,15 @@ def cmd_export(args: argparse.Namespace) -> int:
         use_symmetry=args.symmetry,
         forbid_replication=args.disjoint,
     )
-    text = export_model(model, args.fmt)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            export_model(model, args.fmt, fh)
         print(
             f"wrote {args.out}: {model.variable_count} variables, "
             f"{model.constraint_count} constraints"
         )
     else:
-        sys.stdout.write(text)
+        export_model(model, args.fmt, sys.stdout)
     return 0
 
 
@@ -578,8 +577,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, InfeasibleLayoutError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        for violation in getattr(exc, "violations", []) or []:
+        print("invalid input:", file=sys.stderr)
+        for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)
         return 2
     except FormatError as exc:

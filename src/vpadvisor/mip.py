@@ -19,7 +19,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,8 +51,10 @@ class MipModel:
     Column order: ``x[t,s]`` (site fastest), ``y[a,s]``, ``u[t,a,s]``,
     ``m``, then one indicator per write query when the latency term is
     modeled.  Base row order: assignment, coverage, read co-location,
-    per-site load, linearization triples; optional symmetry-breaking,
-    pinned-replica, and latency rows follow.
+    per-site load, linearization triples; the symmetry-breaking rows
+    (when ``symmetry``), one row per pin of ``pins`` and the latency
+    rows follow.  :meth:`column_names` and :meth:`row_names` format the
+    names export writes from this layout on each call.
     """
 
     c: np.ndarray
@@ -61,13 +64,13 @@ class MipModel:
     matrix: sp.csr_array
     row_lower: np.ndarray
     row_upper: np.ndarray
-    column_names: Tuple[str, ...]
-    row_names: Tuple[str, ...]
     n_txns: int
     n_attrs: int
     n_sites: int
     has_latency: bool
     write_query_ids: Tuple[int, ...] = ()
+    symmetry: bool = False
+    pins: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def variable_count(self) -> int:
@@ -95,6 +98,39 @@ class MipModel:
         if not self.has_latency:
             raise ValueError("model has no latency indicators")
         return self.m_index + 1 + write_pos
+
+    def _labels(self) -> Tuple[List[str], List[str], List[str]]:
+        """The transaction, attribute and site ids as strings."""
+        return tuple([str(i) for i in range(n)] for n in (self.n_txns, self.n_attrs, self.n_sites))
+
+    def column_names(self) -> List[str]:
+        """Names in column order: ``x_{t}_{s}``, ``y_{a}_{s}``,
+        ``u_{t}_{a}_{s}``, ``m`` and ``psi_q{query}``."""
+        txns, attrs, sites = self._labels()
+        return (
+            [f"x_{t}_{s}" for t in txns for s in sites]
+            + [f"y_{a}_{s}" for a in attrs for s in sites]
+            + [f"u_{t}_{a}_{s}" for t in txns for a in attrs for s in sites]
+            + ["m"]
+            + [f"psi_q{q}" for q in self.write_query_ids]
+        )
+
+    def row_names(self) -> List[str]:
+        """Names in row order, one block per kind of row."""
+        txns, attrs, sites = self._labels()
+        return (
+            [f"assign_t{t}" for t in txns]
+            + [f"cover_a{a}" for a in attrs]
+            + [f"coloc_a{a}_t{t}_s{s}" for a in attrs for t in txns for s in sites]
+            + [f"load_s{s}" for s in sites]
+            + [
+                f"lin_{side}_t{t}_a{a}_s{s}"
+                for t in txns for a in attrs for s in sites for side in ("x", "y", "xy")
+            ]
+            + ([f"sym_t{t}_s{s}" for t in txns for s in sites[1:]] if self.symmetry else [])
+            + [f"pin_a{a}_s{s}" for a, s in self.pins]
+            + [f"remote_q{q}" for q in self.write_query_ids]
+        )
 
 
 class _Rows:
@@ -194,7 +230,7 @@ def build_mip(
     lam = float(instance.cost_weight)
     has_latency = instance.latency_penalty is not None
     pins = _sorted_pins(fixed_replicas, n_attrs, n_sites)
-    write_ids = np.flatnonzero(model.is_write) if has_latency else np.zeros(0, dtype=np.int64)
+    write_ids = model.write_queries if has_latency else np.zeros(0, dtype=np.int64)
 
     nx = n_txns * n_sites
     u0 = nx + n_attrs * n_sites
@@ -212,17 +248,9 @@ def build_mip(
     integrality = np.zeros(n, dtype=np.int8)
     integrality[:u0] = 1
     integrality[psi0:] = 1
-    column_names = (
-        [f"x_{t}_{s}" for t in range(n_txns) for s in range(n_sites)]
-        + [f"y_{a}_{s}" for a in range(n_attrs) for s in range(n_sites)]
-        + [f"u_{t}_{a}_{s}" for t in range(n_txns) for a in range(n_attrs) for s in range(n_sites)]
-        + ["m"]
-        + [f"psi_q{q}" for q in write_ids]
-    )
 
     rows = _Rows()
     _placement_rows(rows, n_txns, n_attrs, n_sites, forbid_replication)
-    row_names = [f"assign_t{t}" for t in range(n_txns)] + [f"cover_a{a}" for a in range(n_attrs)]
     # Reads are served locally: a transaction's site holds what it reads
     # (y[a,s] >= x[t,s]; a bare y[a,s] >= 0 where t does not read a).
     x = _per_site(0, txns, n_sites)
@@ -232,10 +260,6 @@ def build_mip(
         (local, y[:, None, :], 1.0),
         (local, x[None, :, :], -model.txn_reads[:, :, None].astype(np.float64)),
     ], 0.0, np.inf)
-    row_names += [
-        f"coloc_a{a}_t{t}_s{s}"
-        for a in range(n_attrs) for t in range(n_txns) for s in range(n_sites)
-    ]
     # m dominates each site's local work.
     rows.add(n_sites, [
         (sites, _per_site(u0, np.arange(n_txns * n_attrs), n_sites),
@@ -243,7 +267,6 @@ def build_mip(
         (sites, y, model.replica_load[:, None]),
         (sites, m_col, -1.0),
     ], -np.inf, 0.0)
-    row_names += [f"load_s{s}" for s in range(n_sites)]
     # u = x * y once x and y are binary: u <= x, u <= y, u >= x + y - 1.
     u = u0 + np.arange(n_txns * n_attrs * n_sites).reshape(n_txns, n_attrs, n_sites)
     first = 3 * (u - u0)
@@ -253,17 +276,11 @@ def build_mip(
         (first + 1, u, 1.0), (first + 1, ya, -1.0),
         (first + 2, u, 1.0), (first + 2, xt, -1.0), (first + 2, ya, -1.0),
     ], np.tile([-np.inf, -np.inf, -1.0], u.size), np.tile([0.0, 0.0, np.inf], u.size))
-    row_names += [
-        f"lin_{side}_t{t}_a{a}_s{s}"
-        for t in range(n_txns) for a in range(n_attrs) for s in range(n_sites)
-        for side in ("x", "y", "xy")
-    ]
-    if use_symmetry and n_sites > 1:
+    symmetry = use_symmetry and n_sites > 1
+    if symmetry:
         _symmetry_rows(rows, n_txns, n_sites)
-        row_names += [f"sym_t{t}_s{s}" for t in range(n_txns) for s in range(1, n_sites)]
     pin_cols = nx + np.array(pins, dtype=np.int64).reshape(-1, 2) @ np.array([n_sites, 1])
     rows.add(len(pins), [(np.arange(len(pins)), pin_cols, 1.0)], 1.0, 1.0)
-    row_names += [f"pin_a{a}_s{s}" for a, s in pins]
     # A write query's indicator turns on when any updated attribute keeps
     # a replica away from the transaction's site (no rows without latency).
     pos, touched = np.nonzero(model.attr_access[:, write_ids].T)
@@ -273,7 +290,6 @@ def build_mip(
         (pos[:, None], _per_site(nx, touched, n_sites), -1.0),
         (pos[:, None], _per_site(u0, t_of * n_attrs + touched, n_sites), 1.0),
     ], 0.0, np.inf)
-    row_names += [f"remote_q{q}" for q in write_ids]
 
     matrix, row_lower, row_upper = rows.arrays(n)
     return MipModel(
@@ -284,18 +300,21 @@ def build_mip(
         matrix=matrix,
         row_lower=row_lower,
         row_upper=row_upper,
-        column_names=tuple(column_names),
-        row_names=tuple(row_names),
         n_txns=n_txns,
         n_attrs=n_attrs,
         n_sites=n_sites,
         has_latency=has_latency,
         write_query_ids=tuple(int(q) for q in write_ids),
+        symmetry=symmetry,
+        pins=tuple(pins),
     )
 
 
 # ---------------------------------------------------------------------------
 # Export
+
+#: Most lines :func:`export_model` hands to one ``write`` call.
+EXPORT_CHUNK_LINES = 1 << 15
 
 
 def _num(value: float) -> str:
@@ -306,78 +325,125 @@ def _num(value: float) -> str:
     return repr(v)
 
 
-def export_model(model: MipModel, fmt: str) -> str:
-    """Serialize ``model`` to free-MPS or LP text, byte-deterministically."""
+def _num_texts(values: np.ndarray) -> List[str]:
+    """:func:`_num` of every value, formatting each distinct value once."""
+    distinct, which = np.unique(values, return_inverse=True)
+    texts = [_num(v) for v in distinct.tolist()]
+    return [texts[k] for k in which.tolist()]
+
+
+def export_model(model: MipModel, fmt: str, fh: TextIO) -> None:
+    """Write ``model`` to ``fh`` as free-MPS or LP text,
+    byte-deterministically.
+
+    Lines are formatted as they are written, at most
+    :data:`EXPORT_CHUNK_LINES` per ``fh.write`` call, so the whole text
+    is never held in memory.
+    """
     key = fmt.strip().lower()
     if key in {"mps", "free-mps", "free_mps"}:
-        return _export_mps(model)
-    if key in {"lp", "lp-text", "lp_text"}:
-        return _export_lp(model)
-    raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
+        lines = _mps_lines(model)
+    elif key in {"lp", "lp-text", "lp_text"}:
+        lines = _lp_lines(model)
+    else:
+        raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
+    while True:
+        chunk = list(islice(lines, EXPORT_CHUNK_LINES))
+        if not chunk:
+            return
+        chunk.append("")  # every line ends in a newline
+        fh.write("\n".join(chunk))
 
 
-def _row_senses(model: MipModel) -> Tuple[List[str], List[float]]:
-    """Each row's relation (``E``, ``L`` or ``G``) and right-hand side;
-    the model has no ranged rows."""
-    lo, hi = model.row_lower, model.row_upper
-    senses = np.where(lo == hi, "E", np.where(np.isinf(lo), "L", "G"))
-    return senses.tolist(), np.where(np.isinf(lo), hi, lo).tolist()
+def _row_blocks(model: MipModel) -> Iterator[Tuple[int, List[str], np.ndarray]]:
+    """Rows in blocks of :data:`EXPORT_CHUNK_LINES`: the block's first
+    row, each row's relation (``E``, ``L`` or ``G``) and right-hand
+    side; the model has no ranged rows."""
+    for start in range(0, model.constraint_count, EXPORT_CHUNK_LINES):
+        lo = model.row_lower[start : start + EXPORT_CHUNK_LINES]
+        hi = model.row_upper[start : start + EXPORT_CHUNK_LINES]
+        senses = np.where(lo == hi, "E", np.where(np.isinf(lo), "L", "G"))
+        yield start, senses.tolist(), np.where(np.isinf(lo), hi, lo)
 
 
-def _export_mps(model: MipModel) -> str:
-    senses, rhs = _row_senses(model)
-    row_names = model.row_names
-    lines = ["NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"]
-    lines.extend(f" {sense} {name}" for sense, name in zip(senses, row_names))
+def _column_blocks(starts: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """Consecutive column ranges ``[first, last)`` of a CSC matrix with
+    at most :data:`EXPORT_CHUNK_LINES` entries each, unless one column
+    alone holds more."""
+    n = starts.size - 1
+    first = 0
+    while first < n:
+        last = int(np.searchsorted(starts, starts[first] + EXPORT_CHUNK_LINES, side="right")) - 1
+        last = min(max(last, first + 1), n)
+        yield first, last
+        first = last
+
+
+def _mps_lines(model: MipModel) -> Iterator[str]:
+    row_names = model.row_names()
+    column_names = model.column_names()
+    yield from ("NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj")
+    for start, senses, _ in _row_blocks(model):
+        names = row_names[start : start + len(senses)]
+        yield from [f" {sense} {name}" for sense, name in zip(senses, names)]
     # Column-major entries, each column's in row order; integer columns
     # inside INTORG/INTEND markers.
+    yield "COLUMNS"
     by_column = model.matrix.tocsc()
     by_column.sort_indices()
-    starts, rows_of = by_column.indptr.tolist(), by_column.indices.tolist()
-    values, which = np.unique(by_column.data, return_inverse=True)
-    texts = [_num(v) for v in values.tolist()]
-    coef_texts = [texts[k] for k in which.tolist()]  # few distinct values: format each once
-    lines.append("COLUMNS")
+    starts = by_column.indptr
+    integer = model.integrality.tolist()
+    objective = model.c.tolist()
     in_integer = False
     marker = 0
-    columns = zip(model.column_names, model.integrality.tolist(), model.c.tolist())
-    for j, (name, integer, objective) in enumerate(columns):
-        if bool(integer) != in_integer:
-            lines.append(f"    MARKER{marker} 'MARKER' '{'INTEND' if in_integer else 'INTORG'}'")
-            marker += 1
-            in_integer = not in_integer
-        if objective != 0.0:
-            lines.append(f"    {name} obj {_num(objective)}")
-        for k in range(starts[j], starts[j + 1]):
-            lines.append(f"    {name} {row_names[rows_of[k]]} {coef_texts[k]}")
+    for first, last in _column_blocks(starts):
+        entries = slice(starts[first], starts[last])
+        rows_of = by_column.indices[entries].tolist()
+        coef_texts = _num_texts(by_column.data[entries])
+        ends = (starts[first + 1 : last + 1] - starts[first]).tolist()
+        k = 0
+        for j, end in zip(range(first, last), ends):
+            if bool(integer[j]) != in_integer:
+                yield f"    MARKER{marker} 'MARKER' '{'INTEND' if in_integer else 'INTORG'}'"
+                marker += 1
+                in_integer = not in_integer
+            name = column_names[j]
+            if objective[j] != 0.0:
+                yield f"    {name} obj {_num(objective[j])}"
+            yield from [
+                f"    {name} {row_names[r]} {text}"
+                for r, text in zip(rows_of[k:end], coef_texts[k:end])
+            ]
+            k = end
     if in_integer:
-        lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
-    lines.append("RHS")
-    lines.extend(
-        f"    RHS {name} {_num(value)}" for name, value in zip(row_names, rhs) if value != 0.0
-    )
-    lines.append("BOUNDS")
-    lines.extend(
-        f" UP BND {name} {_num(up)}"
-        for name, up in zip(model.column_names, model.upper.tolist())
-        if math.isfinite(up)
-    )
-    lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+        yield f"    MARKER{marker} 'MARKER' 'INTEND'"
+    yield "RHS"
+    for start, _, rhs in _row_blocks(model):
+        nonzero = np.flatnonzero(rhs)
+        texts = _num_texts(rhs[nonzero])
+        yield from [
+            f"    RHS {row_names[start + i]} {text}" for i, text in zip(nonzero.tolist(), texts)
+        ]
+    yield "BOUNDS"
+    finite = np.flatnonzero(np.isfinite(model.upper))
+    texts = _num_texts(model.upper[finite])
+    yield from [f" UP BND {column_names[j]} {text}" for j, text in zip(finite.tolist(), texts)]
+    yield "ENDATA"
 
 
-def _lp_terms(terms: Sequence[Tuple[str, float]]) -> List[str]:
-    """Render ``coef * name`` pairs as LP-format token groups."""
-    rendered: List[str] = []
-    for pos, (name, coef) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1.0 else f"{_num(mag)} {name}"
-        if pos == 0:
-            rendered.append(body if sign == "+" else f"- {body}")
-        else:
-            rendered.append(f"{sign} {body}")
-    return rendered
+def _lp_terms(coefs: np.ndarray, cols: np.ndarray, opens: np.ndarray,
+              names: Sequence[str]) -> List[str]:
+    """LP tokens ``[sign] [magnitude] name`` of matrix entries: a unit
+    magnitude is left out, and so is the ``+`` of an entry that opens
+    its expression (``opens``)."""
+    distinct, which = np.unique(coefs, return_inverse=True)
+    values = distinct.tolist()
+    magnitudes = ["" if abs(v) == 1.0 else f"{_num(abs(v))} " for v in values]
+    inner = [("- " if v < 0 else "+ ") + m for v, m in zip(values, magnitudes)]
+    leading = [("- " if v < 0 else "") + m for v, m in zip(values, magnitudes)]
+    prefixes = inner + leading
+    which = which + opens * len(values)
+    return [prefixes[k] + names[c] for k, c in zip(which.tolist(), cols.tolist())]
 
 
 def _wrap_expr(label: str, tokens: List[str], tail: str) -> List[str]:
@@ -395,38 +461,51 @@ def _wrap_expr(label: str, tokens: List[str], tail: str) -> List[str]:
     return lines
 
 
-def _export_lp(model: MipModel) -> str:
+def _lp_lines(model: MipModel) -> Iterator[str]:
     """LP text; each row lists its terms in column order."""
-    names = model.column_names
-    lines: List[str] = ["\\ vpadvisor linearized placement model", "Minimize"]
-    obj = np.flatnonzero(model.c).tolist()
-    if obj:
-        tokens = _lp_terms([(names[j], model.c[j]) for j in obj])
+    names = model.column_names()
+    yield from ("\\ vpadvisor linearized placement model", "Minimize")
+    obj = np.flatnonzero(model.c)
+    if obj.size:
+        opens = np.arange(obj.size) == 0
+        tokens = _lp_terms(model.c[obj], obj, opens, names)
     else:
         tokens = [f"0 {names[-1]}"]
-    lines.extend(_wrap_expr("obj", tokens, ""))
-    lines.append("Subject To")
+    yield from _wrap_expr("obj", tokens, "")
+    yield "Subject To"
+    row_names = model.row_names()
     rel_txt = {"E": "=", "L": "<=", "G": ">="}
-    senses, rhs = _row_senses(model)
     by_row = model.matrix
-    starts, cols, coefs = by_row.indptr.tolist(), by_row.indices.tolist(), by_row.data.tolist()
-    for i, row_name in enumerate(model.row_names):
-        named = [(names[cols[k]], coefs[k]) for k in range(starts[i], starts[i + 1])]
-        tokens = _lp_terms(named) if named else ["0 " + names[0]]
-        lines.extend(_wrap_expr(row_name, tokens, f"{rel_txt[senses[i]]} {_num(rhs[i])}"))
+    for start, senses, rhs in _row_blocks(model):
+        starts = by_row.indptr[start : start + len(senses) + 1]
+        entries = slice(starts[0], starts[-1])
+        opens = np.zeros(starts[-1] - starts[0], dtype=np.bool_)
+        opens[starts[:-1][np.diff(starts) > 0] - starts[0]] = True  # each row's first entry
+        tokens = _lp_terms(by_row.data[entries], by_row.indices[entries], opens, names)
+        tails = [f"{rel_txt[sense]} {text}" for sense, text in zip(senses, _num_texts(rhs))]
+        bounds = (starts - starts[0]).tolist()
+        labels = row_names[start : start + len(senses)]
+        for label, lo, hi, tail in zip(labels, bounds, bounds[1:], tails):
+            row = tokens[lo:hi] or ["0 " + names[0]]
+            line = f" {label}: {' '.join(row)}"
+            if len(line) <= 200:  # then _wrap_expr would not wrap
+                yield f"{line} {tail}"
+            else:
+                yield from _wrap_expr(label, row, tail)
     integer = model.integrality.tolist()
     bounds = [
         f" {name} <= {_num(up)}"
         for name, k, up in zip(names, integer, model.upper.tolist())
         if not k and math.isfinite(up)
     ]
+    if bounds:
+        yield "Bounds"
+        yield from bounds
     binaries = [f" {name}" for name, k in zip(names, integer) if k]
-    for header, section in (("Bounds", bounds), ("Binary", binaries)):
-        if section:
-            lines.append(header)
-            lines.extend(section)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    if binaries:
+        yield "Binary"
+        yield from binaries
+    yield "End"
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +573,7 @@ def _compact_model(
     cost = lam * model.coloc_cost
     load = model.coloc_load if lam < 1.0 else np.zeros_like(model.coloc_load)
 
-    write_ids = np.flatnonzero(model.is_write)
+    write_ids = model.write_queries
     penalty = 0.0 if instance.latency_penalty is None else float(instance.latency_penalty)
     psi_cost = lam * penalty * model.frequencies[write_ids]
     write_ids, psi_cost = write_ids[psi_cost > 0], psi_cost[psi_cost > 0]
@@ -762,7 +841,7 @@ def brute_force(
     if instance.latency_penalty is None:
         writes, latency_penalty = np.empty(0, dtype=np.int64), 0.0
     else:
-        writes, latency_penalty = np.flatnonzero(model.is_write), float(instance.latency_penalty)
+        writes, latency_penalty = model.write_queries, float(instance.latency_penalty)
     found, _, best_x, best_mask = kernels.enumerate_layouts(
         model.coloc_cost,
         model.replica_cost,

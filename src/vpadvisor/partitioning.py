@@ -153,11 +153,10 @@ def _write_latency(instance: Instance, model: CostModel,
     reach a replica of an updated attribute off its transaction's site."""
     if instance.latency_penalty is None:
         return None
-    writes = np.flatnonzero(model.is_write)
-    home = txn_site[model.txn_of_query[writes]]  # (W,)
+    home = txn_site[model.write_txn]  # (W,)
     off_home = replica.sum(axis=1)[:, None] - replica[:, home]  # (A, W)
-    remote = (model.attr_access[:, writes] & (off_home > 0)).any(axis=0)
-    return float(instance.latency_penalty) * float(model.frequencies[writes][remote].sum())
+    remote = (model.write_attr_access & (off_home > 0)).any(axis=0)
+    return float(instance.latency_penalty) * float(model.write_frequencies[remote].sum())
 
 
 def _folded_score(instance: Instance, model: CostModel,

@@ -141,6 +141,12 @@ class CostModel:
       there (read traffic).
     * ``replica_load[a]`` — work added to every site holding ``a`` (write
       traffic).
+
+    The write queries' slices, which the latency charge reads on every
+    evaluation: ``write_queries`` (their ids, ascending),
+    ``write_attr_access = attr_access[:, write_queries]``,
+    ``write_txn = txn_of_query[write_queries]`` and
+    ``write_frequencies = frequencies[write_queries]``.
     """
 
     attr_access: np.ndarray
@@ -155,6 +161,10 @@ class CostModel:
     replica_load: np.ndarray
     frequencies: np.ndarray
     txn_of_query: np.ndarray
+    write_queries: np.ndarray
+    write_attr_access: np.ndarray
+    write_txn: np.ndarray
+    write_frequencies: np.ndarray
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -376,6 +386,7 @@ def derive(instance: Instance) -> CostModel:
             f"costs overflow: the network penalty ({penalty!r}), latency penalty, "
             f"frequencies, row counts and widths multiply past the float range"])
 
+    writes = np.flatnonzero(is_write)
     return CostModel(
         attr_access=_freeze(attr_access),
         table_access=_freeze(table_access),
@@ -389,4 +400,8 @@ def derive(instance: Instance) -> CostModel:
         replica_load=_freeze(replica_load),
         frequencies=_freeze(freqs),
         txn_of_query=_freeze(txn_of_query),
+        write_queries=_freeze(writes),
+        write_attr_access=_freeze(attr_access[:, writes]),
+        write_txn=_freeze(txn_of_query[writes]),
+        write_frequencies=_freeze(freqs[writes]),
     )

@@ -293,7 +293,8 @@ def check_point(model, values, atol=1e-9):
     """Names of the rows the variable vector violates."""
     lhs = model.matrix @ values
     bad = (lhs < model.row_lower - atol) | (lhs > model.row_upper + atol)
-    return [model.row_names[i] for i in np.flatnonzero(bad)]
+    names = model.row_names()
+    return [names[i] for i in np.flatnonzero(bad)]
 
 
 def oracle_best(instance: Instance, forbid_replication: bool = False):

@@ -220,6 +220,35 @@ def test_overflowing_instance_exits_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+def _violation_lines(err: str):
+    """The bullet lines of an ``invalid input`` report on stderr."""
+    assert err.splitlines()[0] == "invalid input:"
+    return [line[len("  - "):] for line in err.splitlines() if line.startswith("  - ")]
+
+
+def test_each_violation_is_printed_once(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    save_instance(t1_instance(), str(path))
+    doc = json.loads(path.read_text())
+    doc["transactions"][0]["queries"][0]["frequency"] = math.inf
+    doc["tables"][0]["attributes"][1]["width"] = 0
+    path.write_text(json.dumps(doc))
+    assert main(["solve", str(path), "--algo", "sa"]) == 2
+    err = capsys.readouterr().err
+    violations = _violation_lines(err)
+    assert len(violations) == 2
+    assert any("frequency" in v for v in violations) and any("width" in v for v in violations)
+    for violation in violations:
+        assert err.count(violation) == 1
+
+    overflow = tmp_path / "overflow.json"
+    save_instance(overflow_instance(), str(overflow))
+    assert main(["export", str(overflow)]) == 2
+    err = capsys.readouterr().err
+    [violation] = _violation_lines(err)
+    assert "overflow" in violation and err.count(violation) == 1
+
+
 def test_solve_rejects_bad_pin_argument(small_path):
     assert main(["solve", small_path, "--algo", "exact", "--pin", "nope"]) == 1
     assert main(["solve", small_path, "--algo", "sa", "--pin", "tab0.c0=0"]) == 1

@@ -1,7 +1,9 @@
 """Integer-program construction, export, exact solver, enumeration."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import io
 import math
 import time
 
@@ -26,6 +28,7 @@ from vpadvisor import (
     solve_exact,
     solve_sa,
 )
+from vpadvisor import mip as mip_module
 from vpadvisor.errors import FormatError
 from vpadvisor.mip import _compact_model
 from vpadvisor.report import (
@@ -70,7 +73,7 @@ def test_u_variables_are_continuous(t1):
     kinds = {
         name.split("_")[0]: (int(integer), lo, up)
         for name, integer, lo, up in zip(
-            model.column_names, model.integrality, model.lower, model.upper
+            model.column_names(), model.integrality, model.lower, model.upper
         )
     }
     assert kinds["x"] == (1, 0.0, 1.0)
@@ -108,10 +111,16 @@ def test_infeasible_layout_violates_some_constraint(t1):
 # export
 
 
+def _export_text(mip, fmt):
+    out = io.StringIO()
+    export_model(mip, fmt, out)
+    return out.getvalue()
+
+
 def test_mps_export_is_deterministic_and_structured(t1):
     mip = build_mip(t1)
-    text1 = export_model(mip, "free-mps")
-    text2 = export_model(mip, "free-mps")
+    text1 = _export_text(mip, "free-mps")
+    text2 = _export_text(mip, "free-mps")
     assert text1 == text2
     lines = text1.splitlines()
     assert lines[0].startswith("NAME")
@@ -127,7 +136,7 @@ def test_mps_export_is_deterministic_and_structured(t1):
 
 
 def test_lp_export_names_variables_by_role(t1):
-    text = export_model(build_mip(t1), "lp-text")
+    text = _export_text(build_mip(t1), "lp-text")
     assert "Minimize" in text
     assert "Subject To" in text
     assert "Binary" in text
@@ -136,15 +145,17 @@ def test_lp_export_names_variables_by_role(t1):
 
 
 def test_export_rejects_unknown_format(t1):
+    out = io.StringIO()
     with pytest.raises(FormatError):
-        export_model(build_mip(t1), "qps")
+        export_model(build_mip(t1), "qps", out)
+    assert out.getvalue() == ""
 
 
 def test_exported_mps_matches_lp_variable_sets(t1):
     mip = build_mip(t1)
-    mps = export_model(mip, "free-mps")
-    lp = export_model(mip, "lp-text")
-    for name in mip.column_names:
+    mps = _export_text(mip, "free-mps")
+    lp = _export_text(mip, "lp-text")
+    for name in mip.column_names():
         assert name in mps
         assert name in lp
 
@@ -161,14 +172,90 @@ EXPORT_HASHES = [
 ]
 
 
+def _pinned_instance(name):
+    if name == "t1":
+        return t1_instance()
+    if name == "wide":  # its load rows wrap in LP text
+        return random_instance(
+            4, site_count=3, transaction_count=10, table_count=8, latency_penalty=5.0,
+            update_percent=40.0,
+        )
+    return random_instance(2, site_count=2, latency_penalty=7.0, update_percent=60.0)
+
+
 @pytest.mark.parametrize("name,options,digest", EXPORT_HASHES)
 def test_mps_export_text_is_pinned(name, options, digest):
-    if name == "t1":
-        inst = t1_instance()
-    else:
-        inst = random_instance(2, site_count=2, latency_penalty=7.0, update_percent=60.0)
-    text = export_model(build_mip(inst, **options), "free-mps")
+    text = _export_text(build_mip(_pinned_instance(name), **options), "free-mps")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# The sha256 of each LP text, for the cases of EXPORT_HASHES and one
+# with wrapped rows, as the writer of commit a1c7fdf (one joined string
+# per export) produced it.
+LP_EXPORT_HASHES = [
+    ("t1", {}, "f4f0c425c4a86327209cfab88e680693018f73474d777971531bd5c1ff9de72f"),
+    ("t1", {"use_symmetry": True},
+     "6775eb4470ea57bc7f2baff6a2c68a423dead81dd5eaee92e76fde5ce7e957a4"),
+    ("latency", {}, "ec72eb2ed3457ac6356ebed86351b2a3bc0e4931e6dfbadcd7a6e18c371db066"),
+    ("latency", {"forbid_replication": True, "fixed_replicas": ((0, 1), (1, 0))},
+     "e95adfcefcda4060700017b77f7fc70cd6fbb86b345fba6de3953bc0a18f9f7e"),
+    ("wide", {"use_symmetry": True, "fixed_replicas": ((0, 1),)},
+     "160c5c36d4140326037dde9e3ddd16aec64bdbb4700a5fd9773539e7e62e1c00"),
+]
+
+
+@pytest.mark.parametrize("name,options,digest", LP_EXPORT_HASHES)
+def test_lp_export_text_is_pinned(name, options, digest):
+    text = _export_text(build_mip(_pinned_instance(name), **options), "lp-text")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class _SpyFile:
+    """A text sink that records every ``write`` call."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["free-mps", "lp-text"])
+def test_export_streams_in_bounded_writes(fmt, monkeypatch):
+    mip = build_mip(_pinned_instance("wide"), use_symmetry=True, fixed_replicas=((0, 1),))
+    assert mip.constraint_count > 2000
+    whole = _SpyFile()
+    monkeypatch.setattr(mip_module, "EXPORT_CHUNK_LINES", 10**9)
+    export_model(mip, fmt, whole)
+    assert len(whole.writes) == 1
+    text = whole.writes[0]
+    chunk = 200
+    monkeypatch.setattr(mip_module, "EXPORT_CHUNK_LINES", chunk)
+    spy = _SpyFile()
+    export_model(mip, fmt, spy)
+    assert "".join(spy.writes) == text
+    assert len(spy.writes) == -(-text.count("\n") // chunk)
+    assert all(part.count("\n") <= chunk and part.endswith("\n") for part in spy.writes)
+    # lines are short, so a write's size is bounded by its line count
+    assert max(len(line) for line in text.splitlines()) <= 256
+
+
+def test_model_holds_no_names_and_formats_them_on_request():
+    inst = random_instance(2, site_count=3, latency_penalty=7.0, update_percent=60.0)
+    mip = build_mip(inst, use_symmetry=True, fixed_replicas=((1, 2), (0, 1)))
+    for field in dataclasses.fields(mip):
+        value = getattr(mip, field.name)
+        if isinstance(value, (tuple, list)):
+            assert not any(isinstance(item, str) for item in value), field.name
+    columns, rows = mip.column_names(), mip.row_names()
+    assert len(columns) == len(set(columns)) == mip.variable_count
+    assert len(rows) == len(set(rows)) == mip.constraint_count
+    assert columns[mip.u_index(1, 2, 1)] == "u_1_2_1"
+    assert columns[mip.psi_index(0)] == f"psi_q{mip.write_query_ids[0]}"
+    assert [name for name in rows if name.startswith("pin_")] == ["pin_a0_s1", "pin_a1_s2"]
+    assert sum(name.startswith("sym_") for name in rows) == inst.transaction_count * 2
+    assert rows[-1] == f"remote_q{mip.write_query_ids[-1]}"
 
 
 # ---------------------------------------------------------------------------
