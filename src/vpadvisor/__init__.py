@@ -50,7 +50,6 @@ from .grouping import (
 )
 from .mip import (
     DEFAULT_ENUMERATION_BUDGET,
-    BruteResult,
     ExactConfig,
     MipModel,
     brute_force,
@@ -133,7 +132,6 @@ __all__ = [
     "export_model",
     "ExactConfig",
     "solve_exact",
-    "BruteResult",
     "brute_force",
     "enumeration_size",
     "DEFAULT_ENUMERATION_BUDGET",

@@ -308,11 +308,9 @@ def solve_sa(
         tau *= config.cooling
 
     partitioning = Partitioning(txn_site=best_x, replica=best_y)
-    breakdown = evaluate(instance, model, partitioning)
     report = SolveReport(
         partitioning=partitioning,
-        objective=breakdown.objective,
-        score=breakdown.score,
+        breakdown=evaluate(instance, model, partitioning),
         bound_gap=math.inf,
         wall_time=time.perf_counter() - started,
         node_count=evaluations,

@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Tuple
 
 from . import __version__
-from .anneal import SaConfig, SaTrace, solve_sa_best_of
+from .anneal import SaConfig, solve_sa_best_of
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -50,13 +50,9 @@ from .mip import (
     solve_exact,
 )
 from .partitioning import CostBreakdown, evaluate
-from .report import (
-    STATUS_NO_SOLUTION_TIME_LIMIT,
-    STATUS_OPTIMAL,
-    SolveReport,
-)
+from .report import SolveReport
 from .tpcc import tpcc
-from .workload import Instance, derive
+from .workload import Instance, derive, validate
 
 
 class _UsageError(Exception):
@@ -102,17 +98,28 @@ def _env_defaults() -> Dict[str, Any]:
     return {_ENV_KEYS[k]: v for k, v in obj.items()}
 
 
+def _given(args: argparse.Namespace, **fields: str) -> Dict[str, Any]:
+    """Keyword arguments from the flags that were given: each field of
+    ``fields`` takes the value of the flag it names, when not ``None``."""
+    return {
+        field: getattr(args, flag)
+        for field, flag in fields.items()
+        if getattr(args, flag, None) is not None
+    }
+
+
 def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
-    updates: Dict[str, Any] = {}
-    if getattr(args, "sites", None) is not None:
-        updates["site_count"] = args.sites
-    if getattr(args, "p", None) is not None:
-        updates["network_penalty"] = args.p
-    if getattr(args, "lam", None) is not None:
-        updates["cost_weight"] = args.lam
-    if getattr(args, "p_latency", None) is not None:
-        updates["latency_penalty"] = args.p_latency
+    updates = _given(
+        args, site_count="sites", network_penalty="p", cost_weight="lam",
+        latency_penalty="p_latency",
+    )
     return replace(instance, **updates) if updates else instance
+
+
+def _exact_config(args: argparse.Namespace, **fields: Any) -> ExactConfig:
+    """The exact solver's settings: ``--time-limit`` and ``--gap`` when
+    given, then ``fields``; the rest keep the dataclass defaults."""
+    return ExactConfig(**{**_given(args, time_limit="time_limit", gap="gap"), **fields})
 
 
 def _scaled(value: float) -> str:
@@ -180,12 +187,7 @@ def _run_record(command: str, instance: Instance, solver: str, config: Dict[str,
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset == "tpcc":
-        instance = tpcc(
-            site_count=args.sites if args.sites is not None else 2,
-            network_penalty=args.p if args.p is not None else 8.0,
-            cost_weight=args.lam if args.lam is not None else 0.1,
-            latency_penalty=args.p_latency,
-        )
+        instance = tpcc()
     else:
         params = GenParams(
             transaction_count=args.transactions,
@@ -196,15 +198,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
             max_table_refs_per_query=args.max_table_refs,
             max_attribute_refs_per_query=args.max_attr_refs,
             allowed_widths=tuple(int(w) for w in args.widths.split(",")),
-            seed=args.seed if args.seed is not None else 0,
+            **_given(args, seed="seed"),
         )
-        instance = generate(
-            params,
-            site_count=args.sites if args.sites is not None else 2,
-            network_penalty=args.p if args.p is not None else 8.0,
-            cost_weight=args.lam if args.lam is not None else 0.1,
-            latency_penalty=args.p_latency,
-        )
+        instance = generate(params)
+    instance = _apply_overrides(instance, args)
+    problems = validate(instance)
+    if problems:
+        raise ValidationError(problems)
     save_instance(instance, args.output)
     print(
         f"wrote {args.output}: {len(instance.tables)} tables, "
@@ -240,75 +240,36 @@ def _parse_pins(instance: Instance, pin_args: List[str]) -> Tuple[Tuple[int, int
     return tuple(pins)
 
 
-def _brute_report(instance: Instance, budget: int, forbid_replication: bool) -> SolveReport:
-    """Exhaustive enumeration, reported like the other solvers."""
-    started = time.perf_counter()
-    result = brute_force(instance, budget=budget, forbid_replication=forbid_replication)
-    return SolveReport(
-        partitioning=result.partitioning,
-        objective=result.objective,
-        score=result.score,
-        bound_gap=0.0,
-        wall_time=time.perf_counter() - started,
-        node_count=result.combinations,
-        status=STATUS_OPTIMAL,
-    )
-
-
-def _solve_dispatch(
-    instance: Instance, args: argparse.Namespace
-) -> Tuple[SolveReport, Optional[Tuple[SaTrace, ...]]]:
+def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport:
+    """Run the chosen solver.  A grouped solve is expanded back to the
+    original attributes and re-priced on ``instance``."""
+    solved, grouping, model = instance, None, None
+    if args.group:
+        if args.pin:
+            raise _UsageError("--pin cannot be combined with --group")
+        model = derive(instance)
+        solved, grouping = group_attributes(instance, model)
     if args.algo == "sa":
         if args.disjoint:
             raise _UsageError("--disjoint is only supported with --algo exact or brute")
         if args.pin:
             raise _UsageError("--pin is only supported with --algo exact")
-        cfg = SaConfig(seed=args.seed if args.seed is not None else 0)
-        if args.time_limit is not None:
-            cfg = replace(cfg, time_limit=args.time_limit)
         runs = args.runs if args.runs is not None else 1
-        report, traces = solve_sa_best_of(instance, runs, cfg)
-        return report, traces
-    if args.algo == "exact":
-        cfg = ExactConfig(
-            time_limit=args.time_limit if args.time_limit is not None else 1800.0,
-            gap=args.gap if args.gap is not None else 1e-3,
-            forbid_replication=args.disjoint,
-            warm_start=not args.no_warm_start,
-            fixed_replicas=_parse_pins(instance, args.pin),
+        cfg = SaConfig(**_given(args, seed="seed", time_limit="time_limit"))
+        report, _ = solve_sa_best_of(solved, runs, cfg)
+    elif args.algo == "exact":
+        cfg = _exact_config(
+            args, forbid_replication=args.disjoint, fixed_replicas=_parse_pins(solved, args.pin)
         )
-        return solve_exact(instance, cfg), None
-    if args.algo == "brute":
+        report = solve_exact(solved, cfg)
+    else:
         if args.pin:
             raise _UsageError("--pin is only supported with --algo exact")
-        return _brute_report(instance, args.budget, args.disjoint), None
-    raise _UsageError(f"unknown algorithm '{args.algo}'")
-
-
-def _solve_instance(instance: Instance, args: argparse.Namespace) -> Tuple[SolveReport, Optional[CostBreakdown]]:
-    """Run the chosen solver, expanding a grouped solve back to the
-    original attributes; the report is always priced on ``instance``."""
-    if args.group:
-        if getattr(args, "pin", None):
-            raise _UsageError("--pin cannot be combined with --group")
-        reduced, grouping = group_attributes(instance, derive(instance))
-        report, _ = _solve_dispatch(reduced, args)
-        if report.partitioning is None:
-            return report, None
-        part = expand_solution(report.partitioning, grouping)
-        breakdown = evaluate(instance, derive(instance), part)
-        report = replace(
-            report,
-            partitioning=part,
-            objective=breakdown.objective,
-            score=breakdown.score,
-        )
-        return report, breakdown
-    report, _ = _solve_dispatch(instance, args)
-    if report.partitioning is None:
-        return report, None
-    breakdown = evaluate(instance, derive(instance), report.partitioning)
-    return report, breakdown
+        report = brute_force(solved, budget=args.budget, forbid_replication=args.disjoint)
+    if grouping is None or report.partitioning is None:
+        return report
+    part = expand_solution(report.partitioning, grouping)
+    return replace(report, partitioning=part, breakdown=evaluate(instance, model, part))
 
 
 def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
@@ -317,7 +278,7 @@ def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
         value = getattr(args, key, None)
         if value is not None:
             echo[key] = value
-    for key in ("group", "disjoint", "no_warm_start"):
+    for key in ("group", "disjoint"):
         if getattr(args, key, False):
             echo[key] = True
     if getattr(args, "pin", None):
@@ -327,8 +288,8 @@ def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     instance = _apply_overrides(load_instance(args.instance), args)
-    report, breakdown = _solve_instance(instance, args)
-    if report.status == STATUS_NO_SOLUTION_TIME_LIMIT or report.partitioning is None:
+    report = _solve_instance(instance, args)
+    if report.partitioning is None:
         print("no solution found within the time limit", file=sys.stderr)
         return 3
     if args.out:
@@ -336,7 +297,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "structured":
         body = {
             "report": _report_obj(report, instance),
-            "breakdown": _breakdown_obj(breakdown),
+            "breakdown": _breakdown_obj(report.breakdown),
         }
         sys.stdout.write(_run_record("solve", instance, args.algo, _solver_config_echo(args), body))
         return 0
@@ -345,7 +306,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(f"status    {report.status}")
     print(f"nodes     {report.node_count}")
     print(f"gap       {gap_text}")
-    for line in _breakdown_lines(breakdown):
+    for line in _breakdown_lines(report.breakdown):
         print(line)
     print(f"runtime   {report.wall_time:.3f} s")
     if args.out:
@@ -374,19 +335,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # compare
 
 
-def _exact_for_compare(
-    instance: Instance, args: argparse.Namespace, forbid: bool, time_limit: float
-) -> SolveReport:
-    if args.algo == "brute":
-        return _brute_report(instance, args.budget, forbid)
-    cfg = ExactConfig(
-        time_limit=time_limit,
-        gap=args.gap if args.gap is not None else 1e-3,
-        forbid_replication=forbid,
-    )
-    return solve_exact(instance, cfg)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """Solve both sides within one ``--time-limit``: the left side gets
     half of it, the right side what is left."""
@@ -399,16 +347,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
         left_label, right_label = "local (p=0)", f"remote (p={instance.network_penalty:g})"
         left_instance = replace(instance, network_penalty=0.0)
         right_instance = instance
-    right_forbid = args.mode == "replication"
-    time_limit = args.time_limit if args.time_limit is not None else 1800.0
-    left = _exact_for_compare(left_instance, args, False, time_limit / 2)
-    time_left = max(0.0, time_limit - (time.perf_counter() - started))
-    right = _exact_for_compare(right_instance, args, right_forbid, time_left)
-    sides = ((left_label, left, left_instance), (right_label, right, right_instance))
-    for label, rep, _ in sides:
-        if rep.status == STATUS_NO_SOLUTION_TIME_LIMIT or rep.partitioning is None:
+    config = _exact_config(args)
+    reports = []
+    for label, side, forbid in (
+        (left_label, left_instance, False),
+        (right_label, right_instance, args.mode == "replication"),
+    ):
+        if args.algo == "brute":
+            rep = brute_force(side, budget=args.budget, forbid_replication=forbid)
+        else:
+            elapsed = time.perf_counter() - started
+            limit = max(0.0, config.time_limit - elapsed) if reports else config.time_limit / 2
+            rep = solve_exact(side, replace(config, time_limit=limit, forbid_replication=forbid))
+        if rep.partitioning is None:
             print(f"no solution for the {label} side within the time limit", file=sys.stderr)
             return 3
+        reports.append(rep)
+    left, right = reports
     score_ratio = left.score / right.score if right.score else math.inf
     objective_ratio = left.objective / right.objective if right.objective else math.inf
     if args.format == "structured":
@@ -424,12 +379,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     width = max(len(left_label), len(right_label))
     print(f"mode      {args.mode}")
     print(f"{'side'.ljust(width)}  {'objective':>14}  {'score':>14}  {'max load':>14}  status")
-    for label, rep, inst in sides:
-        assert rep.partitioning is not None
-        breakdown = evaluate(inst, derive(inst), rep.partitioning)
+    for label, rep in ((left_label, left), (right_label, right)):
         print(
             f"{label.ljust(width)}  {rep.objective:>14.6g}  {rep.score:>14.6g}  "
-            f"{breakdown.max_load:>14.6g}  {rep.status}"
+            f"{rep.breakdown.max_load:>14.6g}  {rep.status}"
         )
     print(f"ratio (score)      {score_ratio:.4f}")
     print(f"ratio (objective)  {objective_ratio:.4f}")
@@ -511,12 +464,6 @@ def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.Argument
         default=[],
         metavar="Table.col=SITE",
         help="force a replica of the attribute onto the site (exact solver only)",
-    )
-    solve.add_argument(
-        "--no-warm-start",
-        dest="no_warm_start",
-        action="store_true",
-        help="skip the annealing warm start of the exact solver",
     )
     solve.add_argument("--out", default=None, help="write the partitioning file here")
     solve.add_argument("--format", choices=["text", "structured"], default="text")

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .errors import ValidationError
 from .workload import Attribute, Instance, Query, Table, Transaction, validate
 
 
@@ -75,7 +76,8 @@ def generate(
     table count, table choice, reference count, attribute choice, and
     rows per touched table (uniform 1..10).  A query's row map covers
     exactly the tables of its sampled attributes — tables chosen but
-    left unsampled are dropped.
+    left unsampled are dropped.  Raises :class:`ValidationError` when
+    the settings (site count, penalties, cost weight) are invalid.
     """
     rng = np.random.Generator(np.random.PCG64(params.seed))
     widths_menu = np.asarray(sorted(set(int(w) for w in params.allowed_widths)), dtype=np.int64)
@@ -140,6 +142,6 @@ def generate(
         latency_penalty=latency_penalty,
     )
     problems = validate(instance)
-    if problems:  # pragma: no cover - generator contract
-        raise AssertionError("generator produced an invalid instance: " + "; ".join(problems))
+    if problems:
+        raise ValidationError(problems)
     return instance

@@ -37,10 +37,6 @@ class AttributeGrouping:
     def group_count(self) -> int:
         return len(self.groups)
 
-    @property
-    def original_count(self) -> int:
-        return len(self.group_of)
-
 
 def group_attributes(instance: Instance, model: CostModel) -> tuple[Instance, AttributeGrouping]:
     """Merge same-table attributes with identical per-query access flags.

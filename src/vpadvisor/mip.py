@@ -28,8 +28,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from . import kernels
 from .anneal import SaConfig, solve_sa
-from .errors import BudgetExceededError, FormatError
-from .partitioning import CostBreakdown, Partitioning, check_feasible, evaluate
+from .errors import BudgetExceededError, FormatError, InfeasibleLayoutError
+from .partitioning import CostBreakdown, Partitioning, evaluate
 from .report import (
     STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
@@ -230,7 +230,8 @@ def build_mip(
     lam = float(instance.cost_weight)
     has_latency = instance.latency_penalty is not None
     pins = _sorted_pins(fixed_replicas, n_attrs, n_sites)
-    write_ids = model.write_queries if has_latency else np.zeros(0, dtype=np.int64)
+    priced = slice(None) if has_latency else slice(0)  # the write queries with indicators
+    write_ids = model.write_queries[priced]
 
     nx = n_txns * n_sites
     u0 = nx + n_attrs * n_sites
@@ -244,7 +245,7 @@ def build_mip(
     c[u0:m_col] = np.repeat(lam * model.coloc_cost.T.ravel(), n_sites)
     c[m_col] = 1.0 - lam
     if has_latency:
-        c[psi0:] = lam * float(instance.latency_penalty) * model.frequencies[write_ids]
+        c[psi0:] = lam * float(instance.latency_penalty) * model.write_frequencies
     integrality = np.zeros(n, dtype=np.int8)
     integrality[:u0] = 1
     integrality[psi0:] = 1
@@ -283,8 +284,8 @@ def build_mip(
     rows.add(len(pins), [(np.arange(len(pins)), pin_cols, 1.0)], 1.0, 1.0)
     # A write query's indicator turns on when any updated attribute keeps
     # a replica away from the transaction's site (no rows without latency).
-    pos, touched = np.nonzero(model.attr_access[:, write_ids].T)
-    t_of = model.txn_of_query[write_ids][pos]
+    pos, touched = np.nonzero(model.write_attr_access[:, priced].T)
+    t_of = model.write_txn[pos]
     rows.add(write_ids.size, [
         (np.arange(write_ids.size), psi0 + np.arange(write_ids.size), float(n_attrs * n_sites)),
         (pos[:, None], _per_site(nx, touched, n_sites), -1.0),
@@ -518,14 +519,12 @@ class ExactConfig:
 
     Defaults: a 30-minute wall limit and a 0.1% relative gap.  The
     symmetry rows are used whenever no replicas are pinned (pins make
-    sites distinguishable).  ``warm_start`` seeds the incumbent with a
-    quick annealing run, within the time limit, when the model is
-    unconstrained.
+    sites distinguishable).  When nothing is pinned or disjoint, a quick
+    annealing run seeds the incumbent within the time limit.
     """
 
     time_limit: float = 1800.0
     gap: float = 1e-3
-    warm_start: bool = True
     forbid_replication: bool = False
     fixed_replicas: Tuple[Tuple[int, int], ...] = ()
 
@@ -573,14 +572,14 @@ def _compact_model(
     cost = lam * model.coloc_cost
     load = model.coloc_load if lam < 1.0 else np.zeros_like(model.coloc_load)
 
-    write_ids = model.write_queries
     penalty = 0.0 if instance.latency_penalty is None else float(instance.latency_penalty)
-    psi_cost = lam * penalty * model.frequencies[write_ids]
-    write_ids, psi_cost = write_ids[psi_cost > 0], psi_cost[psi_cost > 0]
-    in_latency = (
-        model.attr_access[:, write_ids].astype(np.int64)
-        @ model.query_txn[write_ids].astype(np.int64)
-    ) > 0
+    psi_cost = lam * penalty * model.write_frequencies
+    kept = psi_cost > 0
+    psi_cost = psi_cost[kept]
+    write_access, write_txn = model.write_attr_access[:, kept], model.write_txn[kept]
+    in_latency = np.zeros((n_attrs, n_txns), dtype=np.bool_)
+    touched_a, touched_w = np.nonzero(write_access)
+    in_latency[touched_a, write_txn[touched_w]] = True
 
     low = ~reads & ((cost > 0) | (load != 0))
     high = ~reads & ((cost < 0) | in_latency)
@@ -593,7 +592,7 @@ def _compact_model(
     u0 = nx + ny
     m_col = u0 + pair_t.size * n_sites
     psi0 = m_col + 1
-    n = psi0 + write_ids.size
+    n = psi0 + psi_cost.size
     sites = np.arange(n_sites)
 
     c = np.zeros(n, dtype=np.float64)
@@ -640,9 +639,8 @@ def _compact_model(
         _symmetry_rows(rows, n_txns, n_sites)
     # A write query's indicator turns on when an updated attribute keeps
     # a replica away from the transaction's site.
-    for j, q in enumerate(write_ids):
-        t = int(model.txn_of_query[q])
-        touched = np.flatnonzero(model.attr_access[:, q])
+    for j, (t, accessed) in enumerate(zip(write_txn.tolist(), write_access.T)):
+        touched = np.flatnonzero(accessed)
         aux = pair_of[touched[~reads[touched, t]], t]
         rows.add(1, [
             (0, psi0 + j, float(touched.size * n_sites)),
@@ -707,9 +705,10 @@ def solve_exact(
             return
         if any(not part.replica[a, s] for a, s in pins):
             return
-        if check_feasible(instance, model, part):
+        try:
+            breakdown = evaluate(instance, model, part)
+        except InfeasibleLayoutError:
             return
-        breakdown = evaluate(instance, model, part)
         if incumbent is None or breakdown.score < incumbent[1].score:
             incumbent = (part, breakdown)
 
@@ -726,7 +725,7 @@ def solve_exact(
     def time_left() -> float:
         return config.time_limit - (time.perf_counter() - started)
 
-    if config.warm_start and not pins and not config.forbid_replication and time_left() > 0:
+    if not pins and not config.forbid_replication and time_left() > 0:
         warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0, time_limit=time_left())
         warm_report, _ = solve_sa(instance, warm_cfg, model=model)
         consider(warm_report.partitioning.txn_site, warm_report.partitioning.replica)
@@ -768,8 +767,7 @@ def solve_exact(
     if incumbent is None:
         return SolveReport(
             partitioning=None,
-            objective=math.nan,
-            score=math.nan,
+            breakdown=None,
             bound_gap=math.inf,
             wall_time=wall,
             node_count=node_count,
@@ -789,8 +787,7 @@ def solve_exact(
         status = STATUS_FEASIBLE_TIME_LIMIT
     return SolveReport(
         partitioning=part,
-        objective=breakdown.objective,
-        score=score,
+        breakdown=breakdown,
         bound_gap=gap,
         wall_time=wall,
         node_count=node_count,
@@ -800,16 +797,6 @@ def solve_exact(
 
 # ---------------------------------------------------------------------------
 # Exhaustive oracle
-
-
-@dataclass(frozen=True)
-class BruteResult:
-    """Outcome of exhaustive enumeration."""
-
-    partitioning: Partitioning
-    objective: float
-    score: float
-    combinations: int  # nominal layouts in the search space
 
 
 def enumeration_size(instance: Instance, forbid_replication: bool = False) -> int:
@@ -825,12 +812,14 @@ def brute_force(
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     forbid_replication: bool = False,
     model: Optional[CostModel] = None,
-) -> BruteResult:
-    """Enumerate every layout and return the lexicographically first
-    minimizer of the weighted score.
+) -> SolveReport:
+    """Enumerate every layout and report the lexicographically first
+    minimizer of the weighted score: status ``optimal``, a zero bound
+    gap, and the nominal layout count as ``node_count``.
 
     Refuses instances whose nominal search space exceeds ``budget``.
     """
+    started = time.perf_counter()
     size = enumeration_size(instance, forbid_replication)
     if size > budget:
         raise BudgetExceededError(
@@ -838,10 +827,8 @@ def brute_force(
         )
     if model is None:
         model = derive(instance)
-    if instance.latency_penalty is None:
-        writes, latency_penalty = np.empty(0, dtype=np.int64), 0.0
-    else:
-        writes, latency_penalty = model.write_queries, float(instance.latency_penalty)
+    priced = slice(0) if instance.latency_penalty is None else slice(None)
+    latency_penalty = float(instance.latency_penalty or 0.0)
     found, _, best_x, best_mask = kernels.enumerate_layouts(
         model.coloc_cost,
         model.replica_cost,
@@ -851,9 +838,9 @@ def brute_force(
         float(instance.cost_weight),
         instance.site_count,
         forbid_replication,
-        model.attr_access[:, writes],
-        model.txn_of_query[writes],
-        model.frequencies[writes],
+        model.write_attr_access[:, priced],
+        model.write_txn[priced],
+        model.write_frequencies[priced],
         latency_penalty,
     )
     if not found:
@@ -866,10 +853,11 @@ def brute_force(
     part = Partitioning(
         txn_site=np.asarray(best_x, dtype=np.int64), replica=replica
     )
-    breakdown = evaluate(instance, model, part)
-    return BruteResult(
+    return SolveReport(
         partitioning=part,
-        objective=breakdown.objective,
-        score=breakdown.score,
-        combinations=size,
+        breakdown=evaluate(instance, model, part),
+        bound_gap=0.0,
+        wall_time=time.perf_counter() - started,
+        node_count=size,
+        status=STATUS_OPTIMAL,
     )

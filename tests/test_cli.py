@@ -63,6 +63,20 @@ def test_gen_invalid_params_is_usage_error(tmp_path, capsys):
     assert "invalid request" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    pytest.param(["--sites", "0"], id="no-sites"),
+    pytest.param(["--preset", "tpcc", "--lambda", "2"], id="tpcc-lambda"),
+    pytest.param(["--p", "nan"], id="nan-penalty"),
+])
+def test_gen_invalid_settings_write_nothing(tmp_path, capsys, flags):
+    out = tmp_path / "never.json"
+    assert main(["gen", str(out), *flags]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:\n")
+    assert len(_violation_lines(err)) == 1
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -177,7 +191,6 @@ def test_solve_timeout_without_solution_exits_3(tmp_path, capsys):
             "--algo",
             "exact",
             "--disjoint",
-            "--no-warm-start",
             "--time-limit",
             "0",
             "--pin",

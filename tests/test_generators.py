@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vpadvisor import GenParams, generate, validate
+from vpadvisor import GenParams, ValidationError, generate, validate
 
 from conftest import oracle_flags
 
@@ -118,6 +118,8 @@ def test_invalid_parameters_rejected():
         GenParams(update_percent=101.0)
     with pytest.raises(ValueError):
         GenParams(allowed_widths=())
+    with pytest.raises(ValidationError, match="site count"):
+        generate(GenParams(), site_count=0)
 
 
 def test_beta_covers_alpha_on_generated_instances():

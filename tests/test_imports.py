@@ -1,4 +1,5 @@
-"""An offline unused-import check over the package modules."""
+"""Offline checks over the package modules: no unused imports, and no
+function, class, method or property that nothing references."""
 from __future__ import annotations
 
 import ast
@@ -6,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
-    path for path in (Path(__file__).resolve().parents[1] / "src" / "vpadvisor").glob("*.py")
-    if path.name != "__init__.py"
+    path for path in (ROOT / "src" / "vpadvisor").glob("*.py") if path.name != "__init__.py"
+)
+# Where a definition may be referenced.  The package's __init__ only
+# re-exports names, which does not count as a use.
+REFERRING = sorted(
+    path
+    for tree in ("src", "tests", "perfbench")
+    for path in (ROOT / tree).rglob("*.py")
+    if path != ROOT / "src" / "vpadvisor" / "__init__.py"
 )
 
 
@@ -39,3 +48,54 @@ def test_check_flags_an_unused_import():
         "x: Optional[int] = None",
     ])
     assert _unused_imports(source) == ["line 2: os", "line 3: List"]
+
+
+def _definitions(source: str) -> list[tuple[int, str]]:
+    """Functions, classes, methods and properties, dunders excepted."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def _references(source: str) -> set[str]:
+    """Names a source reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _unreferenced(source: str, references: set[str]) -> list[str]:
+    return [f"line {line}: {name}" for line, name in _definitions(source) if name not in references]
+
+
+@pytest.fixture(scope="module")
+def references() -> set[str]:
+    return set().union(*(_references(path.read_text(encoding="utf-8")) for path in REFERRING))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_defines_only_what_is_referenced(path, references):
+    assert _unreferenced(path.read_text(encoding="utf-8"), references) == []
+
+
+def test_check_flags_an_unreferenced_definition():
+    source = "\n".join([
+        "class Report:",
+        "    def __init__(self): pass",
+        "    @property",
+        "    def score(self): return 1",
+        "    def spare(self): return 2",
+        "def helper(): return Report().score",
+        "def unused(): return helper()",
+    ])
+    references = _references(source) | _references("from pkg import helper")
+    assert _unreferenced(source, references) == ["line 5: spare", "line 7: unused"]

@@ -325,7 +325,7 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
     assert compact.success, compact.message
     assert compact.fun == pytest.approx(reference, rel=1e-7, abs=1e-7)
     report = solve_exact(inst, ExactConfig(
-        gap=0.0, warm_start=False, forbid_replication=disjoint, fixed_replicas=pins,
+        gap=0.0, forbid_replication=disjoint, fixed_replicas=pins,
     ))
     assert report.status == STATUS_OPTIMAL
     assert report.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
@@ -411,14 +411,13 @@ def test_exact_timeout_without_any_incumbent_reports_no_solution():
     inst = t1_instance()
     cfg = ExactConfig(
         time_limit=0.0,
-        warm_start=False,
         forbid_replication=True,
         fixed_replicas=((0, 0), (1, 1)),
     )
     report = solve_exact(inst, cfg)
     assert report.status == STATUS_NO_SOLUTION_TIME_LIMIT
-    assert report.partitioning is None
-    assert math.isnan(report.score)
+    assert report.partitioning is None and report.breakdown is None
+    assert math.isnan(report.score) and math.isnan(report.objective)
 
 
 def test_gap_zero_requires_proof_of_optimality():
@@ -451,7 +450,7 @@ def test_brute_force_result_is_feasible_and_consistent():
     priced = evaluate(inst, model, result.partitioning)
     assert priced.score == result.score
     assert priced.objective == result.objective
-    assert result.combinations == enumeration_size(inst, False)
+    assert result.node_count == enumeration_size(inst, False)
 
 
 def test_brute_force_with_latency_dispatches_and_agrees_with_exact():
