@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import kernels
 from .errors import InfeasibleLayoutError
 from .grouping import order_transactions_by_load
 from .partitioning import Partitioning, _folded_score, evaluate
@@ -163,6 +162,14 @@ def perturb_replicas(
     return grown
 
 
+# Each repair picks, item by item, the site with the lowest increase of
+# the weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
+# with ``m`` the current peak load, the lowest site winning ties.  The
+# choice among a handful of sites loops over them in plain Python on
+# lists: numpy's per-call overhead on 4-element arrays costs far more
+# than the arithmetic.
+
+
 def solve_subproblem_fix_transactions(
     model: CostModel,
     txn_site: np.ndarray,
@@ -172,22 +179,66 @@ def solve_subproblem_fix_transactions(
     """Best-effort replica sets for a fixed transaction assignment.
 
     Every attribute read by a transaction is forced onto that
-    transaction's site; further replicas are added greedily while they
-    lower the weighted score, and unread attributes land on the site
-    where they are cheapest.  These greedy choices do not price the
-    write-latency charge; the annealer's Metropolis score and the final
+    transaction's site; further replicas are added greedily, in
+    ascending marginal-score order, while they lower the weighted score,
+    and attributes still unplaced land on the site where they are
+    cheapest.  These greedy choices do not price the write-latency
+    charge; the annealer's Metropolis score and the final
     :func:`evaluate` do.
+
+    An extra replica needs a negative weighted base cost.  The folded
+    coefficients of a valid instance rule that out up to rounding, which
+    shows only at network penalties of about ``2**52`` and above, so the
+    extras step almost never has a candidate.
     """
-    return kernels.greedy_replicas(
-        np.ascontiguousarray(txn_site, dtype=np.int64),
-        model.txn_reads,
-        model.coloc_cost,
-        model.replica_cost,
-        model.coloc_load,
-        model.replica_load,
-        float(cost_weight),
-        int(site_count),
-    )
+    n_txns = model.coloc_cost.shape[1]
+    lam = float(cost_weight)
+    rest = 1.0 - lam
+    onehot = np.zeros((n_txns, site_count), np.float64)
+    if n_txns:
+        onehot[np.arange(n_txns), txn_site] = 1.0
+    csum = model.coloc_cost @ onehot
+    lsum = model.coloc_load @ onehot
+    # read counts are small integers, which a float product sums exactly
+    replicas = (model.txn_reads.astype(np.float64) @ onehot) > 0.0
+    inc_all = lsum + model.replica_load[:, None]
+    loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
+    m = float(loads.max())
+    base_all = csum + model.replica_cost[:, None]
+
+    # extras, in row-major candidate order: each round adds the first
+    # candidate with the lowest marginal score while that is negative
+    cand_a, cand_s = np.nonzero(~replicas & (lam * base_all < 0.0))
+    if cand_a.size:
+        cand_base = base_all[cand_a, cand_s]
+        cand_inc = inc_all[cand_a, cand_s]
+        taken = np.zeros(cand_a.size, bool)
+        while not taken.all():
+            delta = lam * cand_base + rest * np.maximum(loads[cand_s] + cand_inc - m, 0.0)
+            delta[taken] = np.inf
+            i = int(np.argmin(delta))
+            if not delta[i] < 0.0:
+                break
+            s = cand_s[i]
+            replicas[cand_a[i], s] = True
+            loads[s] += cand_inc[i]
+            m = max(m, float(loads[s]))
+            taken[i] = True
+
+    # coverage: every attribute needs at least one site
+    uncovered = np.flatnonzero(~replicas.any(axis=1))
+    loads = loads.tolist()
+    for a, base, inc in zip(uncovered.tolist(), base_all[uncovered].tolist(),
+                            inc_all[uncovered].tolist()):
+        s, best = 0, lam * base[0] + rest * max(loads[0] + inc[0] - m, 0.0)
+        for k in range(1, site_count):
+            delta = lam * base[k] + rest * max(loads[k] + inc[k] - m, 0.0)
+            if delta < best:
+                s, best = k, delta
+        replicas[a, s] = True
+        loads[s] += inc[s]
+        m = max(m, loads[s])
+    return replicas
 
 
 def solve_subproblem_fix_replicas(
@@ -198,33 +249,44 @@ def solve_subproblem_fix_replicas(
 ) -> np.ndarray:
     """Best-effort transaction assignment for fixed replica sets.
 
-    Transactions are placed one at a time, heaviest read weight first,
-    each on the feasible site with the lowest weighted-score increase.
-    These greedy choices do not price the write-latency charge; the
-    annealer's Metropolis score and the final :func:`evaluate` do.
-    Raises :class:`InfeasibleLayoutError` when some transaction cannot
-    read all of its attributes on any single site.
+    Transactions are placed one at a time in ``order`` (heaviest read
+    weight first by default), each on the feasible site with the lowest
+    weighted-score increase.  These greedy choices do not price the
+    write-latency charge; the annealer's Metropolis score and the final
+    :func:`evaluate` do.  Raises :class:`InfeasibleLayoutError` when some
+    transaction cannot read all of its attributes on any single site,
+    naming it and every transaction after it in ``order``.
     """
     if order is None:
         order = order_transactions_by_load(model)
-    txn_site = kernels.assign_transactions(
-        np.ascontiguousarray(replicas, dtype=np.bool_),
-        model.txn_reads,
-        model.coloc_cost,
-        model.coloc_load,
-        model.replica_load,
-        float(cost_weight),
-        np.ascontiguousarray(order, dtype=np.int64),
-    )
-    if np.any(txn_site < 0):
-        stuck = [int(t) for t in np.flatnonzero(txn_site < 0)]
-        raise InfeasibleLayoutError(
-            [
+    n_txns = model.coloc_cost.shape[1]
+    sites = range(replicas.shape[1])
+    lam = float(cost_weight)
+    rest = 1.0 - lam
+    rep_f = replicas.astype(np.float64)
+    x = [-1] * n_txns
+    loads = (rep_f.T @ model.replica_load).tolist()
+    cval_all = (model.coloc_cost.T @ rep_f).tolist()  # (T, S)
+    inc_all = (model.coloc_load.T @ rep_f).tolist()
+    # missing reads per site: small integer counts, exact in a float product
+    missing = (model.txn_reads.T.astype(np.float64) @ (1.0 - rep_f)).tolist()
+    for t in np.asarray(order).tolist():
+        miss, cval, inc = missing[t], cval_all[t], inc_all[t]
+        m = max(loads)
+        s, best = -1, 0.0
+        for k in sites:
+            if miss[k] == 0.0:
+                delta = lam * cval[k] + rest * max(loads[k] + inc[k] - m, 0.0)
+                if s < 0 or delta < best:
+                    s, best = k, delta
+        if s < 0:
+            raise InfeasibleLayoutError([
                 f"transaction {t} reads attributes that no single site holds together"
-                for t in stuck
-            ]
-        )
-    return txn_site
+                for t, site in enumerate(x) if site < 0
+            ])
+        x[t] = s
+        loads[s] += inc[s]
+    return np.array(x, np.int64)
 
 
 def solve_sa(

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -52,7 +52,7 @@ from .mip import (
 from .partitioning import CostBreakdown, evaluate
 from .report import SolveReport
 from .tpcc import tpcc
-from .workload import Instance, derive, validate
+from .workload import Instance, derive
 
 
 class _UsageError(Exception):
@@ -142,19 +142,6 @@ def _breakdown_lines(breakdown: CostBreakdown) -> List[str]:
     return lines
 
 
-def _breakdown_obj(breakdown: CostBreakdown) -> Dict[str, Any]:
-    return {
-        "read_access": breakdown.read_access,
-        "write_access": breakdown.write_access,
-        "transfer": breakdown.transfer,
-        "objective": breakdown.objective,
-        "site_loads": list(breakdown.site_loads),
-        "max_load": breakdown.max_load,
-        "score": breakdown.score,
-        "latency": breakdown.latency,
-    }
-
-
 def _report_obj(report: SolveReport, instance: Instance) -> Dict[str, Any]:
     return {
         "status": report.status,
@@ -202,9 +189,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         )
         instance = generate(params)
     instance = _apply_overrides(instance, args)
-    problems = validate(instance)
-    if problems:
-        raise ValidationError(problems)
+    derive(instance)  # rejects what solve would, overflowing costs included
     save_instance(instance, args.output)
     print(
         f"wrote {args.output}: {len(instance.tables)} tables, "
@@ -297,7 +282,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.format == "structured":
         body = {
             "report": _report_obj(report, instance),
-            "breakdown": _breakdown_obj(report.breakdown),
+            "breakdown": asdict(report.breakdown),
         }
         sys.stdout.write(_run_record("solve", instance, args.algo, _solver_config_echo(args), body))
         return 0
@@ -323,7 +308,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     partitioning = load_partitioning(instance, args.partitioning)
     breakdown = evaluate(instance, derive(instance), partitioning)
     if args.format == "structured":
-        body = {"breakdown": _breakdown_obj(breakdown)}
+        body = {"breakdown": asdict(breakdown)}
         sys.stdout.write(_run_record("eval", instance, "eval", {}, body))
         return 0
     for line in _breakdown_lines(breakdown):

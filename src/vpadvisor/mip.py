@@ -26,7 +26,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from . import kernels
 from .anneal import SaConfig, solve_sa
 from .errors import BudgetExceededError, FormatError, InfeasibleLayoutError
 from .partitioning import CostBreakdown, Partitioning, evaluate
@@ -695,22 +694,22 @@ def solve_exact(
 
     incumbent: Optional[Tuple[Partitioning, CostBreakdown]] = None
 
-    def consider(txn_site: np.ndarray, replica: np.ndarray) -> None:
+    def consider(txn_site: np.ndarray, replica: np.ndarray) -> bool:
+        """Price a candidate and keep it if it beats the incumbent;
+        return whether it is a valid layout."""
         nonlocal incumbent
-        part = Partitioning(
-            txn_site=np.ascontiguousarray(txn_site, dtype=np.int64),
-            replica=np.ascontiguousarray(replica, dtype=np.bool_),
-        )
+        part = Partitioning(txn_site=txn_site, replica=replica)
         if config.forbid_replication and int(part.replica.sum(axis=1).max(initial=0)) > 1:
-            return
+            return False
         if any(not part.replica[a, s] for a, s in pins):
-            return
+            return False
         try:
             breakdown = evaluate(instance, model, part)
         except InfeasibleLayoutError:
-            return
+            return False
         if incumbent is None or breakdown.score < incumbent[1].score:
             incumbent = (part, breakdown)
+        return True
 
     # Cheap starting incumbents: one site carries everything (plus pins).
     for k in range(n_sites):
@@ -732,6 +731,7 @@ def solve_exact(
 
     bound = -math.inf
     node_count = 0
+    proven = False  # HiGHS proved the optimum and its layout is valid
     if time_left() > 0:
         arrays = _compact_model(
             instance,
@@ -756,10 +756,11 @@ def solve_exact(
             node_count = int(res.mip_node_count or 0)
             if res.x is not None:
                 nx = n_txns * n_sites
-                consider(
+                valid = consider(
                     np.argmax(res.x[:nx].reshape(n_txns, n_sites), axis=1),
                     res.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
                 )
+                proven = valid and res.status == 0
             if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
                 bound = float(res.mip_dual_bound)
 
@@ -776,11 +777,14 @@ def solve_exact(
     part, breakdown = incumbent
     score = breakdown.score
     gap = max(0.0, (score - bound) / max(abs(score), 1e-12))
-    # The status follows the proof, not HiGHS's stop reason: optimal when
-    # the re-priced score is within the gap of HiGHS's dual bound (plus
-    # 1e-6 relative for HiGHS's own tolerances), as after a time limit
-    # that came once the bound had caught up with the incumbent.
-    if score - bound <= max(config.gap * abs(score), 1e-6 * (1.0 + abs(score))):
+    # Optimal when HiGHS proved its valid layout optimal, or when the
+    # re-priced score is within the gap of HiGHS's dual bound (plus 1e-6
+    # relative for HiGHS's own tolerances), as after a time limit that
+    # came once the bound had caught up with the incumbent.  The proof
+    # counts on its own because at huge folded costs (network penalties
+    # from about 1e16) rounding can leave the re-priced score further
+    # from the bound than the gap.
+    if proven or score - bound <= max(config.gap * abs(score), 1e-6 * (1.0 + abs(score))):
         status = STATUS_OPTIMAL
         gap = min(gap, config.gap)
     else:
@@ -806,6 +810,112 @@ def enumeration_size(instance: Instance, forbid_replication: bool = False) -> in
     return s**t * per_attr**a
 
 
+# Layouts the enumerator scores per vectorized block.
+_ENUMERATION_CHUNK = 1 << 13
+
+
+def _enumerate_layouts(instance: Instance, model: CostModel, forbid_replication: bool):
+    """Score every feasible layout and return the lexicographically first
+    minimizer as ``(found, best_score, best_x, best_masks)``, where the
+    masks are site bitmasks per attribute.
+
+    Transaction assignments are walked as an odometer; for each, the
+    replica-set choices per attribute that cover the forced sites are
+    scored in vectorized chunks.  When the instance prices latency, a
+    write query pays ``latency_penalty * frequency`` (weighted into the
+    score like the rest of the objective) whenever any updated attribute
+    keeps a replica off the transaction's site.
+    """
+    n_attrs, n_txns = model.coloc_cost.shape
+    n_s = instance.site_count
+    priced = slice(0) if instance.latency_penalty is None else slice(None)
+    write_attr = model.write_attr_access[:, priced]
+    write_txn = model.write_txn[priced]
+    write_freq = model.write_frequencies[priced]
+    latency_penalty = float(instance.latency_penalty or 0.0)
+    n_w = write_txn.size
+    lam = float(instance.cost_weight)
+    full = (1 << n_s) - 1
+    best_score = np.inf
+    best_x = np.zeros(n_txns, np.int64)
+    best_mask = np.zeros(n_attrs, np.int64)
+    found = False
+
+    all_masks = np.arange(1, full + 1, dtype=np.int64)
+    mask_bits = ((all_masks[:, None] >> np.arange(n_s)) & 1).astype(np.float64)  # (M, S)
+    if forbid_replication:
+        keep = mask_bits.sum(axis=1) == 1
+        all_masks, mask_bits = all_masks[keep], mask_bits[keep]
+
+    x = np.zeros(n_txns, np.int64)
+    while True:
+        onehot = np.zeros((n_txns, n_s), np.float64)
+        if n_txns:
+            onehot[np.arange(n_txns), x] = 1.0
+        csum = model.coloc_cost @ onehot
+        lsum = model.coloc_load @ onehot
+        forced = np.zeros(n_attrs, np.int64)
+        for t in range(n_txns):
+            forced |= np.where(model.txn_reads[:, t], np.int64(1) << np.int64(x[t]), 0)
+
+        per_masks, per_obj, per_load, per_remote = [], [], [], []
+        x_ok = True
+        for a in range(n_attrs):
+            sel = (all_masks & forced[a]) == forced[a]
+            masks_a = all_masks[sel]
+            if masks_a.size == 0:
+                x_ok = False
+                break
+            bits_a = mask_bits[sel]  # (K, S)
+            per_masks.append(masks_a)
+            per_obj.append(bits_a @ csum[a] + bits_a.sum(axis=1) * model.replica_cost[a])
+            per_load.append(bits_a * (lsum[a] + model.replica_load[a])[None, :])
+            # remote replica count of a per write query: replicas minus the
+            # one on the write's own site (if any)
+            onsite = bits_a[:, x[write_txn]]
+            per_remote.append((bits_a.sum(axis=1)[:, None] - onsite) * write_attr[a][None, :])
+
+        if x_ok:
+            counts = np.array([m.size for m in per_masks], np.int64)
+            total = int(np.prod(counts)) if n_attrs else 1
+            for start in range(0, total, _ENUMERATION_CHUNK):
+                stop = min(start + _ENUMERATION_CHUNK, total)
+                idx = np.arange(start, stop, dtype=np.int64)
+                obj = np.zeros(stop - start, np.float64)
+                loads = np.zeros((stop - start, n_s), np.float64)
+                remote = np.zeros((stop - start, n_w), np.float64)
+                digits = np.empty((n_attrs, stop - start), np.int64)
+                rem = idx
+                for a in range(n_attrs - 1, -1, -1):
+                    digits[a] = rem % counts[a]
+                    rem = rem // counts[a]
+                for a in range(n_attrs):
+                    d = digits[a]
+                    obj += per_obj[a][d]
+                    loads += per_load[a][d]
+                    remote += per_remote[a][d]
+                latency = latency_penalty * ((remote > 0) @ write_freq)
+                score = lam * (obj + latency) + (1.0 - lam) * loads.max(axis=1)
+                k = int(np.argmin(score))
+                if score[k] < best_score:
+                    best_score = float(score[k])
+                    found = True
+                    best_x = x.copy()
+                    for a in range(n_attrs):
+                        best_mask[a] = per_masks[a][digits[a, k]]
+
+        tpos = n_txns - 1
+        while tpos >= 0:
+            if x[tpos] + 1 < n_s:
+                x[tpos] += 1
+                break
+            x[tpos] = 0
+            tpos -= 1
+        if tpos < 0:
+            break
+    return found, best_score, best_x, best_mask
+
+
 def brute_force(
     instance: Instance,
     *,
@@ -827,32 +937,11 @@ def brute_force(
         )
     if model is None:
         model = derive(instance)
-    priced = slice(0) if instance.latency_penalty is None else slice(None)
-    latency_penalty = float(instance.latency_penalty or 0.0)
-    found, _, best_x, best_mask = kernels.enumerate_layouts(
-        model.coloc_cost,
-        model.replica_cost,
-        model.coloc_load,
-        model.replica_load,
-        model.txn_reads,
-        float(instance.cost_weight),
-        instance.site_count,
-        forbid_replication,
-        model.write_attr_access[:, priced],
-        model.write_txn[priced],
-        model.write_frequencies[priced],
-        latency_penalty,
-    )
+    found, _, best_x, best_mask = _enumerate_layouts(instance, model, forbid_replication)
     if not found:
         raise BudgetExceededError("enumeration found no feasible layout")
-    replica = np.zeros((instance.attribute_count, instance.site_count), dtype=np.bool_)
-    for a in range(instance.attribute_count):
-        mask = int(best_mask[a])
-        for s in range(instance.site_count):
-            replica[a, s] = bool(mask & (1 << s))
-    part = Partitioning(
-        txn_site=np.asarray(best_x, dtype=np.int64), replica=replica
-    )
+    replica = ((best_mask[:, None] >> np.arange(instance.site_count)) & 1).astype(bool)
+    part = Partitioning(txn_site=best_x, replica=replica)
     return SolveReport(
         partitioning=part,
         breakdown=evaluate(instance, model, part),

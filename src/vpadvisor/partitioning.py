@@ -6,8 +6,9 @@ replicated, transactions may not).  :func:`evaluate` prices a layout from
 first principles — local read work, write upkeep on every replica, and
 network transfer for remote replicas of written attributes —
 while :func:`evaluate_folded` reproduces the objective through the folded
-per-attribute coefficients.  Both must agree exactly on integral inputs;
-the test suite holds them to that.
+per-attribute coefficients.  Both read the blocks :func:`derive` built
+once, share the site-load step, and must agree exactly on integral
+inputs; the test suite holds them to that.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import kernels
 from .errors import InfeasibleLayoutError
 from .workload import CostModel, Instance
 
@@ -159,13 +159,24 @@ def _write_latency(instance: Instance, model: CostModel,
     return float(instance.latency_penalty) * float(model.write_frequencies[remote].sum())
 
 
+def _site_loads(model: CostModel, txn_site: np.ndarray, rep_f: np.ndarray,
+                on_site: np.ndarray) -> np.ndarray:
+    """Work per site: write upkeep at every replica plus each
+    transaction's reads at its own site."""
+    loads = rep_f.T @ model.replica_load
+    np.add.at(loads, txn_site, (model.coloc_load * on_site).sum(axis=0))
+    return loads
+
+
 def _folded_score(instance: Instance, model: CostModel,
                   txn_site: np.ndarray, replica: np.ndarray) -> FoldedCost:
     """Objective and score of a layout through the folded coefficients,
     without feasibility checks."""
-    objective, max_load = kernels.folded_cost(
-        model.coloc_cost, model.replica_cost, model.coloc_load,
-        model.replica_load, txn_site, replica)
+    rep_f = replica.astype(np.float64)
+    on_site = replica[:, txn_site]  # (A, T): attribute co-located with transaction
+    objective = (float((model.coloc_cost * on_site).sum())
+                 + float(model.replica_cost @ rep_f.sum(axis=1)))
+    max_load = float(_site_loads(model, txn_site, rep_f, on_site).max())
     latency = _write_latency(instance, model, txn_site, replica)
     score = weighted_score(objective, max_load, latency, float(instance.cost_weight))
     return FoldedCost(objective=objective, score=score)
@@ -176,11 +187,12 @@ def evaluate(instance: Instance, model: CostModel,
     """Price a layout from the definitional sums.
 
     * read access: for every read query, every attribute of a touched
-      table that shares the transaction's site is read there;
+      table that shares the transaction's site is read there
+      (``coloc_load``);
     * write access: every replica of every attribute of a written table
-      is maintained on its site;
+      is maintained on its site (``replica_load``);
     * transfer: every replica of a directly-written attribute off the
-      transaction's site must be shipped the update.
+      transaction's site must be shipped the update (``coloc_transfer``).
 
     Raises :class:`InfeasibleLayoutError` when the layout breaks the
     placement rules.
@@ -192,35 +204,16 @@ def evaluate(instance: Instance, model: CostModel,
     x = partitioning.txn_site
     rep = partitioning.replica
     rep_f = rep.astype(np.float64)
-    w = model.access_weight
-    write_f = model.is_write.astype(np.float64)
-    read_f = 1.0 - write_f
-    q_txn = model.query_txn.astype(np.float64)
-    table_f = model.table_access.astype(np.float64)
-    attr_f = model.attr_access.astype(np.float64)
-
     on_site = rep[:, x]  # (A, T): attribute co-located with transaction
-
-    # read access: weight * table-touched * read * gamma * x * y
-    read_at = (w * table_f * read_f[None, :]) @ q_txn  # (A, T)
-    read_access = float((read_at * on_site).sum())
-
-    # write access: weight * table-touched * write, at every replica
-    write_per_attr = (w * table_f * write_f[None, :]).sum(axis=1)  # (A,)
-    write_access = float(write_per_attr @ rep_f.sum(axis=1))
-
-    # transfer: weight * attr-written * write * gamma, at replicas off the site
-    transfer_at = (w * attr_f * write_f[None, :]) @ q_txn  # (A, T)
     replica_counts = rep_f.sum(axis=1)
-    transfer = float((transfer_at * (replica_counts[:, None] - on_site)).sum())
 
+    read_access = float((model.coloc_load * on_site).sum())
+    write_access = float(model.replica_load @ replica_counts)
+    transfer = float((model.coloc_transfer * (replica_counts[:, None] - on_site)).sum())
     objective = read_access + write_access + float(instance.network_penalty) * transfer
 
-    loads = rep_f.T @ write_per_attr  # write upkeep per site
-    per_txn_read = (read_at * on_site).sum(axis=0)  # (T,)
-    np.add.at(loads, x, per_txn_read)
+    loads = _site_loads(model, x, rep_f, on_site)
     max_load = float(loads.max())
-
     latency = _write_latency(instance, model, x, rep)
     score = weighted_score(objective, max_load, latency, float(instance.cost_weight))
 

@@ -115,52 +115,44 @@ class Instance:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Dense matrices derived from an instance.
+    """Dense matrices derived from an instance once, read by every
+    evaluator, repair and solver.
 
-    Flag matrices (all boolean):
-
-    * ``attr_access[a, q]`` — query ``q`` touches attribute ``a`` directly.
-    * ``table_access[a, q]`` — query ``q`` touches ``a``'s table (so the
-      table fraction holding ``a`` is read/written wherever it lives).
-    * ``query_txn[q, t]`` — query ``q`` belongs to transaction ``t``.
-    * ``is_write[q]`` — query ``q`` modifies data.
-    * ``txn_reads[a, t]`` — some read query of ``t`` touches ``a`` directly,
-      so ``a`` must be co-located with ``t``'s site.
-
-    ``access_weight[a, q]`` is the byte weight ``width(a) * frequency(q) *
-    rows(q, table(a))``.
-
-    Folded coefficients (see the evaluators):
+    With the byte weight ``W[a, q] = width(a) * frequency(q) *
+    rows(q, table(a))`` of each query touching ``a``'s table, the per-query
+    sums fold into per-(attribute, transaction) and per-attribute blocks:
 
     * ``coloc_cost[a, t]`` — objective contribution when ``a`` shares a site
       with ``t`` (reads of the fraction minus the transfer the co-located
       replica avoids).
     * ``replica_cost[a]`` — objective contribution of every replica of ``a``
       (write upkeep plus priced transfer).
-    * ``coloc_load[a, t]`` — work added to ``t``'s site when ``a`` lives
-      there (read traffic).
-    * ``replica_load[a]`` — work added to every site holding ``a`` (write
-      traffic).
+    * ``coloc_load[a, t]`` — read work added to ``t``'s site when ``a``
+      lives there; it is also the read-access cost.
+    * ``replica_load[a]`` — write work added to every site holding ``a``;
+      it is also the write-access cost per replica.
+    * ``coloc_transfer[a, t]`` — bytes ``t``'s writes ship to each replica
+      of ``a`` off its site, before the network penalty.
 
-    The write queries' slices, which the latency charge reads on every
+    Flags (boolean):
+
+    * ``attr_access[a, q]`` — query ``q`` touches attribute ``a`` directly.
+    * ``txn_reads[a, t]`` — some read query of ``t`` touches ``a`` directly,
+      so ``a`` must be co-located with ``t``'s site.
+
+    The write queries, which the latency charge reads on every
     evaluation: ``write_queries`` (their ids, ascending),
-    ``write_attr_access = attr_access[:, write_queries]``,
-    ``write_txn = txn_of_query[write_queries]`` and
-    ``write_frequencies = frequencies[write_queries]``.
+    ``write_attr_access = attr_access[:, write_queries]``, and each one's
+    transaction ``write_txn`` and frequency ``write_frequencies``.
     """
 
     attr_access: np.ndarray
-    table_access: np.ndarray
-    query_txn: np.ndarray
-    is_write: np.ndarray
     txn_reads: np.ndarray
-    access_weight: np.ndarray
     coloc_cost: np.ndarray
     replica_cost: np.ndarray
     coloc_load: np.ndarray
     replica_load: np.ndarray
-    frequencies: np.ndarray
-    txn_of_query: np.ndarray
+    coloc_transfer: np.ndarray
     write_queries: np.ndarray
     write_attr_access: np.ndarray
     write_txn: np.ndarray
@@ -345,21 +337,21 @@ def derive(instance: Instance) -> CostModel:
             table_access[members, q.id] = True
             rows[members, q.id] = count
 
-    query_txn = np.zeros((n_q, n_t), dtype=bool)
+    q_txn_f = np.zeros((n_q, n_t), dtype=np.float64)
     txn_of_query = np.zeros(n_q, dtype=np.int64)
     for txn in instance.transactions:
         for qid in txn.query_ids:
-            query_txn[qid, txn.id] = True
+            q_txn_f[qid, txn.id] = 1.0
             txn_of_query[qid] = txn.id
 
-    # txn_reads[a, t]: some read query of t touches a directly.
+    # txn_reads[a, t]: some read query of t touches a directly; the read
+    # counts are small integers, which a float product sums exactly.
     read_access = attr_access & ~is_write[None, :]
-    txn_reads = (read_access.astype(np.int64) @ query_txn.astype(np.int64)) > 0
+    txn_reads = (read_access.astype(np.float64) @ q_txn_f) > 0.0
 
     access_weight = widths[:, None] * freqs[None, :] * rows
 
     penalty = float(instance.network_penalty)
-    q_txn_f = query_txn.astype(np.float64)
     write_f = is_write.astype(np.float64)
     read_f = 1.0 - write_f
     attr_f = attr_access.astype(np.float64)
@@ -374,6 +366,7 @@ def derive(instance: Instance) -> CostModel:
 
     coloc_load = (access_weight * table_f * read_f[None, :]) @ q_txn_f
     replica_load = (access_weight * table_f * write_f[None, :]).sum(axis=1)
+    coloc_transfer = (access_weight * attr_f * write_f[None, :]) @ q_txn_f
 
     # No layout's score exceeds this bound in magnitude; NaN fails too.
     sites = instance.site_count
@@ -389,17 +382,12 @@ def derive(instance: Instance) -> CostModel:
     writes = np.flatnonzero(is_write)
     return CostModel(
         attr_access=_freeze(attr_access),
-        table_access=_freeze(table_access),
-        query_txn=_freeze(query_txn),
-        is_write=_freeze(is_write),
         txn_reads=_freeze(txn_reads),
-        access_weight=_freeze(access_weight),
         coloc_cost=_freeze(coloc_cost),
         replica_cost=_freeze(replica_cost),
         coloc_load=_freeze(coloc_load),
         replica_load=_freeze(replica_load),
-        frequencies=_freeze(freqs),
-        txn_of_query=_freeze(txn_of_query),
+        coloc_transfer=_freeze(coloc_transfer),
         write_queries=_freeze(writes),
         write_attr_access=_freeze(attr_access[:, writes]),
         write_txn=_freeze(txn_of_query[writes]),

@@ -67,6 +67,7 @@ def test_gen_invalid_params_is_usage_error(tmp_path, capsys):
     pytest.param(["--sites", "0"], id="no-sites"),
     pytest.param(["--preset", "tpcc", "--lambda", "2"], id="tpcc-lambda"),
     pytest.param(["--p", "nan"], id="nan-penalty"),
+    pytest.param(["--p", "1e308", "--update-percent", "50"], id="overflowing-costs"),
 ])
 def test_gen_invalid_settings_write_nothing(tmp_path, capsys, flags):
     out = tmp_path / "never.json"

@@ -1,5 +1,6 @@
-"""Offline checks over the package modules: no unused imports, and no
-function, class, method or property that nothing references."""
+"""Offline checks over the package modules: no unused imports, no
+function, class, method or property that nothing references, and no
+class field that the program never reads."""
 from __future__ import annotations
 
 import ast
@@ -19,6 +20,9 @@ REFERRING = sorted(
     for path in (ROOT / tree).rglob("*.py")
     if path != ROOT / "src" / "vpadvisor" / "__init__.py"
 )
+# Where a field must be read: a field that only tests read is computed
+# for nobody.
+PROGRAM = sorted(path for tree in ("src", "perfbench") for path in (ROOT / tree).rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -99,3 +103,51 @@ def test_check_flags_an_unreferenced_definition():
     ])
     references = _references(source) | _references("from pkg import helper")
     assert _unreferenced(source, references) == ["line 5: spare", "line 7: unused"]
+
+
+def _fields(source: str) -> list[tuple[int, str, str]]:
+    """Annotated fields of every class, as (line, class, field)."""
+    return sorted(
+        (stmt.lineno, node.name, stmt.target.id)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    )
+
+
+def _attribute_reads(source: str) -> set[str]:
+    """Names a source reads as an attribute (``obj.name``)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _unread(source: str, reads: set[str]) -> list[str]:
+    return [f"line {line}: {cls}.{name}" for line, cls, name in _fields(source) if name not in reads]
+
+
+@pytest.fixture(scope="module")
+def attribute_reads() -> set[str]:
+    return set().union(*(_attribute_reads(path.read_text(encoding="utf-8")) for path in PROGRAM))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_fields_are_all_read(path, attribute_reads):
+    assert _unread(path.read_text(encoding="utf-8"), attribute_reads) == []
+
+
+def test_check_flags_an_unread_field():
+    source = "\n".join([
+        "class Model:",
+        "    kept: int",
+        "    stored: int",
+        "    written: int",
+        "    limit = 3",
+        "def use(model):",
+        "    model.written = model.kept + Model.limit",
+    ])
+    assert _unread(source, _attribute_reads(source)) == [
+        "line 3: Model.stored", "line 4: Model.written"]

@@ -1,11 +1,12 @@
-"""Hot-kernel correctness.
+"""Correctness of the hot loops: the folded price, the greedy repairs,
+the exhaustive enumeration and the annealer's perturbations.
 
-Each kernel's answer is checked on two paths: the package's definitional
-pricing (:func:`evaluate`) of the layout it returns must agree with the
-figure the kernel reports, and the independent oracle from conftest must
-agree with both where it is cheap enough to run.  The repair kernels and
-the annealer's perturbations must also return exactly what the
-per-element versions they replaced return.
+Each answer is checked on two paths: the package's definitional
+pricing (:func:`evaluate`) of the layout a loop returns must agree with
+the figure it reports, and the independent oracle from conftest must
+agree with both where it is cheap enough to run.  The repairs and the
+perturbations must also return exactly what the per-element versions
+they replaced return.
 """
 from __future__ import annotations
 
@@ -18,7 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from vpadvisor import (
     Attribute,
+    CostModel,
     GenParams,
+    InfeasibleLayoutError,
     Instance,
     Partitioning,
     Query,
@@ -31,32 +34,38 @@ from vpadvisor import (
     generate,
     perturb_replicas,
     perturb_transactions,
+    solve_subproblem_fix_replicas,
+    solve_subproblem_fix_transactions,
 )
-from vpadvisor import kernels
+from vpadvisor.mip import _enumerate_layouts
+from vpadvisor.partitioning import _folded_score
 
 from conftest import oracle_best, oracle_cost, random_instance, random_partitioning
 
 
-def _enumerate(inst, model, forbid):
-    """Run the enumeration kernel with the instance's write queries."""
-    if inst.latency_penalty is None:
-        writes, penalty = np.empty(0, dtype=np.int64), 0.0
-    else:
-        writes, penalty = np.flatnonzero(model.is_write), inst.latency_penalty
-    return kernels.enumerate_layouts(
-        model.coloc_cost,
-        model.replica_cost,
-        model.coloc_load,
-        model.replica_load,
-        model.txn_reads,
-        inst.cost_weight,
-        inst.site_count,
-        forbid,
-        model.attr_access[:, writes],
-        model.txn_of_query[writes],
-        model.frequencies[writes],
-        penalty,
+def _model(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load):
+    """A cost model holding the given coefficients and no write query."""
+    n_attrs = coloc_cost.shape[0]
+    return CostModel(
+        attr_access=np.zeros((n_attrs, 0), bool),
+        txn_reads=txn_reads,
+        coloc_cost=coloc_cost,
+        replica_cost=replica_cost,
+        coloc_load=coloc_load,
+        replica_load=replica_load,
+        coloc_transfer=np.zeros_like(coloc_cost),
+        write_queries=np.zeros(0, np.int64),
+        write_attr_access=np.zeros((n_attrs, 0), bool),
+        write_txn=np.zeros(0, np.int64),
+        write_frequencies=np.zeros(0),
     )
+
+
+def _stuck_messages(x):
+    """The repair's error for a reference assignment with unplaced (-1)
+    transactions."""
+    return [f"transaction {t} reads attributes that no single site holds together"
+            for t in np.flatnonzero(x < 0)]
 
 
 def _layout_from_masks(inst, x, masks):
@@ -74,20 +83,13 @@ def test_folded_cost_paths_agree_and_match_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         part = random_partitioning(inst, rng)
-        objective, max_load = kernels.folded_cost(
-            model.coloc_cost,
-            model.replica_cost,
-            model.coloc_load,
-            model.replica_load,
-            part.txn_site,
-            part.replica,
-        )
+        objective, score = _folded_score(inst, model, part.txn_site, part.replica)
         full = evaluate(inst, model, part)
         assert objective == full.objective
-        assert max_load == full.max_load
+        assert score == full.score
         want = oracle_cost(inst, part)
         assert objective == pytest.approx(want["objective"], abs=1e-9)
-        assert max_load == pytest.approx(want["max_load"], abs=1e-9)
+        assert score == pytest.approx(want["score"], abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -97,16 +99,7 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
     rng = np.random.default_rng(seed + 99)
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
-        got = kernels.greedy_replicas(
-            txn_site,
-            model.txn_reads,
-            model.coloc_cost,
-            model.replica_cost,
-            model.coloc_load,
-            model.replica_load,
-            inst.cost_weight,
-            inst.site_count,
-        )
+        got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
         # feasibility: coverage and per-reader co-location
         assert got.any(axis=1).all()
         for t in range(inst.transaction_count):
@@ -122,14 +115,8 @@ def test_assign_transactions_paths_agree(seed):
     model = derive(inst)
     rng = np.random.default_rng(seed + 7)
     part = random_partitioning(inst, rng)
-    out = kernels.assign_transactions(
-        part.replica,
-        model.txn_reads,
-        model.coloc_cost,
-        model.coloc_load,
-        model.replica_load,
-        inst.cost_weight,
-        np.arange(inst.transaction_count),
+    out = solve_subproblem_fix_replicas(
+        model, part.replica, inst.cost_weight, np.arange(inst.transaction_count)
     )
     # the layout random_partitioning built places every reader, so every
     # transaction fits somewhere, and each lands with all it reads
@@ -140,23 +127,15 @@ def test_assign_transactions_paths_agree(seed):
     assert evaluate_folded(inst, model, assigned).score == evaluate(inst, model, assigned).score
 
 
-def test_assign_transactions_returns_minus_one_when_stuck():
+def test_assign_transactions_raises_when_stuck():
     inst = random_instance(0, site_count=2)
     model = derive(inst)
     # a replica matrix with an all-empty row can cover no reader of it
     replicas = np.zeros((inst.attribute_count, inst.site_count), dtype=bool)
     order = np.arange(inst.transaction_count)
-    out = kernels.assign_transactions(
-        replicas,
-        model.txn_reads,
-        model.coloc_cost,
-        model.coloc_load,
-        model.replica_load,
-        inst.cost_weight,
-        order,
-    )
-    if model.txn_reads.any():
-        assert (out == -1).any()
+    assert model.txn_reads.any()
+    with pytest.raises(InfeasibleLayoutError):
+        solve_subproblem_fix_replicas(model, replicas, inst.cost_weight, order)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -167,7 +146,7 @@ def test_enumerate_paths_agree_and_match_bruteforce_oracle(seed, forbid):
         random_instance(seed, site_count=2, latency_penalty=5.0, update_percent=60.0),
     ):
         model = derive(inst)
-        found, score, x, masks = _enumerate(inst, model, forbid)
+        found, score, x, masks = _enumerate_layouts(inst, model, forbid)
         assert found
         part = _layout_from_masks(inst, x, masks)
         assert evaluate(inst, model, part).score == pytest.approx(score, abs=1e-9)
@@ -179,7 +158,7 @@ def test_enumerate_paths_agree_and_match_bruteforce_oracle(seed, forbid):
 def test_enumerate_reconstructed_layout_prices_to_reported_score():
     inst = random_instance(3, site_count=2)
     model = derive(inst)
-    found, score, x, masks = _enumerate(inst, model, False)
+    found, score, x, masks = _enumerate_layouts(inst, model, False)
     assert found
     part = _layout_from_masks(inst, x, masks)
     assert evaluate(inst, model, part).score == pytest.approx(score, abs=1e-9)
@@ -187,7 +166,7 @@ def test_enumerate_reconstructed_layout_prices_to_reported_score():
 
 # ---------------------------------------------------------------------------
 # differential checks against the per-element versions the scalar-loop
-# kernels replaced, kept here verbatim as references
+# repairs replaced, kept here verbatim as references
 
 
 def _ref_greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
@@ -320,10 +299,12 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
         n_attrs, n_txns = coloc_cost.shape
         rng = np.random.default_rng(seed)
         txn_site = rng.integers(0, n_sites, n_txns)
+        model = _model(reads, coloc_cost, replica_cost, coloc_load, replica_load)
         args = (txn_site, reads, coloc_cost, replica_cost, coloc_load, replica_load,
                 cost_weight, n_sites)
         want = _ref_greedy_replicas(*args)
-        assert np.array_equal(kernels.greedy_replicas(*args), want)
+        got = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
+        assert np.array_equal(got, want)
         forced = np.zeros((n_attrs, n_sites), bool)
         forced[:, txn_site] |= reads
         extras += int((want & ~forced).sum() > (~forced.any(axis=1)).sum())
@@ -333,8 +314,14 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
         for replicas in (want, sparse):
             args = (replicas, reads, coloc_cost, coloc_load, replica_load, cost_weight, order)
             want_x = _ref_assign_transactions(*args)
-            assert np.array_equal(kernels.assign_transactions(*args), want_x)
-            stuck += int((want_x < 0).any())
+            if (want_x < 0).any():
+                stuck += 1
+                with pytest.raises(InfeasibleLayoutError) as err:
+                    solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+                assert err.value.violations == _stuck_messages(want_x)
+            else:
+                got_x = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+                assert np.array_equal(got_x, want_x)
     assert stuck > 0  # some sparse placement left a transaction with no site
     if kind == "ties" and cost_weight > 0.0 and n_sites > 1:
         assert extras > 0  # the extras step added replicas in some draw
@@ -426,7 +413,8 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     model = derive(inst)
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
-    assert np.array_equal(kernels.greedy_replicas(*args), _ref_greedy_replicas(*args))
+    got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    assert np.array_equal(got, _ref_greedy_replicas(*args))
 
 
 @_PROPERTY
@@ -475,8 +463,9 @@ def test_greedy_replicas_extras_step_runs_at_huge_penalties():
     )
     model = derive(inst)
     assert model.replica_cost[0] + np.minimum(model.coloc_cost[0], 0.0).sum() < 0.0
-    args = (np.array([0, 0, 1]), model.txn_reads, model.coloc_cost, model.replica_cost,
+    txn_site = np.array([0, 0, 1])
+    args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
-    got = kernels.greedy_replicas(*args)
+    got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
     assert got.tolist() == [[True, True]]
     assert np.array_equal(got, _ref_greedy_replicas(*args))

@@ -427,6 +427,18 @@ def test_gap_zero_requires_proof_of_optimality():
     assert report.bound_gap == 0.0
 
 
+@pytest.mark.parametrize("penalty", [1e16, 1e18])
+def test_exact_reports_optimal_when_highs_proves_it_at_huge_penalties(penalty):
+    # at these penalties the re-priced score lies further from HiGHS's
+    # dual bound than the gap, although HiGHS proved its layout optimal
+    # well inside the time limit
+    inst = random_instance(5, site_count=2, update_percent=50, network_penalty=penalty)
+    report = solve_exact(inst, ExactConfig(time_limit=20.0))
+    assert report.status == STATUS_OPTIMAL
+    assert report.bound_gap <= ExactConfig().gap
+    assert report.partitioning == brute_force(inst).partitioning
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 

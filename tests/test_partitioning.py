@@ -1,6 +1,9 @@
 """Layout pricing: full evaluator, folded form, deltas, feasibility."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from vpadvisor import (
     derive,
     evaluate,
     evaluate_folded,
+    tpcc,
     weighted_score,
 )
 
@@ -159,6 +163,40 @@ def test_weighted_score_formula():
     assert weighted_score(100.0, 40.0, 20.0, 0.25) == pytest.approx(
         0.25 * 120 + 0.75 * 40
     )
+
+
+PIN_SHAPE = dict(transaction_count=8, table_count=5, max_attributes_per_table=6)
+PIN_INSTANCES = {
+    "tpcc-3-latency": lambda: tpcc(site_count=3, latency_penalty=5.0),
+    "random-p1": lambda: random_instance(
+        21, site_count=3, network_penalty=1.0, latency_penalty=1.0, update_percent=50.0,
+        **PIN_SHAPE),
+    "random-p1e6": lambda: random_instance(
+        22, site_count=3, network_penalty=1e6, latency_penalty=1e6, update_percent=50.0,
+        **PIN_SHAPE),
+}
+# sha256 prefixes of float.hex of every CostBreakdown field, over six
+# layouts per instance: the single-site one and five random ones
+PIN_DIGESTS = {
+    "tpcc-3-latency": "f23a1d05832ecf21",
+    "random-p1": "d4fb19dba405dd8a",
+    "random-p1e6": "2fb49ef03983247c",
+}
+
+
+@pytest.mark.parametrize("name", list(PIN_INSTANCES))
+def test_evaluate_bits_are_pinned(name):
+    # any change to the arithmetic or its order moves the digest
+    inst = PIN_INSTANCES[name]()
+    model = derive(inst)
+    rng = np.random.default_rng(0)
+    layouts = [_single_site(inst)] + [random_partitioning(inst, rng) for _ in range(5)]
+    lines = []
+    for part in layouts:
+        for key, value in dataclasses.asdict(evaluate(inst, model, part)).items():
+            values = value if isinstance(value, tuple) else (value,)
+            lines.append(key + " " + " ".join(float.hex(v) for v in values))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == PIN_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 A report without a layout is checked in ``test_mip.py``."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -63,7 +64,7 @@ def test_grouped_structured_record_prints_the_breakdown(instance, tmp_path, caps
     assert cli.main(argv) == 0
     record = json.loads(capsys.readouterr().out)
     priced = evaluate(instance, derive(instance), load_partitioning(instance, str(out)))
-    assert record["breakdown"] == cli._breakdown_obj(priced)
+    assert record["breakdown"] == json.loads(json.dumps(dataclasses.asdict(priced)))
     assert record["report"]["score"] == priced.score
     assert record["report"]["objective"] == priced.objective
 

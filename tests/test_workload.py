@@ -100,7 +100,8 @@ def test_t1_weights_and_flags(t1):
     assert weight[1, 0] == 160.0
     assert alpha[1, 0] == 0.0
     assert beta[1, 0] == 1.0
-    np.testing.assert_allclose(model.access_weight, weight)
+    # the weights reach the read-load coefficients of the only transaction
+    np.testing.assert_allclose(model.coloc_load, (weight * beta * (1.0 - delta)) @ gamma)
 
 
 def test_t2_folded_coefficients(t2):
