@@ -54,7 +54,7 @@ class SaConfig:
             raise ValueError("cooling must lie strictly between 0 and 1")
         if not 0.0 < self.move_fraction <= 1.0:
             raise ValueError("move_fraction must lie in (0, 1]")
-        if self.freeze_temperature_ratio <= 0.0:
+        if not self.freeze_temperature_ratio > 0.0:
             raise ValueError("freeze_temperature_ratio must be positive")
         if self.freeze_stall_loops < 1:
             raise ValueError("freeze_stall_loops must be at least 1")

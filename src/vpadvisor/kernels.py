@@ -2,6 +2,6 @@
 
 The pricing and repair loops live with their callers:
 ``partitioning._folded_score``, ``anneal.solve_subproblem_fix_*`` and
-``mip._enumerate_layouts``.  They have no compiled variant.
+``mip.brute_force``.  They have no compiled variant.
 """
 USING_NUMBA = False

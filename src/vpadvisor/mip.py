@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, product
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .anneal import SaConfig, solve_sa
 from .errors import BudgetExceededError, FormatError, InfeasibleLayoutError
-from .partitioning import CostBreakdown, Partitioning, evaluate
+from .partitioning import CostBreakdown, Partitioning, evaluate, weighted_score
 from .report import (
     STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
@@ -528,9 +528,9 @@ class ExactConfig:
     fixed_replicas: Tuple[Tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.time_limit < 0:
+        if not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
-        if self.gap < 0:
+        if not self.gap >= 0:
             raise ValueError("gap must be nonnegative")
 
 
@@ -680,7 +680,8 @@ def solve_exact(
     HiGHS stops without a layout.
     Every candidate is re-priced by the definitional evaluator, so
     reported objectives and scores never drift from ``evaluate``; the
-    bound gap compares that score with HiGHS's dual bound.
+    bound gap compares that score with HiGHS's dual bound.  Raises
+    ``ValueError`` when HiGHS proves that the pins admit no disjoint layout.
     """
     started = time.perf_counter()
     if config is None:
@@ -763,6 +764,8 @@ def solve_exact(
                 proven = valid and res.status == 0
             if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
                 bound = float(res.mip_dual_bound)
+            if res.status == 2 and incumbent is None:
+                raise ValueError(f"the pins {pins} admit no layout under forbid_replication")
 
     wall = time.perf_counter() - started
     if incumbent is None:
@@ -814,108 +817,6 @@ def enumeration_size(instance: Instance, forbid_replication: bool = False) -> in
 _ENUMERATION_CHUNK = 1 << 13
 
 
-def _enumerate_layouts(instance: Instance, model: CostModel, forbid_replication: bool):
-    """Score every feasible layout and return the lexicographically first
-    minimizer as ``(found, best_score, best_x, best_masks)``, where the
-    masks are site bitmasks per attribute.
-
-    Transaction assignments are walked as an odometer; for each, the
-    replica-set choices per attribute that cover the forced sites are
-    scored in vectorized chunks.  When the instance prices latency, a
-    write query pays ``latency_penalty * frequency`` (weighted into the
-    score like the rest of the objective) whenever any updated attribute
-    keeps a replica off the transaction's site.
-    """
-    n_attrs, n_txns = model.coloc_cost.shape
-    n_s = instance.site_count
-    priced = slice(0) if instance.latency_penalty is None else slice(None)
-    write_attr = model.write_attr_access[:, priced]
-    write_txn = model.write_txn[priced]
-    write_freq = model.write_frequencies[priced]
-    latency_penalty = float(instance.latency_penalty or 0.0)
-    n_w = write_txn.size
-    lam = float(instance.cost_weight)
-    full = (1 << n_s) - 1
-    best_score = np.inf
-    best_x = np.zeros(n_txns, np.int64)
-    best_mask = np.zeros(n_attrs, np.int64)
-    found = False
-
-    all_masks = np.arange(1, full + 1, dtype=np.int64)
-    mask_bits = ((all_masks[:, None] >> np.arange(n_s)) & 1).astype(np.float64)  # (M, S)
-    if forbid_replication:
-        keep = mask_bits.sum(axis=1) == 1
-        all_masks, mask_bits = all_masks[keep], mask_bits[keep]
-
-    x = np.zeros(n_txns, np.int64)
-    while True:
-        onehot = np.zeros((n_txns, n_s), np.float64)
-        if n_txns:
-            onehot[np.arange(n_txns), x] = 1.0
-        csum = model.coloc_cost @ onehot
-        lsum = model.coloc_load @ onehot
-        forced = np.zeros(n_attrs, np.int64)
-        for t in range(n_txns):
-            forced |= np.where(model.txn_reads[:, t], np.int64(1) << np.int64(x[t]), 0)
-
-        per_masks, per_obj, per_load, per_remote = [], [], [], []
-        x_ok = True
-        for a in range(n_attrs):
-            sel = (all_masks & forced[a]) == forced[a]
-            masks_a = all_masks[sel]
-            if masks_a.size == 0:
-                x_ok = False
-                break
-            bits_a = mask_bits[sel]  # (K, S)
-            per_masks.append(masks_a)
-            per_obj.append(bits_a @ csum[a] + bits_a.sum(axis=1) * model.replica_cost[a])
-            per_load.append(bits_a * (lsum[a] + model.replica_load[a])[None, :])
-            # remote replica count of a per write query: replicas minus the
-            # one on the write's own site (if any)
-            onsite = bits_a[:, x[write_txn]]
-            per_remote.append((bits_a.sum(axis=1)[:, None] - onsite) * write_attr[a][None, :])
-
-        if x_ok:
-            counts = np.array([m.size for m in per_masks], np.int64)
-            total = int(np.prod(counts)) if n_attrs else 1
-            for start in range(0, total, _ENUMERATION_CHUNK):
-                stop = min(start + _ENUMERATION_CHUNK, total)
-                idx = np.arange(start, stop, dtype=np.int64)
-                obj = np.zeros(stop - start, np.float64)
-                loads = np.zeros((stop - start, n_s), np.float64)
-                remote = np.zeros((stop - start, n_w), np.float64)
-                digits = np.empty((n_attrs, stop - start), np.int64)
-                rem = idx
-                for a in range(n_attrs - 1, -1, -1):
-                    digits[a] = rem % counts[a]
-                    rem = rem // counts[a]
-                for a in range(n_attrs):
-                    d = digits[a]
-                    obj += per_obj[a][d]
-                    loads += per_load[a][d]
-                    remote += per_remote[a][d]
-                latency = latency_penalty * ((remote > 0) @ write_freq)
-                score = lam * (obj + latency) + (1.0 - lam) * loads.max(axis=1)
-                k = int(np.argmin(score))
-                if score[k] < best_score:
-                    best_score = float(score[k])
-                    found = True
-                    best_x = x.copy()
-                    for a in range(n_attrs):
-                        best_mask[a] = per_masks[a][digits[a, k]]
-
-        tpos = n_txns - 1
-        while tpos >= 0:
-            if x[tpos] + 1 < n_s:
-                x[tpos] += 1
-                break
-            x[tpos] = 0
-            tpos -= 1
-        if tpos < 0:
-            break
-    return found, best_score, best_x, best_mask
-
-
 def brute_force(
     instance: Instance,
     *,
@@ -927,6 +828,16 @@ def brute_force(
     minimizer of the weighted score: status ``optimal``, a zero bound
     gap, and the nominal layout count as ``node_count``.
 
+    Transaction assignments are walked in lexicographic order, the last
+    transaction fastest.  For each, an attribute's candidate replica sets
+    are the rows of one 0/1 site matrix (in ascending bitmask order, site
+    0 the low bit) that hold every site its readers run on, and the
+    choices of one set per attribute are scored in vectorized chunks, the
+    last attribute fastest.  When the instance prices latency, a write
+    query pays ``latency_penalty * frequency`` (weighted into the score
+    like the rest of the objective) whenever any updated attribute keeps
+    a replica off the transaction's site.
+
     Refuses instances whose nominal search space exceeds ``budget``.
     """
     started = time.perf_counter()
@@ -937,11 +848,53 @@ def brute_force(
         )
     if model is None:
         model = derive(instance)
-    found, _, best_x, best_mask = _enumerate_layouts(instance, model, forbid_replication)
-    if not found:
-        raise BudgetExceededError("enumeration found no feasible layout")
-    replica = ((best_mask[:, None] >> np.arange(instance.site_count)) & 1).astype(bool)
-    part = Partitioning(txn_site=best_x, replica=replica)
+    n_sites = instance.site_count
+    priced = slice(0) if instance.latency_penalty is None else slice(None)
+    write_attr, write_txn = model.write_attr_access[:, priced], model.write_txn[priced]
+    write_freq = model.write_frequencies[priced]
+    latency_penalty = float(instance.latency_penalty or 0.0)
+    lam = float(instance.cost_weight)
+    reads_f = model.txn_reads.astype(np.float64)
+    # Candidate site sets as 0/1 rows in ascending bitmask order, site 0 the low bit.
+    site_sets = np.eye(n_sites) if forbid_replication else (
+        np.array(list(product((0.0, 1.0), repeat=n_sites)))[1:, ::-1])
+    set_sizes = site_sets.sum(axis=1)
+
+    best_score = np.inf
+    for homes in product(range(n_sites), repeat=instance.transaction_count):
+        x = np.array(homes, dtype=np.int64)
+        onehot = np.eye(n_sites)[x]
+        csum = model.coloc_cost @ onehot
+        lsum = model.coloc_load @ onehot
+        forced = (reads_f @ onehot) > 0.0
+        covers = (site_sets[None, :, :] >= forced[:, None, :]).all(axis=2)  # (A, sets)
+        if not covers.any(axis=1).all():
+            continue  # disjoint, and some attribute is read on two sites
+        # Per attribute, one row per candidate set: its objective, its load
+        # on each site and its replica count off each write query's site.
+        choices = [np.flatnonzero(row) for row in covers]
+        tables = [np.column_stack((
+            site_sets[rows] @ csum[a] + set_sizes[rows] * model.replica_cost[a],
+            site_sets[rows] * (lsum[a] + model.replica_load[a]),
+            (set_sizes[rows][:, None] - site_sets[rows][:, x[write_txn]]) * write_attr[a],
+        )) for a, rows in enumerate(choices)]
+        counts = [rows.size for rows in choices]
+        total = math.prod(counts)
+        for start in range(0, total, _ENUMERATION_CHUNK):
+            idx = np.arange(start, min(start + _ENUMERATION_CHUNK, total))
+            digits = np.unravel_index(idx, (1, *counts))[1:]  # the 1 allows no attributes
+            sums = np.zeros((idx.size, 1 + n_sites + write_txn.size))
+            for table, d in zip(tables, digits):
+                sums += table[d]
+            latency = latency_penalty * ((sums[:, 1 + n_sites :] > 0) @ write_freq)
+            score = weighted_score(sums[:, 0], sums[:, 1 : 1 + n_sites].max(axis=1), latency, lam)
+            k = int(np.argmin(score))
+            if score[k] < best_score:
+                best_score = score[k]
+                best_x = x
+                best_replica = site_sets[[rows[d[k]] for rows, d in zip(choices, digits)]]
+
+    part = Partitioning(txn_site=best_x, replica=best_replica)
     return SolveReport(
         partitioning=part,
         breakdown=evaluate(instance, model, part),

@@ -29,8 +29,9 @@ class Partitioning:
     replica: np.ndarray
 
     def __post_init__(self):
-        txn_site = np.ascontiguousarray(np.asarray(self.txn_site, dtype=np.int64))
-        replica = np.ascontiguousarray(np.asarray(self.replica, dtype=bool))
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        txn_site = np.array(self.txn_site, dtype=np.int64, order="C")
+        replica = np.array(self.replica, dtype=bool, order="C")
         if replica.ndim != 2:
             raise ValueError("replica matrix must be 2-dimensional")
         if txn_site.ndim != 1:

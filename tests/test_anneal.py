@@ -304,3 +304,5 @@ def test_sa_config_validation():
         SaConfig(cooling=1.5)
     with pytest.raises(ValueError):
         SaConfig(move_fraction=0.0)
+    with pytest.raises(ValueError):
+        SaConfig(freeze_temperature_ratio=math.nan)

@@ -268,6 +268,26 @@ def test_solve_rejects_bad_pin_argument(small_path):
     assert main(["solve", small_path, "--algo", "sa", "--pin", "tab0.c0=0"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["solve", "--algo", "exact", "--time-limit", "nan"], id="exact-nan-limit"),
+    pytest.param(["solve", "--algo", "exact", "--gap", "nan"], id="exact-nan-gap"),
+    pytest.param(["solve", "--algo", "sa", "--time-limit", "nan"], id="sa-nan-limit"),
+    pytest.param(["compare", "--mode", "replication", "--time-limit", "nan"],
+                 id="compare-nan-limit"),
+    # the same attribute on both sites, then two attributes that NewOrder
+    # reads together: no disjoint layout holds either pair of pins
+    pytest.param(["solve", "--algo", "exact", "--disjoint",
+                  "--pin", "WAREHOUSE.W_ID=0", "--pin", "WAREHOUSE.W_ID=1"], id="pins-one-attribute"),
+    pytest.param(["solve", "--algo", "exact", "--disjoint",
+                  "--pin", "WAREHOUSE.W_TAX=0", "--pin", "DISTRICT.D_TAX=1"], id="pins-co-read"),
+])
+def test_invalid_requests_on_tpcc_exit_1(tmp_path, capsys, argv):
+    path = tmp_path / "tpcc.json"
+    save_instance(tpcc(site_count=2), str(path))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert "invalid request" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -28,6 +28,7 @@ from vpadvisor import (
     Table,
     Transaction,
     ValidationError,
+    brute_force,
     derive,
     evaluate,
     evaluate_folded,
@@ -37,7 +38,6 @@ from vpadvisor import (
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
 )
-from vpadvisor.mip import _enumerate_layouts
 from vpadvisor.partitioning import _folded_score
 
 from conftest import oracle_best, oracle_cost, random_instance, random_partitioning
@@ -66,14 +66,6 @@ def _stuck_messages(x):
     transactions."""
     return [f"transaction {t} reads attributes that no single site holds together"
             for t in np.flatnonzero(x < 0)]
-
-
-def _layout_from_masks(inst, x, masks):
-    replica = np.zeros((inst.attribute_count, inst.site_count), dtype=bool)
-    for a in range(inst.attribute_count):
-        for s in range(inst.site_count):
-            replica[a, s] = bool(masks[a] >> s & 1)
-    return Partitioning(txn_site=x.astype(np.int64), replica=replica)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,23 +137,10 @@ def test_enumerate_paths_agree_and_match_bruteforce_oracle(seed, forbid):
         random_instance(seed, site_count=2),
         random_instance(seed, site_count=2, latency_penalty=5.0, update_percent=60.0),
     ):
-        model = derive(inst)
-        found, score, x, masks = _enumerate_layouts(inst, model, forbid)
-        assert found
-        part = _layout_from_masks(inst, x, masks)
-        assert evaluate(inst, model, part).score == pytest.approx(score, abs=1e-9)
+        result = brute_force(inst, forbid_replication=forbid)
         # independent oracle search over the same space
         best_score, _, _ = oracle_best(inst, forbid_replication=forbid)
-        assert score == pytest.approx(best_score, abs=1e-9)
-
-
-def test_enumerate_reconstructed_layout_prices_to_reported_score():
-    inst = random_instance(3, site_count=2)
-    model = derive(inst)
-    found, score, x, masks = _enumerate_layouts(inst, model, False)
-    assert found
-    part = _layout_from_masks(inst, x, masks)
-    assert evaluate(inst, model, part).score == pytest.approx(score, abs=1e-9)
+        assert result.score == pytest.approx(best_score, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

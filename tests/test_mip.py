@@ -470,3 +470,48 @@ def test_brute_force_with_latency_dispatches_and_agrees_with_exact():
     result = brute_force(inst)
     report = solve_exact(inst, ExactConfig(gap=0.0))
     assert report.score == pytest.approx(result.score, abs=1e-9)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+BRUTE_KINDS = {
+    "plain": {},
+    "latency": dict(latency_penalty=5.0, update_percent=60.0),
+    "cost-only": dict(cost_weight=1.0),
+}
+
+# (kind, sites, forbid_replication): sha256 prefixes of the scores (as
+# float.hex), the transaction sites and the replica matrices that
+# brute_force returns for random_instance seeds 0-9, recorded with the
+# odometer-and-bitmask enumerator the index-primitive one replaced.
+BRUTE_GOLDEN = {
+    ("plain", 2, False): ("d069240e2b69dc77", "c7f488b0dba87b90", "28bfa033582db20b"),
+    ("plain", 2, True): ("6ca40713a491ece4", "2dfba633817046c7", "e5cb7a110e6bdeeb"),
+    ("plain", 3, False): ("573c3b289b0519cd", "e84da3dceaa45fa3", "8fd83211a7d05e01"),
+    ("plain", 3, True): ("6ca40713a491ece4", "2dfba633817046c7", "c6fb33d6c91886b6"),
+    ("latency", 2, False): ("0bcc65bdcefba6f4", "fedfcce40025f21b", "b88e39cf5d9c66b0"),
+    ("latency", 2, True): ("dbfa148b86c82d33", "a4c59e0b78947a84", "f448c9643326b836"),
+    ("latency", 3, False): ("e62a5b131f42c027", "85c319bd45412d9a", "f5ac5f9ec48a767a"),
+    ("latency", 3, True): ("c9095574240f31f9", "1a7625f990c9fd8c", "54d49e470c88ee7e"),
+    ("cost-only", 2, False): ("d0f0f24c105dc2c0", "7c4bc2e2cb969616", "bddb7d2894bda35e"),
+    ("cost-only", 2, True): ("b14e9d1f3e711bce", "2dfba633817046c7", "e5cb7a110e6bdeeb"),
+    ("cost-only", 3, False): ("82aff3f44dc1a183", "cfd10c0f2a5caae2", "a7734e9a968a52a8"),
+    ("cost-only", 3, True): ("b14e9d1f3e711bce", "2dfba633817046c7", "c6fb33d6c91886b6"),
+}
+
+
+@pytest.mark.parametrize("kind,sites,forbid", list(BRUTE_GOLDEN))
+def test_brute_force_answers_are_pinned(kind, sites, forbid):
+    # any change to the enumeration order, the tie-break or the rounding
+    # of a score moves at least one of these digests
+    scores, homes, replicas = [], [], []
+    for seed in range(10):
+        inst = random_instance(seed, site_count=sites, **BRUTE_KINDS[kind])
+        result = brute_force(inst, forbid_replication=forbid)
+        scores.append(result.score.hex())
+        homes.append(result.partitioning.txn_site.tobytes())
+        replicas.append(result.partitioning.replica.tobytes())
+    got = (_sha(" ".join(scores).encode()), _sha(b"".join(homes)), _sha(b"".join(replicas)))
+    assert got == BRUTE_GOLDEN[kind, sites, forbid]

@@ -30,6 +30,18 @@ def _single_site(instance, site=0):
     )
 
 
+def test_partitioning_copies_the_arrays_it_freezes():
+    x = np.array([0, 1, 1], dtype=np.int64)
+    y = np.array([[True, False], [False, True]])
+    part = Partitioning(x, y)
+    assert not part.txn_site.flags.writeable and not part.replica.flags.writeable
+    assert x.flags.writeable and y.flags.writeable
+    x[0] = 1
+    y[0, 1] = True
+    assert part.txn_site.tolist() == [0, 1, 1]
+    assert part.replica.tolist() == [[True, False], [False, True]]
+
+
 def test_t1_single_site_counts_whole_table_width(t1):
     model = derive(t1)
     breakdown = evaluate(t1, model, _single_site(t1))
