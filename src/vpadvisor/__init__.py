@@ -63,7 +63,6 @@ from .partitioning import (
     FoldedCost,
     Partitioning,
     check_feasible,
-    delta_add_replica,
     evaluate,
     evaluate_folded,
     weighted_score,
@@ -109,7 +108,6 @@ __all__ = [
     "evaluate_folded",
     "weighted_score",
     "check_feasible",
-    "delta_add_replica",
     # grouping
     "AttributeGrouping",
     "group_attributes",

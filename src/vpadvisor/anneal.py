@@ -24,25 +24,28 @@ from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .workload import CostModel, Instance, derive
 
 
+# The fixed schedule; see :class:`SaConfig`.
+_COOLING = 0.9
+_MOVE_FRACTION = 0.1
+_FREEZE_TEMPERATURE_RATIO = 1e-6
+
+
 @dataclass(frozen=True)
 class SaConfig:
     """Tuning knobs for :func:`solve_sa`.
 
-    ``inner_loops`` candidate moves are tried per temperature step,
-    the temperature is multiplied by ``cooling`` after each step, and a
-    move perturbs ``move_fraction`` of the transactions and of the
-    attributes (rounded up).  The search stops when the temperature
-    drops below ``freeze_temperature_ratio`` times the initial
-    temperature or when ``freeze_stall_loops`` consecutive temperature
-    steps pass without improving the best score, or when ``time_limit``
-    seconds of wall time have passed (checked before each candidate
-    move; the default sets no limit).
+    ``inner_loops`` candidate moves are tried per temperature step, the
+    temperature is multiplied by ``_COOLING`` after each step, and a move
+    perturbs ``_MOVE_FRACTION`` of the transactions and of the attributes
+    (rounded up).  The search stops when the temperature drops below
+    ``_FREEZE_TEMPERATURE_RATIO`` times the initial temperature, when
+    ``freeze_stall_loops`` consecutive temperature steps pass without
+    improving the best score, or when ``time_limit`` seconds of wall time
+    have passed (checked before each candidate move; the default sets no
+    limit).  The three schedule constants are fixed.
     """
 
     inner_loops: int = 50
-    cooling: float = 0.9
-    move_fraction: float = 0.1
-    freeze_temperature_ratio: float = 1e-6
     freeze_stall_loops: int = 20
     time_limit: float = math.inf
     seed: int = 0
@@ -50,12 +53,6 @@ class SaConfig:
     def __post_init__(self) -> None:
         if self.inner_loops < 1:
             raise ValueError("inner_loops must be at least 1")
-        if not 0.0 < self.cooling < 1.0:
-            raise ValueError("cooling must lie strictly between 0 and 1")
-        if not 0.0 < self.move_fraction <= 1.0:
-            raise ValueError("move_fraction must lie in (0, 1]")
-        if not self.freeze_temperature_ratio > 0.0:
-            raise ValueError("freeze_temperature_ratio must be positive")
         if self.freeze_stall_loops < 1:
             raise ValueError("freeze_stall_loops must be at least 1")
         if not self.time_limit >= 0.0:
@@ -84,19 +81,12 @@ class SaTrace:
         return "\n".join(lines)
 
 
-def initial_temperature(score: float, acceptance: float = 0.5, worsening: float = 0.05) -> float:
-    """Temperature at which a move worsening ``score`` by the given
-    fraction is accepted with probability ``acceptance``.
-
-    With the defaults a 5% degradation is accepted half the time.
-    """
+def initial_temperature(score: float) -> float:
+    """Temperature at which a move worsening ``score`` by 5% is accepted
+    half the time."""
     if score <= 0.0:
         raise ValueError("initial temperature needs a positive reference score")
-    if not 0.0 < acceptance < 1.0:
-        raise ValueError("acceptance probability must lie strictly between 0 and 1")
-    if worsening <= 0.0:
-        raise ValueError("worsening fraction must be positive")
-    return -worsening * score / math.log(acceptance)
+    return -0.05 * score / math.log(0.5)
 
 
 def accept_move(delta: float, temperature: float, rng: np.random.Generator) -> bool:
@@ -325,7 +315,7 @@ def solve_sa(
     else:
         tau0 = 1.0
     tau = tau0
-    freeze_at = config.freeze_temperature_ratio * tau0
+    freeze_at = _FREEZE_TEMPERATURE_RATIO * tau0
 
     fix_transactions = True
     stall = 0
@@ -341,8 +331,8 @@ def solve_sa(
         for _ in range(config.inner_loops):
             if time.perf_counter() >= deadline:
                 break
-            pert_x = perturb_transactions(cur_x, n_sites, config.move_fraction, rng)
-            pert_y = perturb_replicas(cur_y, config.move_fraction, rng)
+            pert_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
+            pert_y = perturb_replicas(cur_y, _MOVE_FRACTION, rng)
             if fix_transactions:
                 cand_x = pert_x
                 cand_y = solve_subproblem_fix_transactions(
@@ -367,7 +357,7 @@ def solve_sa(
         current_scores.append(cur_score)
         accepted_moves.append(accepted)
         stall = stall + 1 if best_score >= best_before else 0
-        tau *= config.cooling
+        tau *= _COOLING
 
     partitioning = Partitioning(txn_site=best_x, replica=best_y)
     report = SolveReport(

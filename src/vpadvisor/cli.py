@@ -165,7 +165,7 @@ def _run_record(command: str, instance: Instance, solver: str, config: Dict[str,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     record.update(body)
-    return json.dumps(record, indent=2) + "\n"
+    return json.dumps(record, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -257,17 +257,25 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport
     return replace(report, partitioning=part, breakdown=evaluate(instance, model, part))
 
 
+# The flags each solver applies; the others are left out of its record.
+_ECHOED = {
+    "sa": ("seed", "runs", "time_limit"),
+    "exact": ("time_limit", "gap", "disjoint", "pin"),
+    "brute": ("budget", "disjoint"),
+}
+
+
 def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
+    """The settings the chosen solver applied, as given; a non-finite
+    number is ``None``, as JSON has no token for it."""
     echo: Dict[str, Any] = {"algo": args.algo}
-    for key in ("seed", "runs", "time_limit", "gap", "budget"):
+    for key in _ECHOED[args.algo] + ("group",):
         value = getattr(args, key, None)
-        if value is not None:
-            echo[key] = value
-    for key in ("group", "disjoint"):
-        if getattr(args, key, False):
-            echo[key] = True
-    if getattr(args, "pin", None):
-        echo["pin"] = list(args.pin)
+        if value is None or value is False or value == []:
+            continue  # not given
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None
+        echo[key] = value
     return echo
 
 
@@ -349,8 +357,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return 3
         reports.append(rep)
     left, right = reports
-    score_ratio = left.score / right.score if right.score else math.inf
-    objective_ratio = left.objective / right.objective if right.objective else math.inf
+    # a ratio over a zero right side is undefined: null, or n/a in text
+    score_ratio = left.score / right.score if right.score else None
+    objective_ratio = left.objective / right.objective if right.objective else None
     if args.format == "structured":
         body = {
             "mode": args.mode,
@@ -369,8 +378,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{label.ljust(width)}  {rep.objective:>14.6g}  {rep.score:>14.6g}  "
             f"{rep.breakdown.max_load:>14.6g}  {rep.status}"
         )
-    print(f"ratio (score)      {score_ratio:.4f}")
-    print(f"ratio (objective)  {objective_ratio:.4f}")
+    for label, ratio in (("ratio (score)", score_ratio), ("ratio (objective)", objective_ratio)):
+        print(f"{label:<19}{'n/a' if ratio is None else f'{ratio:.4f}'}")
     return 0
 
 

@@ -702,8 +702,6 @@ def solve_exact(
         part = Partitioning(txn_site=txn_site, replica=replica)
         if config.forbid_replication and int(part.replica.sum(axis=1).max(initial=0)) > 1:
             return False
-        if any(not part.replica[a, s] for a, s in pins):
-            return False
         try:
             breakdown = evaluate(instance, model, part)
         except InfeasibleLayoutError:

@@ -41,15 +41,6 @@ class Partitioning:
         object.__setattr__(self, "txn_site", txn_site)
         object.__setattr__(self, "replica", replica)
 
-    @property
-    def site_count(self) -> int:
-        return self.replica.shape[1]
-
-    def with_replica(self, attribute_id: int, site: int) -> "Partitioning":
-        replica = self.replica.copy()
-        replica[attribute_id, site] = True
-        return Partitioning(self.txn_site, replica)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partitioning):
             return NotImplemented
@@ -89,8 +80,8 @@ def weighted_score(objective: float, max_load: float, latency: Optional[float],
                    cost_weight: float) -> float:
     """Mix objective (plus any latency charge) against the peak site load.
 
-    Single source of truth for the score formula so that full evaluation,
-    folded evaluation, and incremental deltas agree bitwise.
+    Single source of truth for the score formula so that full and folded
+    evaluation, and the exhaustive enumerator, agree bitwise.
     """
     extra = 0.0 if latency is None else latency
     return cost_weight * (objective + extra) + (1.0 - cost_weight) * max_load
@@ -243,26 +234,3 @@ def evaluate_folded(instance: Instance, model: CostModel,
         raise InfeasibleLayoutError(violations)
     return _folded_score(instance, model, partitioning.txn_site, partitioning.replica)
 
-
-def delta_add_replica(instance: Instance, model: CostModel,
-                      partitioning: Partitioning, attribute_id: int,
-                      site: int) -> float:
-    """Score change from adding one replica, priced through the folded
-    coefficients.  Equals ``evaluate(after).score - evaluate(before).score``.
-
-    Raises ``ValueError`` if the replica already exists.
-    """
-    a = int(attribute_id)
-    s = int(site)
-    if not (0 <= a < instance.attribute_count):
-        raise ValueError(f"unknown attribute id {a}")
-    if not (0 <= s < instance.site_count):
-        raise ValueError(f"site {s} outside 0..{instance.site_count - 1}")
-    if partitioning.replica[a, s]:
-        raise ValueError(
-            f"attribute '{_attr_ref(instance, a)}' already has a replica on site {s}")
-
-    x = partitioning.txn_site
-    grown = partitioning.with_replica(a, s).replica
-    before = _folded_score(instance, model, x, partitioning.replica).score
-    return _folded_score(instance, model, x, grown).score - before

@@ -21,9 +21,10 @@ and row counters 4; fixed text ``char(n)`` exactly ``n``; variable text
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
-from .workload import Attribute, Instance, Query, Table, Transaction
+from .fileio import instance_from_obj
+from .workload import Instance
 
 # (table, [(column, width), ...]) — widths derived as in the module docstring.
 _SCHEMA: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...] = (
@@ -332,48 +333,34 @@ def tpcc(
     latency_penalty: Optional[float] = None,
 ) -> Instance:
     """The TPC-C placement instance: 9 tables, 92 attributes, 5
-    transactions.  Constant — repeated calls build equal instances."""
-    tables: List[Table] = []
-    attributes: List[Attribute] = []
-    column_id: Dict[str, int] = {}
-    column_table: Dict[str, int] = {}
-    for tid, (tname, cols) in enumerate(_SCHEMA):
-        members = []
-        for cname, width in cols:
-            aid = len(attributes)
-            attributes.append(Attribute(id=aid, table_id=tid, name=cname, width=width))
-            column_id[cname] = aid
-            column_table[cname] = tid
-            members.append(aid)
-        tables.append(Table(id=tid, name=tname, attribute_ids=tuple(members)))
+    transactions.  Constant — repeated calls build equal instances.
 
-    queries: List[Query] = []
-    transactions: List[Transaction] = []
-    for tid, (tname, profile) in enumerate(_PROFILES):
-        qids = []
-        for qname, kind, cols, rows in profile:
-            qid = len(queries)
-            touched = sorted({column_table[c] for c in cols})
-            queries.append(
-                Query(
-                    id=qid,
-                    name=qname,
-                    kind=kind,
-                    frequency=1.0,
-                    accessed_attributes=frozenset(column_id[c] for c in cols),
-                    rows_per_table={t: rows for t in touched},
-                )
-            )
-            qids.append(qid)
-        transactions.append(Transaction(id=tid, name=tname, query_ids=tuple(qids)))
-
-    return Instance(
-        tables=tuple(tables),
-        attributes=tuple(attributes),
-        queries=tuple(queries),
-        transactions=tuple(transactions),
-        site_count=site_count,
-        network_penalty=network_penalty,
-        cost_weight=cost_weight,
-        latency_penalty=latency_penalty,
-    )
+    The instance is built from its document by
+    :func:`~vpadvisor.fileio.instance_from_obj`, which validates it.
+    """
+    table_of = {col: tname for tname, cols in _SCHEMA for col, _ in cols}
+    config = {"sites": site_count, "p": network_penalty, "lambda": cost_weight}
+    if latency_penalty is not None:
+        config["p_latency"] = latency_penalty
+    return instance_from_obj({
+        "tables": [
+            {"name": tname, "attributes": [{"name": c, "width": w} for c, w in cols]}
+            for tname, cols in _SCHEMA
+        ],
+        "transactions": [
+            {"name": xname, "queries": [
+                {
+                    "name": qname,
+                    "kind": kind,
+                    "frequency": 1.0,
+                    # in schema order, as lint reports the first match
+                    "rows": {tname: rows for tname, _ in _SCHEMA
+                             if any(table_of[c] == tname for c in cols)},
+                    "attributes": [f"{table_of[c]}.{c}" for c in cols],
+                }
+                for qname, kind, cols, rows in profile
+            ]}
+            for xname, profile in _PROFILES
+        ],
+        "config": config,
+    })

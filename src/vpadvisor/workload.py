@@ -108,10 +108,6 @@ class Instance:
     def query_count(self) -> int:
         return len(self.queries)
 
-    @property
-    def table_count(self) -> int:
-        return len(self.tables)
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -324,7 +320,6 @@ def derive(instance: Instance) -> CostModel:
     freqs = np.array([q.frequency for q in instance.queries], dtype=np.float64)
 
     attr_access = np.zeros((n_a, n_q), dtype=bool)
-    table_access = np.zeros((n_a, n_q), dtype=bool)
     rows = np.zeros((n_a, n_q), dtype=np.float64)
     is_write = np.zeros(n_q, dtype=bool)
 
@@ -334,7 +329,6 @@ def derive(instance: Instance) -> CostModel:
             attr_access[a, q.id] = True
         for table_id, count in q.rows_per_table.items():
             members = np.asarray(instance.tables[table_id].attribute_ids, dtype=np.int64)
-            table_access[members, q.id] = True
             rows[members, q.id] = count
 
     q_txn_f = np.zeros((n_q, n_t), dtype=np.float64)
@@ -355,17 +349,15 @@ def derive(instance: Instance) -> CostModel:
     write_f = is_write.astype(np.float64)
     read_f = 1.0 - write_f
     attr_f = attr_access.astype(np.float64)
-    table_f = table_access.astype(np.float64)
 
     # Per-(attribute, query) objective weights, then folded over queries.
-    coloc_q = access_weight * (table_f * read_f[None, :]
-                               - penalty * attr_f * write_f[None, :])
+    # access_weight is already 0 off the tables a query touches.
+    coloc_q = access_weight * (read_f[None, :] - penalty * attr_f * write_f[None, :])
     coloc_cost = coloc_q @ q_txn_f
-    replica_cost = (access_weight * write_f[None, :]
-                    * (table_f + penalty * attr_f)).sum(axis=1)
+    replica_cost = (access_weight * write_f[None, :] * (1.0 + penalty * attr_f)).sum(axis=1)
 
-    coloc_load = (access_weight * table_f * read_f[None, :]) @ q_txn_f
-    replica_load = (access_weight * table_f * write_f[None, :]).sum(axis=1)
+    coloc_load = (access_weight * read_f[None, :]) @ q_txn_f
+    replica_load = (access_weight * write_f[None, :]).sum(axis=1)
     coloc_transfer = (access_weight * attr_f * write_f[None, :]) @ q_txn_f
 
     # No layout's score exceeds this bound in magnitude; NaN fails too.

@@ -301,8 +301,6 @@ def test_sa_config_validation():
     with pytest.raises(ValueError):
         SaConfig(inner_loops=0)
     with pytest.raises(ValueError):
-        SaConfig(cooling=1.5)
+        SaConfig(freeze_stall_loops=0)
     with pytest.raises(ValueError):
-        SaConfig(move_fraction=0.0)
-    with pytest.raises(ValueError):
-        SaConfig(freeze_temperature_ratio=math.nan)
+        SaConfig(time_limit=math.nan)

@@ -4,11 +4,12 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vpadvisor import ExactConfig, save_instance, solve_exact, tpcc
+from vpadvisor import DEFAULT_ENUMERATION_BUDGET, ExactConfig, save_instance, solve_exact, tpcc
 from vpadvisor import cli
 from vpadvisor.cli import main
 
@@ -352,6 +353,64 @@ def test_compare_structured(small_path, capsys):
     assert record["mode"] == "replication"
     assert record["left"]["label"] == "replicated"
     assert record["score_ratio"] <= 1.0 + 1e-9
+
+
+ECHO_CASES = {
+    "sa": (["solve", "--algo", "sa", "--gap", "0.5", "--seed", "5", "--runs", "2",
+            "--time-limit", "30", "--budget", "100"],
+           {"algo": "sa", "seed": 5, "runs": 2, "time_limit": 30.0}),
+    "sa-group": (["solve", "--algo", "sa", "--group", "--time-limit", "30"],
+                 {"algo": "sa", "time_limit": 30.0, "group": True}),
+    "exact": (["solve", "--algo", "exact", "--seed", "5", "--runs", "3", "--time-limit", "30",
+               "--gap", "0.01", "--pin", "tab0.c0=1", "--budget", "100"],
+              {"algo": "exact", "time_limit": 30.0, "gap": 0.01, "pin": ["tab0.c0=1"]}),
+    "brute": (["solve", "--algo", "brute", "--time-limit", "0.0001", "--seed", "5",
+               "--gap", "0.5", "--disjoint"],
+              {"algo": "brute", "budget": DEFAULT_ENUMERATION_BUDGET, "disjoint": True}),
+    "compare-exact": (["compare", "--mode", "replication", "--time-limit", "30",
+                       "--gap", "0.01", "--budget", "100"],
+                      {"algo": "exact", "time_limit": 30.0, "gap": 0.01}),
+    "compare-brute": (["compare", "--mode", "replication", "--algo", "brute",
+                       "--time-limit", "30", "--gap", "0.5"],
+                      {"algo": "brute", "budget": DEFAULT_ENUMERATION_BUDGET}),
+}
+
+
+@pytest.mark.parametrize("case", list(ECHO_CASES))
+def test_record_config_lists_only_what_the_solver_applies(small_path, capsys, case):
+    argv, want = ECHO_CASES[case]
+    assert main([argv[0], small_path, *argv[1:], "--format", "structured"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == want
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_zero_cost_compare_has_undefined_ratios(tmp_path, capsys):
+    inst = random_instance(7, site_count=2)
+    path = tmp_path / "zero.json"
+    save_instance(replace(inst, queries=tuple(replace(q, frequency=0.0) for q in inst.queries)),
+                  str(path))
+    argv = ["compare", str(path), "--mode", "replication", "--time-limit", "30"]
+    assert main(argv + ["--format", "structured"]) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["left"]["score"] == 0.0 and record["right"]["score"] == 0.0
+    assert record["score_ratio"] is None and record["objective_ratio"] is None
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^ratio \(score\)      n/a$", out, re.M)
+    assert re.search(r"^ratio \(objective\)  n/a$", out, re.M)
+
+
+def test_infinite_time_limit_is_null_in_the_record(small_path, capsys):
+    argv = ["solve", small_path, "--algo", "sa", "--time-limit", "inf", "--format", "structured"]
+    assert main(argv) == 0
+    record = _strict_json(capsys.readouterr().out)
+    assert record["config"] == {"algo": "sa", "time_limit": None}
+    assert record["report"]["bound_gap"] is None
 
 
 def test_compare_shares_one_time_limit(small_path, monkeypatch):

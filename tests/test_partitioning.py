@@ -1,4 +1,4 @@
-"""Layout pricing: full evaluator, folded form, deltas, feasibility."""
+"""Layout pricing: full evaluator, folded form, feasibility."""
 from __future__ import annotations
 
 import dataclasses
@@ -10,7 +10,6 @@ import pytest
 from vpadvisor import (
     Partitioning,
     check_feasible,
-    delta_add_replica,
     derive,
     evaluate,
     evaluate_folded,
@@ -74,47 +73,6 @@ def test_t2_replication_prices_write_fanout(t2):
     assert b_both.transfer == pytest.approx(4.0)
     assert b_both.objective == pytest.approx(40.0)
     assert b_one.objective == pytest.approx(4.0)
-
-
-def test_delta_add_replica_matches_full_reevaluation_on_t2(t2):
-    model = derive(t2)
-    one = Partitioning(txn_site=np.array([0]), replica=np.array([[True, False]]))
-    both = Partitioning(txn_site=np.array([0]), replica=np.array([[True, True]]))
-    delta = delta_add_replica(t2, model, one, 0, 1)
-    s_one = evaluate(t2, model, one).score
-    s_both = evaluate(t2, model, both).score
-    assert delta == pytest.approx(s_both - s_one)
-    # objective moves by +36 = c2(b); load is unchanged, so score moves by lambda*36
-    assert s_both - s_one == pytest.approx(0.1 * 36.0)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_delta_add_replica_matches_evaluate_difference(seed):
-    checked = 0
-    for inst in (
-        random_instance(seed, site_count=3),
-        random_instance(seed, site_count=3, latency_penalty=5.0, update_percent=60.0),
-    ):
-        model = derive(inst)
-        rng = np.random.default_rng(seed + 1000)
-        part = random_partitioning(inst, rng)
-        missing = [
-            (a, s)
-            for a in range(inst.attribute_count)
-            for s in range(inst.site_count)
-            if not part.replica[a, s]
-        ]
-        for a, s in missing[:5]:
-            grown = part.replica.copy()
-            grown[a, s] = True
-            after = Partitioning(txn_site=part.txn_site, replica=grown)
-            expected = evaluate(inst, model, after).score - evaluate(inst, model, part).score
-            assert delta_add_replica(inst, model, part, a, s) == pytest.approx(
-                expected, abs=1e-9
-            )
-            checked += 1
-    if not checked:
-        pytest.skip("layouts already fully replicated")
 
 
 @pytest.mark.parametrize("seed", range(12))

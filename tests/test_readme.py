@@ -1,10 +1,13 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and the names it points
+to exist."""
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 from pathlib import Path
 
+import vpadvisor
 from vpadvisor import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -45,3 +48,37 @@ def test_readme_commands_parse():
     assert commands  # the blocks were found
     for argv in commands:
         cli.build_parser().parse_args(argv)
+
+
+def _entry_point_names() -> list:
+    """``(modules, name)`` for every backticked ``name()`` in the bullets
+    under "Key entry points", where a bullet opens with its module(s)."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Key entry points:\n")
+    section = text[start:text.index("\n## ", start)]
+    names = []
+    for bullet in re.split(r"^- ", section, flags=re.M)[1:]:
+        head, _, body = bullet.partition(" — ")
+        modules = re.findall(r"`(\w+)`", head)
+        for name in re.findall(r"`([\w.]+)\(\)`", body):
+            names.append((modules, name))
+    return names
+
+
+def _resolve(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_readme_entry_point_names_exist():
+    names = _entry_point_names()
+    assert len(names) > 10  # the bullets were found
+    missing = [
+        name for modules, name in names
+        if not _resolve(vpadvisor, name) and not any(
+            _resolve(importlib.import_module(f"vpadvisor.{m}"), name) for m in modules)
+    ]
+    assert missing == []

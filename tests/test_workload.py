@@ -1,6 +1,8 @@
 """Instance validation and derived coefficient matrices."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from dataclasses import replace
 
@@ -16,6 +18,7 @@ from vpadvisor import (
     ValidationError,
     derive,
     lint,
+    tpcc,
     validate,
 )
 
@@ -159,6 +162,62 @@ def test_coefficient_identity_links_cost_and_load(seed):
         model.coloc_load,
         atol=1e-9,
     )
+
+
+def _fractional(seed: int, network_penalty: float) -> Instance:
+    """A random instance with non-integer frequencies and row counts, and
+    widths that are not powers of two."""
+    inst = random_instance(seed, site_count=2 + seed % 2, network_penalty=network_penalty,
+                           update_percent=40.0, table_count=4, max_attributes_per_table=5,
+                           allowed_widths=(3, 5, 12))
+    queries = tuple(
+        replace(q, frequency=(q.id % 5 + 1) / 3,
+                rows_per_table={t: r * 1.1 + 0.05 * q.id for t, r in q.rows_per_table.items()})
+        for q in inst.queries
+    )
+    return replace(inst, queries=queries)
+
+
+DERIVE_PENALTIES = (0.0, 3.3, 1e16, float(2**53 + 7))
+DERIVE_INSTANCES = {
+    "tpcc-2": lambda: tpcc(site_count=2),
+    "tpcc-3": lambda: tpcc(site_count=3),
+    "tpcc-2-latency": lambda: tpcc(site_count=2, latency_penalty=5.0),
+    "tpcc-3-latency": lambda: tpcc(site_count=3, latency_penalty=5.0),
+    **{
+        f"fractional-{seed}": (lambda seed=seed: _fractional(seed, DERIVE_PENALTIES[seed % 4]))
+        for seed in range(8)
+    },
+}
+# sha256 prefixes of every CostModel array's dtype, shape and bytes.  The
+# arrays read neither the site count nor the latency penalty, so the four
+# TPC-C instances share one digest.
+DERIVE_DIGESTS = {
+    "tpcc-2": "c5dbb3beb3394cf8",
+    "tpcc-3": "c5dbb3beb3394cf8",
+    "tpcc-2-latency": "c5dbb3beb3394cf8",
+    "tpcc-3-latency": "c5dbb3beb3394cf8",
+    "fractional-0": "4de5235545fafc48",
+    "fractional-1": "5cd5f29ebc703f51",
+    "fractional-2": "7b991044752504e0",
+    "fractional-3": "1a1a12c455e3dfa0",
+    "fractional-4": "3f6c3c0910e170e9",
+    "fractional-5": "0f46fe21b61493c9",
+    "fractional-6": "03cd855a877b57a8",
+    "fractional-7": "04a4f0d55a86dbc5",
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVE_INSTANCES))
+def test_derive_bits_are_pinned(name):
+    # a change to the arithmetic or its order that moves any bit moves the digest
+    model = derive(DERIVE_INSTANCES[name]())
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(model):
+        arr = getattr(model, field.name)
+        digest.update(f"{field.name} {arr.dtype} {arr.shape}\n".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest()[:16] == DERIVE_DIGESTS[name]
 
 
 def test_reads_matrix_reflects_read_queries_only(t2):
