@@ -8,6 +8,11 @@ transfer, and peak site load.  Two solvers are provided: an exact
 solver that hands a linearized integer program to HiGHS, and a simulated
 annealing heuristic that alternates between the two halves of the
 placement.
+
+The exact solver's names (``ExactConfig``, ``MipModel``, ``build_mip``,
+``export_model``, ``solve_exact``) are served on first access, because
+their module loads scipy, which the annealer and the enumerator do not
+need.
 """
 from __future__ import annotations
 
@@ -48,16 +53,7 @@ from .grouping import (
     group_attributes,
     order_transactions_by_load,
 )
-from .mip import (
-    DEFAULT_ENUMERATION_BUDGET,
-    ExactConfig,
-    MipModel,
-    brute_force,
-    build_mip,
-    enumeration_size,
-    export_model,
-    solve_exact,
-)
+from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force, enumeration_size
 from .partitioning import (
     CostBreakdown,
     FoldedCost,
@@ -159,3 +155,18 @@ __all__ = [
     "BudgetExceededError",
     "FormatError",
 ]
+
+# Names of the exact-solver module ``mip``, loaded on first access.
+_LAZY = ("ExactConfig", "MipModel", "build_mip", "export_model", "solve_exact")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import mip
+
+        return getattr(mip, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

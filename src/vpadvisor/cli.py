@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .anneal import SaConfig, solve_sa_best_of
@@ -41,18 +41,14 @@ from .fileio import (
 )
 from .generators import GenParams, generate
 from .grouping import expand_solution, group_attributes
-from .mip import (
-    DEFAULT_ENUMERATION_BUDGET,
-    ExactConfig,
-    brute_force,
-    build_mip,
-    export_model,
-    solve_exact,
-)
+from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force
 from .partitioning import CostBreakdown, evaluate
 from .report import SolveReport
 from .tpcc import tpcc
 from .workload import Instance, derive
+
+if TYPE_CHECKING:  # mip loads scipy; the commands that need it import it
+    from .mip import ExactConfig
 
 
 class _UsageError(Exception):
@@ -119,7 +115,9 @@ def _apply_overrides(instance: Instance, args: argparse.Namespace) -> Instance:
 def _exact_config(args: argparse.Namespace, **fields: Any) -> ExactConfig:
     """The exact solver's settings: ``--time-limit`` and ``--gap`` when
     given, then ``fields``; the rest keep the dataclass defaults."""
-    return ExactConfig(**{**_given(args, time_limit="time_limit", gap="gap"), **fields})
+    from . import mip
+
+    return mip.ExactConfig(**{**_given(args, time_limit="time_limit", gap="gap"), **fields})
 
 
 def _scaled(value: float) -> str:
@@ -243,10 +241,12 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport
         cfg = SaConfig(**_given(args, seed="seed", time_limit="time_limit"))
         report, _ = solve_sa_best_of(solved, runs, cfg)
     elif args.algo == "exact":
+        from . import mip
+
         cfg = _exact_config(
             args, forbid_replication=args.disjoint, fixed_replicas=_parse_pins(solved, args.pin)
         )
-        report = solve_exact(solved, cfg)
+        report = mip.solve_exact(solved, cfg)
     else:
         if args.pin:
             raise _UsageError("--pin is only supported with --algo exact")
@@ -331,6 +331,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Solve both sides within one ``--time-limit``: the left side gets
     half of it, the right side what is left."""
+    from . import mip
+
     started = time.perf_counter()
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.mode == "replication":
@@ -351,7 +353,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         else:
             elapsed = time.perf_counter() - started
             limit = max(0.0, config.time_limit - elapsed) if reports else config.time_limit / 2
-            rep = solve_exact(side, replace(config, time_limit=limit, forbid_replication=forbid))
+            rep = mip.solve_exact(side, replace(config, time_limit=limit, forbid_replication=forbid))
         if rep.partitioning is None:
             print(f"no solution for the {label} side within the time limit", file=sys.stderr)
             return 3
@@ -388,21 +390,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
+    from . import mip
+
     instance = _apply_overrides(load_instance(args.instance), args)
-    model = build_mip(
+    model = mip.build_mip(
         instance,
         use_symmetry=args.symmetry,
         forbid_replication=args.disjoint,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            export_model(model, args.fmt, fh)
+            mip.export_model(model, args.fmt, fh)
         print(
             f"wrote {args.out}: {model.variable_count} variables, "
             f"{model.constraint_count} constraints"
         )
     else:
-        export_model(model, args.fmt, sys.stdout)
+        mip.export_model(model, args.fmt, sys.stdout)
     return 0
 
 

@@ -2,6 +2,6 @@
 
 The pricing and repair loops live with their callers:
 ``partitioning._folded_score``, ``anneal.solve_subproblem_fix_*`` and
-``mip.brute_force``.  They have no compiled variant.
+``oracle.brute_force``.  They have no compiled variant.
 """
 USING_NUMBA = False

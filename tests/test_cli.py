@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from vpadvisor import DEFAULT_ENUMERATION_BUDGET, ExactConfig, save_instance, solve_exact, tpcc
-from vpadvisor import cli
+from vpadvisor import cli, mip
 from vpadvisor.cli import main
 
 from conftest import overflow_instance, random_instance, t1_instance
@@ -420,7 +420,7 @@ def test_compare_shares_one_time_limit(small_path, monkeypatch):
         limits.append(config.time_limit)
         return solve_exact(instance, config)
 
-    monkeypatch.setattr(cli, "solve_exact", spy)
+    monkeypatch.setattr(mip, "solve_exact", spy)
     assert main(["compare", small_path, "--mode", "replication", "--time-limit", "10"]) == 0
     assert limits[0] == 5.0
     assert 5.0 <= limits[1] < 10.0
