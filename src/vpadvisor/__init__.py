@@ -56,11 +56,9 @@ from .grouping import (
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force, enumeration_size
 from .partitioning import (
     CostBreakdown,
-    FoldedCost,
     Partitioning,
     check_feasible,
     evaluate,
-    evaluate_folded,
     weighted_score,
 )
 from .report import (
@@ -99,9 +97,7 @@ __all__ = [
     # partitioning
     "Partitioning",
     "CostBreakdown",
-    "FoldedCost",
     "evaluate",
-    "evaluate_folded",
     "weighted_score",
     "check_feasible",
     # grouping

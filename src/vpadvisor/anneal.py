@@ -306,7 +306,7 @@ def solve_sa(
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
     cur_y = solve_subproblem_fix_transactions(model, cur_x, n_sites, instance.cost_weight)
-    cur_score = _folded_score(instance, model, cur_x, cur_y).score
+    cur_score = _folded_score(instance, model, cur_x, cur_y)
 
     best_x, best_y, best_score = cur_x, cur_y, cur_score
 
@@ -345,7 +345,7 @@ def solve_sa(
                 )
             fix_transactions = not fix_transactions
             evaluations += 1
-            cand_score = _folded_score(instance, model, cand_x, cand_y).score
+            cand_score = _folded_score(instance, model, cand_x, cand_y)
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
                 cur_x, cur_y, cur_score = cand_x, cand_y, cand_score

@@ -330,9 +330,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Solve both sides within one ``--time-limit``: the left side gets
-    half of it, the right side what is left."""
-    from . import mip
+    half of it, the right side what is left.  Brute force reads neither
+    ``--time-limit`` nor ``--gap``, and loads no scipy."""
+    if args.algo == "exact":
+        from . import mip  # before the clock starts
 
+        config = _exact_config(args)
     started = time.perf_counter()
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.mode == "replication":
@@ -342,7 +345,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         left_label, right_label = "local (p=0)", f"remote (p={instance.network_penalty:g})"
         left_instance = replace(instance, network_penalty=0.0)
         right_instance = instance
-    config = _exact_config(args)
     reports = []
     for label, side, forbid in (
         (left_label, left_instance, False),

@@ -141,19 +141,20 @@ class _Rows:
     def add(self, count: int, terms, lo, hi) -> None:
         """Append ``count`` rows.  Each term holds row indices local to
         the block, columns and coefficients, which broadcast together;
-        ``lo`` and ``hi`` are scalars or one value per row."""
+        ``lo`` and ``hi`` are scalars or one value per row.  Only the
+        nonzero entries are kept."""
         for rows, cols, coef in terms:
             rows, cols, coef = np.broadcast_arrays(rows, cols, np.asarray(coef, dtype=np.float64))
-            self._entries.append((self.count + rows.ravel(), cols.ravel(), coef.ravel()))
+            keep = coef != 0.0
+            self._entries.append((self.count + rows[keep], cols[keep], coef[keep]))
         lo, hi = (np.broadcast_to(np.asarray(b, dtype=np.float64), count) for b in (lo, hi))
         self._bounds.append((lo, hi))
         self.count += count
 
     def arrays(self, n_cols: int) -> Tuple[sp.csr_array, np.ndarray, np.ndarray]:
-        """The matrix without zero entries, and the row bounds."""
+        """The matrix and the row bounds."""
         rows, cols, coefs = (np.concatenate(part) for part in zip(*self._entries))
-        keep = coefs != 0.0
-        matrix = sp.csr_array((coefs[keep], (rows[keep], cols[keep])), shape=(self.count, n_cols))
+        matrix = sp.csr_array((coefs, (rows, cols)), shape=(self.count, n_cols))
         lower, upper = (np.concatenate(part) for part in zip(*self._bounds))
         return matrix, lower, upper
 
@@ -330,17 +331,19 @@ def _num_texts(values: np.ndarray) -> List[str]:
 
 
 def export_model(model: MipModel, fmt: str, fh: TextIO) -> None:
-    """Write ``model`` to ``fh`` as free-MPS or LP text,
-    byte-deterministically.
+    """Write ``model`` to ``fh`` as free-MPS (``fmt`` ``"free-mps"`` or
+    ``"mps"``) or LP text (``"lp-text"`` or ``"lp"``),
+    byte-deterministically.  ``fmt`` is matched ignoring case and
+    surrounding blanks.
 
     Lines are formatted as they are written, at most
     :data:`EXPORT_CHUNK_LINES` per ``fh.write`` call, so the whole text
     is never held in memory.
     """
     key = fmt.strip().lower()
-    if key in {"mps", "free-mps", "free_mps"}:
+    if key in {"mps", "free-mps"}:
         lines = _mps_lines(model)
-    elif key in {"lp", "lp-text", "lp_text"}:
+    elif key in {"lp", "lp-text"}:
         lines = _lp_lines(model)
     else:
         raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
@@ -608,14 +611,10 @@ def _compact_model(
     ], 0.0, np.inf)
     # m dominates each site's local work.
     if lam < 1.0:
-        x_load = (load * reads).sum(axis=0)
-        ts = np.flatnonzero(x_load)
-        ks = np.flatnonzero(load[pair_a, pair_t])
-        rs = np.flatnonzero(model.replica_load)
         rows.add(n_sites, [
-            (sites, _per_site(0, ts, n_sites), x_load[ts, None]),
-            (sites, _per_site(u0, ks, n_sites), load[pair_a[ks], pair_t[ks], None]),
-            (sites, _per_site(nx, rs, n_sites), model.replica_load[rs, None]),
+            (sites, _per_site(0, np.arange(n_txns), n_sites), (load * reads).sum(axis=0)[:, None]),
+            (sites, _per_site(u0, np.arange(pair_t.size), n_sites), load[pair_a, pair_t, None]),
+            (sites, _per_site(nx, np.arange(n_attrs), n_sites), model.replica_load[:, None]),
             (sites, m_col, -1.0),
         ], -np.inf, 0.0)
     # The McCormick sides the objective pushes against.
@@ -634,16 +633,20 @@ def _compact_model(
     if use_symmetry and n_sites > 1:
         _symmetry_rows(rows, n_txns, n_sites)
     # A write query's indicator turns on when an updated attribute keeps
-    # a replica away from the transaction's site.
-    for j, (t, accessed) in enumerate(zip(write_txn.tolist(), write_access.T)):
-        touched = np.flatnonzero(accessed)
-        aux = pair_of[touched[~reads[touched, t]], t]
-        rows.add(1, [
-            (0, psi0 + j, float(touched.size * n_sites)),
-            (0, _per_site(nx, touched, n_sites), -1.0),
-            (0, _per_site(0, [t], n_sites), float(reads[touched, t].sum())),
-            (0, _per_site(u0, aux, n_sites), 1.0),
-        ], 0.0, np.inf)
+    # a replica away from the transaction's site.  A forced read's
+    # product is x[t,s] itself, so x[t,s] counts the forced reads.
+    pos, touched = np.nonzero(write_access.T)
+    t_of = write_txn[pos]
+    forced = reads[touched, t_of]
+    n_writes = psi_cost.size
+    rows.add(n_writes, [
+        (np.arange(n_writes), psi0 + np.arange(n_writes),
+         np.bincount(pos, minlength=n_writes) * float(n_sites)),
+        (pos[:, None], _per_site(nx, touched, n_sites), -1.0),
+        (np.arange(n_writes)[:, None], _per_site(0, write_txn, n_sites),
+         np.bincount(pos[forced], minlength=n_writes)[:, None]),
+        (pos[~forced, None], _per_site(u0, pair_of[touched[~forced], t_of[~forced]], n_sites), 1.0),
+    ], 0.0, np.inf)
 
     lb = np.zeros(n)
     ub = np.ones(n)

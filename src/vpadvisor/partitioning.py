@@ -2,18 +2,23 @@
 
 A :class:`Partitioning` assigns every transaction to exactly one site and
 every attribute to a non-empty set of sites (attributes may be
-replicated, transactions may not).  :func:`evaluate` prices a layout from
-first principles — local read work, write upkeep on every replica, and
-network transfer for remote replicas of written attributes —
-while :func:`evaluate_folded` reproduces the objective through the folded
-per-attribute coefficients.  Both read the blocks :func:`derive` built
-once, share the site-load step, and must agree exactly on integral
-inputs; the test suite holds them to that.
+replicated, transactions may not).  :func:`evaluate` is the one public
+price: it prices a layout from first principles — local read work, write
+upkeep on every replica, and network transfer for remote replicas of
+written attributes.  ``_folded_score`` is the annealer's private price:
+it reaches the same score through the folded per-attribute coefficients
+and skips the feasibility checks and the breakdown.  It stays because
+the annealer prices every move: on the benchmark's generated instances
+(2-core host) a call takes about 160 µs read-heavy and 210 µs
+write-heavy, against 196-255 µs and 250-313 µs for the definitional
+sums alone.  Both read the blocks :func:`derive` built once, share the
+site-load step, and must agree exactly on integral inputs; the test
+suite holds them to that.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -71,11 +76,6 @@ class CostBreakdown:
     latency: Optional[float] = None
 
 
-class FoldedCost(NamedTuple):
-    objective: float
-    score: float
-
-
 def weighted_score(objective: float, max_load: float, latency: Optional[float],
                    cost_weight: float) -> float:
     """Mix objective (plus any latency charge) against the peak site load.
@@ -111,26 +111,24 @@ def check_feasible(instance: Instance, model: CostModel,
             f"expected ({n_a}, {n_s})")
         return out
 
-    for t in range(n_t):
-        s = int(partitioning.txn_site[t])
-        if not (0 <= s < n_s):
-            out.append(
-                f"transaction '{instance.transactions[t].name}' assigned to "
-                f"site {s}, outside 0..{n_s - 1}")
-
-    empty = np.flatnonzero(~partitioning.replica.any(axis=1))
-    for a in empty:
-        out.append(f"attribute '{_attr_ref(instance, int(a))}' is placed on no site")
-
-    for t in range(n_t):
-        s = int(partitioning.txn_site[t])
-        if not (0 <= s < n_s):
-            continue
-        needed = np.flatnonzero(model.txn_reads[:, t] & ~partitioning.replica[:, s])
-        for a in needed:
-            out.append(
-                f"attribute '{_attr_ref(instance, int(a))}' is read by transaction "
-                f"'{instance.transactions[t].name}' but has no replica on its site {s}")
+    txn_site = partitioning.txn_site
+    replica = partitioning.replica
+    in_range = (txn_site >= 0) & (txn_site < n_s)
+    for t in np.flatnonzero(~in_range).tolist():
+        out.append(
+            f"transaction '{instance.transactions[t].name}' assigned to "
+            f"site {int(txn_site[t])}, outside 0..{n_s - 1}")
+    for a in np.flatnonzero(~replica.any(axis=1)).tolist():
+        out.append(f"attribute '{_attr_ref(instance, a)}' is placed on no site")
+    # Reads without a replica on the reader's site, ordered by transaction.
+    home = np.flatnonzero(in_range)
+    missing = model.txn_reads[:, home] & ~replica[:, txn_site[home]]
+    for k, a in zip(*(ids.tolist() for ids in np.nonzero(missing.T))):
+        t = int(home[k])
+        out.append(
+            f"attribute '{_attr_ref(instance, a)}' is read by transaction "
+            f"'{instance.transactions[t].name}' but has no replica on its "
+            f"site {int(txn_site[t])}")
     return out
 
 
@@ -161,17 +159,16 @@ def _site_loads(model: CostModel, txn_site: np.ndarray, rep_f: np.ndarray,
 
 
 def _folded_score(instance: Instance, model: CostModel,
-                  txn_site: np.ndarray, replica: np.ndarray) -> FoldedCost:
-    """Objective and score of a layout through the folded coefficients,
-    without feasibility checks."""
+                  txn_site: np.ndarray, replica: np.ndarray) -> float:
+    """Score of a layout through the folded coefficients, without
+    feasibility checks."""
     rep_f = replica.astype(np.float64)
     on_site = replica[:, txn_site]  # (A, T): attribute co-located with transaction
     objective = (float((model.coloc_cost * on_site).sum())
                  + float(model.replica_cost @ rep_f.sum(axis=1)))
     max_load = float(_site_loads(model, txn_site, rep_f, on_site).max())
     latency = _write_latency(instance, model, txn_site, replica)
-    score = weighted_score(objective, max_load, latency, float(instance.cost_weight))
-    return FoldedCost(objective=objective, score=score)
+    return weighted_score(objective, max_load, latency, float(instance.cost_weight))
 
 
 def evaluate(instance: Instance, model: CostModel,
@@ -219,18 +216,3 @@ def evaluate(instance: Instance, model: CostModel,
         score=score,
         latency=latency,
     )
-
-
-def evaluate_folded(instance: Instance, model: CostModel,
-                    partitioning: Partitioning) -> FoldedCost:
-    """Price a layout through the folded per-attribute coefficients.
-
-    Must agree with :func:`evaluate` — the folded coefficients collapse
-    the per-query sums into per-(attribute, transaction) and per-attribute
-    weights, exploiting that each query belongs to exactly one transaction.
-    """
-    violations = check_feasible(instance, model, partitioning)
-    if violations:
-        raise InfeasibleLayoutError(violations)
-    return _folded_score(instance, model, partitioning.txn_site, partitioning.replica)
-

@@ -24,6 +24,7 @@ from vpadvisor import (
     Transaction,
     generate,
 )
+from vpadvisor.partitioning import _folded_score
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +118,16 @@ def random_partitioning(instance: Instance, rng: np.random.Generator) -> Partiti
         if not replica[a].any():
             replica[a, rng.integers(0, n_s)] = True
     return Partitioning(txn_site=txn_site, replica=replica)
+
+
+def folded_price(instance: Instance, model, part: Partitioning) -> Tuple[float, float]:
+    """Objective and score of a layout through the annealer's folded
+    price.  At cost weight 1 without latency the score is the objective
+    exactly, so the objective is priced on that variant of the instance
+    with the same cost model, which does not depend on either setting."""
+    objective_only = replace(instance, cost_weight=1.0, latency_penalty=None)
+    return (_folded_score(objective_only, model, part.txn_site, part.replica),
+            _folded_score(instance, model, part.txn_site, part.replica))
 
 
 def _reads_matrix(instance: Instance) -> np.ndarray:

@@ -23,7 +23,6 @@ from vpadvisor import (
     derive,
     enumeration_size,
     evaluate,
-    evaluate_folded,
     generate,
     group_attributes,
     initial_temperature,
@@ -38,6 +37,7 @@ from vpadvisor.report import STATUS_OPTIMAL
 
 from conftest import (
     check_point,
+    folded_price,
     lifted_point,
     random_partitioning,
     set_load_and_latency,
@@ -98,12 +98,12 @@ def test_criterion_2_dual_cost_forms_agree_on_200_layouts():
         for _ in range(10):
             part = random_partitioning(inst, rng)
             full = evaluate(inst, model, part)
-            folded = evaluate_folded(inst, model, part)
+            objective, score = folded_price(inst, model, part)
             # all inputs are integral: the two routes must agree exactly
-            assert folded.objective == full.objective, (
-                f"seed {seed}: folded {folded.objective!r} != full {full.objective!r}"
+            assert objective == full.objective, (
+                f"seed {seed}: folded {objective!r} != full {full.objective!r}"
             )
-            assert folded.score == full.score
+            assert score == full.score
             layouts += 1
     assert layouts == 200
     print(f"\n[criterion 2] folded == full pricing on {layouts} layouts: PASS")

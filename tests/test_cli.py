@@ -327,6 +327,16 @@ def test_compare_replication_on_small_instance(small_path, capsys):
     assert ratio <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("command", [["solve"], ["compare", "--mode", "replication"]])
+def test_brute_force_ignores_the_exact_solver_flags(small_path, capsys, command):
+    # brute force reads neither --time-limit nor --gap, so it accepts any
+    # value the parser does
+    argv = [command[0], small_path, *command[1:], "--algo", "brute",
+            "--time-limit", "nan", "--gap", "-1"]
+    assert main(argv) == 0
+    assert "invalid request" not in capsys.readouterr().err
+
+
 def test_compare_placement_read_only_instance_is_flat(tmp_path, capsys):
     path = tmp_path / "ro.json"
     save_instance(random_instance(3, update_percent=0.0), str(path))

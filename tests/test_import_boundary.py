@@ -1,9 +1,10 @@
 """The import boundary: only the exact solver's module loads scipy.
 
-``gen``, ``solve --algo sa``, ``eval``, ``solve --algo brute`` and
-``--version`` run on numpy alone; ``solve --algo exact`` loads scipy on
-first use.  The commands run in a fresh interpreter, because this test
-session has long since loaded scipy.
+``gen``, ``solve --algo sa``, ``eval``, ``solve --algo brute``,
+``compare --algo brute`` and ``--version`` run on numpy alone;
+``solve --algo exact`` loads scipy on first use.  The commands run in a
+fresh interpreter, because this test session has long since loaded
+scipy.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ commands = [
     ["solve", inst, "--algo", "sa", "--seed", "0", "--out", layout],
     ["eval", inst, layout],
     ["solve", inst, "--algo", "brute"],
+    ["compare", inst, "--mode", "replication", "--algo", "brute"],
     ["--version"],
 ]
 record = {"numpy_only": [[argv[0], run(argv), scipy_loaded()] for argv in commands]}
@@ -61,7 +63,8 @@ def test_only_the_exact_solver_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     record = json.loads(proc.stdout.rsplit("RECORD ", 1)[1])
     assert record["numpy_only"] == [
-        ["gen", 0, []], ["solve", 0, []], ["eval", 0, []], ["solve", 0, []], ["--version", 0, []],
+        ["gen", 0, []], ["solve", 0, []], ["eval", 0, []], ["solve", 0, []], ["compare", 0, []],
+        ["--version", 0, []],
     ]
     assert record["exact"] == [0, True]
     # the package serves the exact solver's names through its module __getattr__

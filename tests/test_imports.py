@@ -1,6 +1,7 @@
 """Offline checks over the package modules: no unused imports, no
-function, class, method or property that nothing references, and no
-class field that the program never reads."""
+function, class, method or property that nothing references or that
+only the tests reference, and no class field that the program never
+reads."""
 from __future__ import annotations
 
 import ast
@@ -23,6 +24,15 @@ REFERRING = sorted(
 # Where a field must be read: a field that only tests read is computed
 # for nobody.
 PROGRAM = sorted(path for tree in ("src", "perfbench") for path in (ROOT / tree).rglob("*.py"))
+# Where a definition must be referenced unless the package exports it:
+# library code that only the tests call serves nobody who installs it.
+PROGRAM_REFERRING = [path for path in REFERRING if ROOT / "tests" not in path.parents]
+# The MipModel index helpers address single columns of the full model;
+# the tests lift layouts into it through them (acceptance criterion 3).
+# SaTrace.as_table is the program's only reader of the trace's
+# best_scores and current_scores, which the annealing trajectory digests
+# pin; without it test_module_fields_are_all_read fails on both fields.
+TEST_ONLY_ALLOWED = {"x_index", "y_index", "u_index", "psi_index", "as_table"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -103,6 +113,52 @@ def test_check_flags_an_unreferenced_definition():
     ])
     references = _references(source) | _references("from pkg import helper")
     assert _unreferenced(source, references) == ["line 5: spare", "line 7: unused"]
+
+
+def _exported(source: str) -> set[str]:
+    """The names a module lists in ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _test_only(source: str, program_references: set[str], exported: set[str]) -> list[str]:
+    """Definitions the program never references and the package does
+    not export: only tests can reach them."""
+    return [
+        f"line {line}: {name}"
+        for line, name in _definitions(source)
+        if name not in program_references | exported | TEST_ONLY_ALLOWED
+    ]
+
+
+@pytest.fixture(scope="module")
+def program_references() -> set[str]:
+    return set().union(*(_references(path.read_text(encoding="utf-8"))
+                         for path in PROGRAM_REFERRING))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_defines_nothing_only_tests_use(path, program_references):
+    exported = _exported((ROOT / "src" / "vpadvisor" / "__init__.py").read_text(encoding="utf-8"))
+    assert _test_only(path.read_text(encoding="utf-8"), program_references, exported) == []
+
+
+def test_check_flags_a_test_only_definition():
+    source = "\n".join([
+        "class Trace:",
+        "    def __len__(self): return 0",
+        "    def summary(self): return ''",
+        "    def x_index(self): return 0",
+        "def solve(): return Trace()",
+        "def price(): return len(solve())",
+        "def spare(): return price()",
+    ])
+    program = _references(source) | _references("from pkg import solve")
+    assert _exported('__all__ = ["spare"]\nx = 1') == {"spare"}
+    assert _test_only(source, program, {"spare"}) == ["line 3: summary"]
 
 
 def _fields(source: str) -> list[tuple[int, str, str]]:

@@ -31,7 +31,6 @@ from vpadvisor import (
     brute_force,
     derive,
     evaluate,
-    evaluate_folded,
     generate,
     perturb_replicas,
     perturb_transactions,
@@ -40,7 +39,9 @@ from vpadvisor import (
 )
 from vpadvisor.partitioning import _folded_score
 
-from conftest import oracle_best, oracle_cost, random_instance, random_partitioning
+from conftest import (
+    folded_price, oracle_best, oracle_cost, random_instance, random_partitioning,
+)
 
 
 def _model(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load):
@@ -75,7 +76,7 @@ def test_folded_cost_paths_agree_and_match_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(5):
         part = random_partitioning(inst, rng)
-        objective, score = _folded_score(inst, model, part.txn_site, part.replica)
+        objective, score = folded_price(inst, model, part)
         full = evaluate(inst, model, part)
         assert objective == full.objective
         assert score == full.score
@@ -98,7 +99,7 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
             readers = model.txn_reads[:, t]
             assert got[readers, txn_site[t]].all()
         part = Partitioning(txn_site=txn_site, replica=got)
-        assert evaluate_folded(inst, model, part).score == evaluate(inst, model, part).score
+        assert _folded_score(inst, model, txn_site, got) == evaluate(inst, model, part).score
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -116,7 +117,7 @@ def test_assign_transactions_paths_agree(seed):
     for t in range(inst.transaction_count):
         assert part.replica[model.txn_reads[:, t], out[t]].all()
     assigned = Partitioning(txn_site=out, replica=part.replica)
-    assert evaluate_folded(inst, model, assigned).score == evaluate(inst, model, assigned).score
+    assert _folded_score(inst, model, out, part.replica) == evaluate(inst, model, assigned).score
 
 
 def test_assign_transactions_raises_when_stuck():

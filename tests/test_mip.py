@@ -27,6 +27,7 @@ from vpadvisor import (
     generate,
     solve_exact,
     solve_sa,
+    tpcc,
 )
 from vpadvisor import mip as mip_module
 from vpadvisor.errors import FormatError
@@ -145,10 +146,11 @@ def test_lp_export_names_variables_by_role(t1):
 
 
 def test_export_rejects_unknown_format(t1):
-    out = io.StringIO()
-    with pytest.raises(FormatError):
-        export_model(build_mip(t1), "qps", out)
-    assert out.getvalue() == ""
+    for fmt in ("qps", "free_mps", "lp_text"):
+        out = io.StringIO()
+        with pytest.raises(FormatError):
+            export_model(build_mip(t1), fmt, out)
+        assert out.getvalue() == ""
 
 
 def test_exported_mps_matches_lp_variable_sets(t1):
@@ -329,6 +331,59 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
     ))
     assert report.status == STATUS_OPTIMAL
     assert report.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
+
+
+def _gen_instance(cost_weight):
+    return generate(
+        GenParams(transaction_count=10, table_count=8, update_percent=50.0, seed=1),
+        site_count=3, cost_weight=cost_weight, latency_penalty=5.0,
+    )
+
+
+# (name, instance, forbid_replication, pins): sha256 prefixes of every
+# array _compact_model hands to milp, recorded with the builder that
+# filtered the load-row coefficients itself and added one latency row
+# per write query.
+COMPACT_DIGESTS = [
+    ("tpcc-1", lambda: tpcc(site_count=1), False, (), "884873bc33752db5"),
+    ("tpcc-2", lambda: tpcc(site_count=2), False, (), "13c0f35800ffd02e"),
+    ("tpcc-3", lambda: tpcc(site_count=3), False, (), "16142d3a978c954c"),
+    ("tpcc-4", lambda: tpcc(site_count=4), False, (), "02bde8aebdbd9a8e"),
+    ("tpcc-3-latency", lambda: tpcc(site_count=3, latency_penalty=5.0), False, (),
+     "cb580c71c796b6b0"),
+    ("gen-0", lambda: _gen_instance(0.0), False, (), "9ece7eef73cbad02"),
+    ("gen-0.5", lambda: _gen_instance(0.5), False, (), "f741b18c75387abf"),
+    ("gen-1", lambda: _gen_instance(1.0), False, (), "697206d809d4807a"),
+    ("gen-0.5-pinned-disjoint", lambda: _gen_instance(0.5), True, ((0, 1), (2, 0)),
+     "10696b5a66ea59dd"),
+]
+
+
+def _compact_digest(arrays) -> str:
+    constraint = arrays["constraints"]
+    matrix = constraint.A.copy()
+    matrix.sort_indices()
+    parts = [
+        arrays["c"], arrays["integrality"], arrays["bounds"].lb, arrays["bounds"].ub,
+        np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data,
+        constraint.lb, constraint.ub,
+    ]
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(str((part.dtype, part.shape)).encode())
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name,make,disjoint,pins,digest", COMPACT_DIGESTS,
+                         ids=[case[0] for case in COMPACT_DIGESTS])
+def test_compact_model_arrays_are_pinned(name, make, disjoint, pins, digest):
+    inst = make()
+    arrays = _compact_model(
+        inst, derive(inst), use_symmetry=not pins, forbid_replication=disjoint,
+        fixed_replicas=pins,
+    )
+    assert _compact_digest(arrays) == digest
 
 
 # ---------------------------------------------------------------------------

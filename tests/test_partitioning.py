@@ -12,12 +12,11 @@ from vpadvisor import (
     check_feasible,
     derive,
     evaluate,
-    evaluate_folded,
     tpcc,
     weighted_score,
 )
 
-from conftest import oracle_cost, random_instance, random_partitioning
+from conftest import folded_price, oracle_cost, random_instance, random_partitioning
 
 
 def _single_site(instance, site=0):
@@ -181,10 +180,10 @@ def test_folded_objective_equals_full_objective(seed):
     for _ in range(10):
         part = random_partitioning(inst, rng)
         full = evaluate(inst, model, part)
-        folded = evaluate_folded(inst, model, part)
+        objective, score = folded_price(inst, model, part)
         # integral inputs: exact equality of the two computation routes
-        assert folded.objective == full.objective
-        assert folded.score == full.score
+        assert objective == full.objective
+        assert score == full.score
 
 
 # ---------------------------------------------------------------------------
@@ -223,3 +222,52 @@ def test_check_feasible_rejects_out_of_range_site(t1):
         txn_site=np.array([5]), replica=np.array([[True, False], [True, False]])
     )
     assert check_feasible(t1, model, part)
+
+
+def _reference_violations(instance, model, partitioning):
+    """The per-transaction loops check_feasible ran before it built its
+    messages from masks (shape checks left out: the layouts below fit)."""
+    out = []
+    n_s = instance.site_count
+
+    def attr_ref(a):
+        attr = instance.attributes[a]
+        return f"{instance.tables[attr.table_id].name}.{attr.name}"
+
+    for t in range(instance.transaction_count):
+        s = int(partitioning.txn_site[t])
+        if not (0 <= s < n_s):
+            out.append(
+                f"transaction '{instance.transactions[t].name}' assigned to "
+                f"site {s}, outside 0..{n_s - 1}")
+    for a in np.flatnonzero(~partitioning.replica.any(axis=1)):
+        out.append(f"attribute '{attr_ref(int(a))}' is placed on no site")
+    for t in range(instance.transaction_count):
+        s = int(partitioning.txn_site[t])
+        if not (0 <= s < n_s):
+            continue
+        for a in np.flatnonzero(model.txn_reads[:, t] & ~partitioning.replica[:, s]):
+            out.append(
+                f"attribute '{attr_ref(int(a))}' is read by transaction "
+                f"'{instance.transactions[t].name}' but has no replica on its site {s}")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_check_feasible_messages_match_reference_loops(seed):
+    # sites drawn from -1..3 on 3 sites, sparse replica matrices with empty
+    # rows, and missing reads: every kind of violation, in every order
+    inst = random_instance(seed, site_count=3)
+    model = derive(inst)
+    rng = np.random.default_rng(seed + 40)
+    kinds = set()
+    for _ in range(300):
+        part = Partitioning(
+            txn_site=rng.integers(-1, 4, inst.transaction_count),
+            replica=rng.random((inst.attribute_count, 3)) < rng.uniform(0.1, 0.9),
+        )
+        want = _reference_violations(inst, model, part)
+        assert check_feasible(inst, model, part) == want
+        kinds.update(kind for kind in ("outside", "on no site", "no replica")
+                     for message in want if kind in message)
+    assert kinds == {"outside", "on no site", "no replica"}
