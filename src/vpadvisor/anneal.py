@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InfeasibleLayoutError
 from .grouping import order_transactions_by_load
-from .partitioning import Partitioning, _folded_score, evaluate
+from .partitioning import Partitioning, _write_latency, evaluate, weighted_score
 from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .workload import CostModel, Instance, derive
 
@@ -157,7 +157,9 @@ def perturb_replicas(
 # with ``m`` the current peak load, the lowest site winning ties.  The
 # choice among a handful of sites loops over them in plain Python on
 # lists: numpy's per-call overhead on 4-element arrays costs far more
-# than the arithmetic.
+# than the arithmetic.  Each repair returns, beside its layout, the
+# layout's objective and peak site load from the costs and loads it
+# already holds, so the annealer prices a move without a second pass.
 
 
 def solve_subproblem_fix_transactions(
@@ -165,8 +167,9 @@ def solve_subproblem_fix_transactions(
     txn_site: np.ndarray,
     site_count: int,
     cost_weight: float,
-) -> np.ndarray:
-    """Best-effort replica sets for a fixed transaction assignment.
+) -> Tuple[np.ndarray, float, float]:
+    """Best-effort replica sets for a fixed transaction assignment,
+    with their objective and peak site load.
 
     Every attribute read by a transaction is forced onto that
     transaction's site; further replicas are added greedily, in
@@ -182,6 +185,7 @@ def solve_subproblem_fix_transactions(
     extras step almost never has a candidate.
     """
     n_txns = model.coloc_cost.shape[1]
+    sites = range(site_count)
     lam = float(cost_weight)
     rest = 1.0 - lam
     onehot = np.zeros((n_txns, site_count), np.float64)
@@ -218,17 +222,18 @@ def solve_subproblem_fix_transactions(
     # coverage: every attribute needs at least one site
     uncovered = np.flatnonzero(~replicas.any(axis=1))
     loads = loads.tolist()
-    for a, base, inc in zip(uncovered.tolist(), base_all[uncovered].tolist(),
-                            inc_all[uncovered].tolist()):
-        s, best = 0, lam * base[0] + rest * max(loads[0] + inc[0] - m, 0.0)
-        for k in range(1, site_count):
-            delta = lam * base[k] + rest * max(loads[k] + inc[k] - m, 0.0)
-            if delta < best:
+    for a, weighted, inc in zip(uncovered.tolist(), (lam * base_all[uncovered]).tolist(),
+                                inc_all[uncovered].tolist()):
+        s, best = -1, 0.0
+        for k in sites:
+            over = loads[k] + inc[k] - m
+            delta = weighted[k] + rest * over if over > 0.0 else weighted[k]
+            if s < 0 or delta < best:
                 s, best = k, delta
         replicas[a, s] = True
         loads[s] += inc[s]
         m = max(m, loads[s])
-    return replicas
+    return replicas, float(base_all[replicas].sum()), max(loads)
 
 
 def solve_subproblem_fix_replicas(
@@ -236,8 +241,9 @@ def solve_subproblem_fix_replicas(
     replicas: np.ndarray,
     cost_weight: float,
     order: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Best-effort transaction assignment for fixed replica sets.
+) -> Tuple[np.ndarray, float, float]:
+    """Best-effort transaction assignment for fixed replica sets, with
+    its objective and peak site load.
 
     Transactions are placed one at a time in ``order`` (heaviest read
     weight first by default), each on the feasible site with the lowest
@@ -255,6 +261,7 @@ def solve_subproblem_fix_replicas(
     rest = 1.0 - lam
     rep_f = replicas.astype(np.float64)
     x = [-1] * n_txns
+    objective = float(model.replica_cost @ rep_f.sum(axis=1))
     loads = (rep_f.T @ model.replica_load).tolist()
     cval_all = (model.coloc_cost.T @ rep_f).tolist()  # (T, S)
     inc_all = (model.coloc_load.T @ rep_f).tolist()
@@ -266,7 +273,8 @@ def solve_subproblem_fix_replicas(
         s, best = -1, 0.0
         for k in sites:
             if miss[k] == 0.0:
-                delta = lam * cval[k] + rest * max(loads[k] + inc[k] - m, 0.0)
+                over = loads[k] + inc[k] - m
+                delta = lam * cval[k] + rest * over if over > 0.0 else lam * cval[k]
                 if s < 0 or delta < best:
                     s, best = k, delta
         if s < 0:
@@ -275,8 +283,9 @@ def solve_subproblem_fix_replicas(
                 for t, site in enumerate(x) if site < 0
             ])
         x[t] = s
+        objective += cval[s]
         loads[s] += inc[s]
-    return np.array(x, np.int64)
+    return np.array(x, np.int64), objective, max(loads)
 
 
 def solve_sa(
@@ -302,11 +311,15 @@ def solve_sa(
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
     order = np.array(order_transactions_by_load(model), np.int64)
+    lam = float(instance.cost_weight)
+
+    def score(x, y, objective, max_load):
+        return weighted_score(objective, max_load, _write_latency(instance, model, x, y), lam)
 
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
-    cur_y = solve_subproblem_fix_transactions(model, cur_x, n_sites, instance.cost_weight)
-    cur_score = _folded_score(instance, model, cur_x, cur_y)
+    cur_y, objective, max_load = solve_subproblem_fix_transactions(model, cur_x, n_sites, lam)
+    cur_score = score(cur_x, cur_y, objective, max_load)
 
     best_x, best_y, best_score = cur_x, cur_y, cur_score
 
@@ -335,17 +348,15 @@ def solve_sa(
             pert_y = perturb_replicas(cur_y, _MOVE_FRACTION, rng)
             if fix_transactions:
                 cand_x = pert_x
-                cand_y = solve_subproblem_fix_transactions(
-                    model, cand_x, n_sites, instance.cost_weight
-                )
+                cand_y, objective, max_load = solve_subproblem_fix_transactions(
+                    model, cand_x, n_sites, lam)
             else:
                 cand_y = pert_y
-                cand_x = solve_subproblem_fix_replicas(
-                    model, cand_y, instance.cost_weight, order
-                )
+                cand_x, objective, max_load = solve_subproblem_fix_replicas(
+                    model, cand_y, lam, order)
             fix_transactions = not fix_transactions
             evaluations += 1
-            cand_score = _folded_score(instance, model, cand_x, cand_y)
+            cand_score = score(cand_x, cand_y, objective, max_load)
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
                 cur_x, cur_y, cur_score = cand_x, cand_y, cand_score

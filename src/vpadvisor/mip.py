@@ -40,7 +40,7 @@ from .workload import CostModel, Instance, derive
 
 @dataclass(frozen=True, eq=False)
 class MipModel:
-    """The program ``min c @ v`` subject to ``lower <= v <= upper``,
+    """The program ``min c @ v`` subject to ``0 <= v <= upper``,
     ``row_lower <= matrix @ v <= row_upper`` and ``v[j]`` integral where
     ``integrality[j]`` is 1 (those columns are binary).
 
@@ -55,7 +55,6 @@ class MipModel:
 
     c: np.ndarray
     integrality: np.ndarray
-    lower: np.ndarray
     upper: np.ndarray
     matrix: sp.csr_array
     row_lower: np.ndarray
@@ -293,7 +292,6 @@ def build_mip(
     return MipModel(
         c=c,
         integrality=integrality,
-        lower=np.zeros(n),
         upper=np.where(integrality == 1, 1.0, np.inf),
         matrix=matrix,
         row_lower=row_lower,

@@ -5,15 +5,11 @@ every attribute to a non-empty set of sites (attributes may be
 replicated, transactions may not).  :func:`evaluate` is the one public
 price: it prices a layout from first principles — local read work, write
 upkeep on every replica, and network transfer for remote replicas of
-written attributes.  ``_folded_score`` is the annealer's private price:
-it reaches the same score through the folded per-attribute coefficients
-and skips the feasibility checks and the breakdown.  It stays because
-the annealer prices every move: on the benchmark's generated instances
-(2-core host) a call takes about 160 µs read-heavy and 210 µs
-write-heavy, against 196-255 µs and 250-313 µs for the definitional
-sums alone.  Both read the blocks :func:`derive` built once, share the
-site-load step, and must agree exactly on integral inputs; the test
-suite holds them to that.
+written attributes — reading the blocks :func:`derive` built once.  The
+annealer's repairs price their own output through the folded
+coefficients and add the latency charge of :func:`_write_latency`, which
+they share with :func:`evaluate`; on integral inputs the two agree
+exactly, and the test suite holds them to that.
 """
 from __future__ import annotations
 
@@ -80,8 +76,9 @@ def weighted_score(objective: float, max_load: float, latency: Optional[float],
                    cost_weight: float) -> float:
     """Mix objective (plus any latency charge) against the peak site load.
 
-    Single source of truth for the score formula so that full and folded
-    evaluation, and the exhaustive enumerator, agree bitwise.
+    Single source of truth for the score formula so that the full
+    evaluation, the annealer's move prices and the exhaustive enumerator
+    agree bitwise.
     """
     extra = 0.0 if latency is None else latency
     return cost_weight * (objective + extra) + (1.0 - cost_weight) * max_load
@@ -143,32 +140,11 @@ def _write_latency(instance: Instance, model: CostModel,
     reach a replica of an updated attribute off its transaction's site."""
     if instance.latency_penalty is None:
         return None
-    home = txn_site[model.write_txn]  # (W,)
-    off_home = replica.sum(axis=1)[:, None] - replica[:, home]  # (A, W)
-    remote = (model.write_attr_access & (off_home > 0)).any(axis=0)
+    off = replica.sum(axis=1)[:, None] > replica  # (A, S): a replica on a site other than s
+    # updated attributes with a replica off each site: 0/1 terms, exact in floats
+    hits = model.write_attr_access.T.astype(np.float64) @ off  # (W, S)
+    remote = hits[np.arange(hits.shape[0]), txn_site[model.write_txn]] > 0.0
     return float(instance.latency_penalty) * float(model.write_frequencies[remote].sum())
-
-
-def _site_loads(model: CostModel, txn_site: np.ndarray, rep_f: np.ndarray,
-                on_site: np.ndarray) -> np.ndarray:
-    """Work per site: write upkeep at every replica plus each
-    transaction's reads at its own site."""
-    loads = rep_f.T @ model.replica_load
-    np.add.at(loads, txn_site, (model.coloc_load * on_site).sum(axis=0))
-    return loads
-
-
-def _folded_score(instance: Instance, model: CostModel,
-                  txn_site: np.ndarray, replica: np.ndarray) -> float:
-    """Score of a layout through the folded coefficients, without
-    feasibility checks."""
-    rep_f = replica.astype(np.float64)
-    on_site = replica[:, txn_site]  # (A, T): attribute co-located with transaction
-    objective = (float((model.coloc_cost * on_site).sum())
-                 + float(model.replica_cost @ rep_f.sum(axis=1)))
-    max_load = float(_site_loads(model, txn_site, rep_f, on_site).max())
-    latency = _write_latency(instance, model, txn_site, replica)
-    return weighted_score(objective, max_load, latency, float(instance.cost_weight))
 
 
 def evaluate(instance: Instance, model: CostModel,
@@ -201,7 +177,10 @@ def evaluate(instance: Instance, model: CostModel,
     transfer = float((model.coloc_transfer * (replica_counts[:, None] - on_site)).sum())
     objective = read_access + write_access + float(instance.network_penalty) * transfer
 
-    loads = _site_loads(model, x, rep_f, on_site)
+    # work per site: write upkeep at every replica plus each
+    # transaction's reads at its own site
+    loads = rep_f.T @ model.replica_load
+    np.add.at(loads, x, (model.coloc_load * on_site).sum(axis=0))
     max_load = float(loads.max())
     latency = _write_latency(instance, model, x, rep)
     score = weighted_score(objective, max_load, latency, float(instance.cost_weight))

@@ -24,7 +24,6 @@ from vpadvisor import (
     Transaction,
     generate,
 )
-from vpadvisor.partitioning import _folded_score
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +98,20 @@ def random_instance(seed: int, site_count: int = 2, **overrides) -> Instance:
     return generate(small_params(seed, **overrides), site_count=site_count, **kwargs)
 
 
+def fractional_instance(seed: int, network_penalty: float) -> Instance:
+    """A random instance with non-integer frequencies and row counts, and
+    widths that are not powers of two."""
+    inst = random_instance(seed, site_count=2 + seed % 2, network_penalty=network_penalty,
+                           update_percent=40.0, table_count=4, max_attributes_per_table=5,
+                           allowed_widths=(3, 5, 12))
+    queries = tuple(
+        replace(q, frequency=(q.id % 5 + 1) / 3,
+                rows_per_table={t: r * 1.1 + 0.05 * q.id for t, r in q.rows_per_table.items()})
+        for q in inst.queries
+    )
+    return replace(inst, queries=queries)
+
+
 def random_partitioning(instance: Instance, rng: np.random.Generator) -> Partitioning:
     """A feasible layout: random transaction homes, replicas forced at
     every reader's home plus random extras."""
@@ -121,13 +134,24 @@ def random_partitioning(instance: Instance, rng: np.random.Generator) -> Partiti
 
 
 def folded_price(instance: Instance, model, part: Partitioning) -> Tuple[float, float]:
-    """Objective and score of a layout through the annealer's folded
-    price.  At cost weight 1 without latency the score is the objective
-    exactly, so the objective is priced on that variant of the instance
-    with the same cost model, which does not depend on either setting."""
-    objective_only = replace(instance, cost_weight=1.0, latency_penalty=None)
-    return (_folded_score(objective_only, model, part.txn_site, part.replica),
-            _folded_score(instance, model, part.txn_site, part.replica))
+    """Objective and score of a layout through the folded coefficients
+    :func:`derive` builds, the price the annealer's repairs report: per
+    co-located (attribute, transaction) pair and per replica, with the
+    latency charge of every write query that sees a replica off its
+    transaction's site."""
+    x, rep = part.txn_site, part.replica
+    on_site = rep[:, x]  # (A, T)
+    counts = rep.sum(axis=1).astype(float)
+    objective = float((model.coloc_cost * on_site).sum()) + float(model.replica_cost @ counts)
+    loads = rep.T.astype(float) @ model.replica_load
+    np.add.at(loads, x, (model.coloc_load * on_site).sum(axis=0))
+    latency = 0.0
+    if instance.latency_penalty is not None:
+        off_home = counts[:, None] - rep[:, x[model.write_txn]]  # (A, W)
+        remote = (model.write_attr_access & (off_home > 0)).any(axis=0)
+        latency = instance.latency_penalty * float(model.write_frequencies[remote].sum())
+    lam = instance.cost_weight
+    return objective, lam * (objective + latency) + (1.0 - lam) * float(loads.max())
 
 
 def _reads_matrix(instance: Instance) -> np.ndarray:

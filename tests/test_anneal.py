@@ -23,6 +23,7 @@ from vpadvisor import (
     solve_sa_best_of,
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
+    tpcc,
 )
 
 from conftest import random_instance, t1_instance
@@ -109,7 +110,7 @@ def test_perturb_replicas_skips_full_rows():
 def test_fix_transactions_recovers_t1_optimum():
     inst = t1_instance()
     model = derive(inst)
-    replicas = solve_subproblem_fix_transactions(
+    replicas, _, _ = solve_subproblem_fix_transactions(
         model, np.array([0], dtype=np.int64), inst.site_count, inst.cost_weight
     )
     part = Partitioning(txn_site=np.array([0]), replica=replicas)
@@ -119,7 +120,7 @@ def test_fix_transactions_recovers_t1_optimum():
 
 def test_fix_transactions_on_t2_keeps_single_cheap_replica(t2):
     model = derive(t2)
-    replicas = solve_subproblem_fix_transactions(
+    replicas, _, _ = solve_subproblem_fix_transactions(
         model, np.array([0], dtype=np.int64), t2.site_count, t2.cost_weight
     )
     # replicating the written attribute would raise the score by 3.6
@@ -132,7 +133,7 @@ def test_fix_replicas_places_reader_with_its_attribute():
     inst = t1_instance()
     model = derive(inst)
     replicas = np.array([[True, False], [False, True]])
-    x = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
+    x, _, _ = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
     assert x[0] == 0  # only site holding a1 keeps the reader co-located
 
 
@@ -142,12 +143,12 @@ def test_subproblem_outputs_always_feasible(seed):
     model = derive(inst)
     rng = np.random.default_rng(seed)
     txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
-    replicas = solve_subproblem_fix_transactions(
+    replicas, _, _ = solve_subproblem_fix_transactions(
         model, txn_site, inst.site_count, inst.cost_weight
     )
     part = Partitioning(txn_site=txn_site, replica=replicas)
     assert check_feasible(inst, model, part) == []
-    x2 = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
+    x2, _, _ = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
     part2 = Partitioning(txn_site=x2, replica=replicas)
     assert check_feasible(inst, model, part2) == []
 
@@ -169,11 +170,14 @@ GOLDEN_INSTANCES = {
         12, site_count=3, latency_penalty=5.0, update_percent=50.0, **GOLDEN_SHAPE
     ),
     "cost-only": lambda: random_instance(13, site_count=4, cost_weight=1.0, **GOLDEN_SHAPE),
+    "tpcc-3": lambda: tpcc(site_count=3),
 }
 
 # (instance, seed): (score as float.hex, evaluations, temperature steps,
 # sha256 prefixes of txn_site, replica and the trace), recorded with the
-# per-element kernels the scalar-loop kernels replaced.
+# per-element kernels the scalar-loop kernels replaced; ("tpcc-3", 0) was
+# recorded with the separate folded price that the repairs' own prices
+# replaced.
 GOLDEN = {
     ("plain", 0): ("0x1.07a6666666667p+11", 1250, 25, "f6b6883f18348ef2", "ec5e14c7556e15d1", "10bed764826e704d"),
     ("plain", 1): ("0x1.07a6666666667p+11", 1100, 22, "f6b6883f18348ef2", "ec5e14c7556e15d1", "c121453918470813"),
@@ -184,6 +188,7 @@ GOLDEN = {
     ("cost-only", 0): ("0x1.c300000000000p+11", 1250, 25, "da7d58182a6953de", "f5521ba3c5e9e4ae", "ca611ec80b349158"),
     ("cost-only", 1): ("0x1.c300000000000p+11", 1450, 29, "8128a9daefce07e6", "99036f39ded07f50", "e2aea110fbac7b83"),
     ("cost-only", 2): ("0x1.c300000000000p+11", 1800, 36, "84d9a97c9ba99318", "1cb59075440459c0", "b5f53b0e61858352"),
+    ("tpcc-3", 0): ("0x1.dc93333333334p+12", 1100, 22, "42c3fee7b420d10c", "958df4df3b96c047", "895b3dfccd116eb2"),
 }
 
 
@@ -192,7 +197,7 @@ def test_solve_sa_follows_its_recorded_trajectory(name):
     # any change to the random stream, the tie-breaking or the rounding
     # of a score moves at least one of these figures
     inst = GOLDEN_INSTANCES[name]()
-    for seed in range(3):
+    for seed in sorted(seed for key, seed in GOLDEN if key == name):
         report, trace = solve_sa(inst, SaConfig(seed=seed))
         part = report.partitioning
         steps = repr((

@@ -173,11 +173,15 @@ def _fields(source: str) -> list[tuple[int, str, str]]:
 
 
 def _attribute_reads(source: str) -> set[str]:
-    """Names a source reads as an attribute (``obj.name``)."""
+    """Names a source reads as an attribute (``obj.name``), leaving out
+    the attributes it only calls (``obj.name()``), which read no field."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
     return {
         node.attr
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
     }
 
 
@@ -204,6 +208,7 @@ def test_check_flags_an_unread_field():
         "    limit = 3",
         "def use(model):",
         "    model.written = model.kept + Model.limit",
+        "    return model.stored()",
     ])
     assert _unread(source, _attribute_reads(source)) == [
         "line 3: Model.stored", "line 4: Model.written"]

@@ -1,10 +1,10 @@
-"""Correctness of the hot loops: the folded price, the greedy repairs,
-the exhaustive enumeration and the annealer's perturbations.
+"""Correctness of the hot loops: the greedy repairs and the price they
+report, the exhaustive enumeration and the annealer's perturbations.
 
 Each answer is checked on two paths: the package's definitional
 pricing (:func:`evaluate`) of the layout a loop returns must agree with
-the figure it reports, and the independent oracle from conftest must
-agree with both where it is cheap enough to run.  The repairs and the
+the figure it reports, and the independent oracles from conftest must
+agree with both where they are cheap enough to run.  The repairs and the
 perturbations must also return exactly what the per-element versions
 they replaced return.
 """
@@ -37,10 +37,9 @@ from vpadvisor import (
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
 )
-from vpadvisor.partitioning import _folded_score
-
 from conftest import (
-    folded_price, oracle_best, oracle_cost, random_instance, random_partitioning,
+    folded_price, fractional_instance, oracle_best, oracle_cost, random_instance,
+    random_partitioning,
 )
 
 
@@ -92,14 +91,15 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
     rng = np.random.default_rng(seed + 99)
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
-        got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+        got, objective, max_load = solve_subproblem_fix_transactions(
+            model, txn_site, inst.site_count, inst.cost_weight)
         # feasibility: coverage and per-reader co-location
         assert got.any(axis=1).all()
         for t in range(inst.transaction_count):
             readers = model.txn_reads[:, t]
             assert got[readers, txn_site[t]].all()
-        part = Partitioning(txn_site=txn_site, replica=got)
-        assert _folded_score(inst, model, txn_site, got) == evaluate(inst, model, part).score
+        full = evaluate(inst, model, Partitioning(txn_site=txn_site, replica=got))
+        assert (objective, max_load) == (full.objective, full.max_load)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -108,7 +108,7 @@ def test_assign_transactions_paths_agree(seed):
     model = derive(inst)
     rng = np.random.default_rng(seed + 7)
     part = random_partitioning(inst, rng)
-    out = solve_subproblem_fix_replicas(
+    out, objective, max_load = solve_subproblem_fix_replicas(
         model, part.replica, inst.cost_weight, np.arange(inst.transaction_count)
     )
     # the layout random_partitioning built places every reader, so every
@@ -116,8 +116,44 @@ def test_assign_transactions_paths_agree(seed):
     assert (out >= 0).all()
     for t in range(inst.transaction_count):
         assert part.replica[model.txn_reads[:, t], out[t]].all()
-    assigned = Partitioning(txn_site=out, replica=part.replica)
-    assert _folded_score(inst, model, out, part.replica) == evaluate(inst, model, assigned).score
+    full = evaluate(inst, model, Partitioning(txn_site=out, replica=part.replica))
+    assert (objective, max_load) == (full.objective, full.max_load)
+
+
+def _repair_prices(inst, seed):
+    """Each repair's reported (objective, max_load) beside evaluate's
+    figures for the layout it returned, on a few random starting points."""
+    model = derive(inst)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
+        replicas, *price = solve_subproblem_fix_transactions(
+            model, txn_site, inst.site_count, inst.cost_weight)
+        full = evaluate(inst, model, Partitioning(txn_site, replicas))
+        yield tuple(price), (full.objective, full.max_load)
+        replicas = random_partitioning(inst, rng).replica
+        order = rng.permutation(inst.transaction_count)
+        txn_site, *price = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight, order)
+        full = evaluate(inst, model, Partitioning(txn_site, replicas))
+        yield tuple(price), (full.objective, full.max_load)
+
+
+@pytest.mark.parametrize("latency", [None, 5.0])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_repairs_price_their_layouts_exactly(n_sites, latency):
+    # integral coefficients: the order of the sums cannot change a bit
+    for seed in range(6):
+        inst = random_instance(seed, site_count=n_sites, latency_penalty=latency,
+                               update_percent=50.0)
+        for got, want in _repair_prices(inst, seed):
+            assert got == want
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_repairs_price_fractional_layouts_to_rounding(seed):
+    inst = fractional_instance(seed, network_penalty=3.3)
+    for got, want in _repair_prices(inst, seed):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_assign_transactions_raises_when_stuck():
@@ -283,7 +319,7 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
         args = (txn_site, reads, coloc_cost, replica_cost, coloc_load, replica_load,
                 cost_weight, n_sites)
         want = _ref_greedy_replicas(*args)
-        got = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
+        got, _, _ = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
         assert np.array_equal(got, want)
         forced = np.zeros((n_attrs, n_sites), bool)
         forced[:, txn_site] |= reads
@@ -300,7 +336,7 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
                     solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
                 assert err.value.violations == _stuck_messages(want_x)
             else:
-                got_x = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+                got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
                 assert np.array_equal(got_x, want_x)
     assert stuck > 0  # some sparse placement left a transaction with no site
     if kind == "ties" and cost_weight > 0.0 and n_sites > 1:
@@ -393,7 +429,7 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     model = derive(inst)
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
-    got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
     assert np.array_equal(got, _ref_greedy_replicas(*args))
 
 
@@ -446,6 +482,6 @@ def test_greedy_replicas_extras_step_runs_at_huge_penalties():
     txn_site = np.array([0, 0, 1])
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
-    got = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
     assert got.tolist() == [[True, True]]
     assert np.array_equal(got, _ref_greedy_replicas(*args))

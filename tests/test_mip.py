@@ -74,7 +74,7 @@ def test_u_variables_are_continuous(t1):
     kinds = {
         name.split("_")[0]: (int(integer), lo, up)
         for name, integer, lo, up in zip(
-            model.column_names(), model.integrality, model.lower, model.upper
+            model.column_names(), model.integrality, np.zeros(model.variable_count), model.upper
         )
     }
     assert kinds["x"] == (1, 0.0, 1.0)
@@ -268,7 +268,7 @@ def _full_optimum(mip):
     res = milp(
         mip.c,
         integrality=mip.integrality,
-        bounds=Bounds(mip.lower, mip.upper),
+        bounds=Bounds(0.0, mip.upper),
         constraints=LinearConstraint(mip.matrix, mip.row_lower, mip.row_upper),
     )
     assert res.success, res.message

@@ -23,6 +23,7 @@ from vpadvisor import (
 )
 
 from conftest import (
+    fractional_instance,
     oracle_flags,
     overflow_instance,
     random_instance,
@@ -164,20 +165,6 @@ def test_coefficient_identity_links_cost_and_load(seed):
     )
 
 
-def _fractional(seed: int, network_penalty: float) -> Instance:
-    """A random instance with non-integer frequencies and row counts, and
-    widths that are not powers of two."""
-    inst = random_instance(seed, site_count=2 + seed % 2, network_penalty=network_penalty,
-                           update_percent=40.0, table_count=4, max_attributes_per_table=5,
-                           allowed_widths=(3, 5, 12))
-    queries = tuple(
-        replace(q, frequency=(q.id % 5 + 1) / 3,
-                rows_per_table={t: r * 1.1 + 0.05 * q.id for t, r in q.rows_per_table.items()})
-        for q in inst.queries
-    )
-    return replace(inst, queries=queries)
-
-
 DERIVE_PENALTIES = (0.0, 3.3, 1e16, float(2**53 + 7))
 DERIVE_INSTANCES = {
     "tpcc-2": lambda: tpcc(site_count=2),
@@ -185,7 +172,9 @@ DERIVE_INSTANCES = {
     "tpcc-2-latency": lambda: tpcc(site_count=2, latency_penalty=5.0),
     "tpcc-3-latency": lambda: tpcc(site_count=3, latency_penalty=5.0),
     **{
-        f"fractional-{seed}": (lambda seed=seed: _fractional(seed, DERIVE_PENALTIES[seed % 4]))
+        f"fractional-{seed}": (
+            lambda seed=seed: fractional_instance(seed, DERIVE_PENALTIES[seed % 4])
+        )
         for seed in range(8)
     },
 }
