@@ -21,6 +21,7 @@ from .anneal import (
     SaTrace,
     accept_move,
     initial_temperature,
+    order_transactions_by_load,
     perturb_replicas,
     perturb_transactions,
     solve_sa,
@@ -47,12 +48,7 @@ from .fileio import (
     serialize_partitioning,
 )
 from .generators import GenParams, generate
-from .grouping import (
-    AttributeGrouping,
-    expand_solution,
-    group_attributes,
-    order_transactions_by_load,
-)
+from .grouping import AttributeGrouping, expand_solution, group_attributes
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force, enumeration_size
 from .partitioning import (
     CostBreakdown,
@@ -104,7 +100,6 @@ __all__ = [
     "AttributeGrouping",
     "group_attributes",
     "expand_solution",
-    "order_transactions_by_load",
     # annealing
     "SaConfig",
     "SaTrace",
@@ -112,6 +107,7 @@ __all__ = [
     "accept_move",
     "perturb_transactions",
     "perturb_replicas",
+    "order_transactions_by_load",
     "solve_subproblem_fix_transactions",
     "solve_subproblem_fix_replicas",
     "solve_sa",

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleLayoutError
-from .grouping import order_transactions_by_load
 from .partitioning import Partitioning, _write_latency, evaluate, weighted_score
 from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .workload import CostModel, Instance, derive
@@ -152,8 +151,20 @@ def perturb_replicas(
     return grown
 
 
-# Each repair picks, item by item, the site with the lowest increase of
-# the weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
+def order_transactions_by_load(model: CostModel) -> list[int]:
+    """Transaction ids sorted by total read weight, heaviest first.
+
+    Ties break toward the lower transaction id so the order is stable.
+    """
+    weight = model.coloc_load.sum(axis=0)
+    ids = np.arange(weight.size)
+    order = np.lexsort((ids, -weight))
+    return [int(t) for t in order]
+
+
+# Each repair picks, item by item (an attribute that no transaction
+# reads, or a transaction), the site with the lowest increase of the
+# weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
 # with ``m`` the current peak load, the lowest site winning ties.  The
 # choice among a handful of sites loops over them in plain Python on
 # lists: numpy's per-call overhead on 4-element arrays costs far more
@@ -172,17 +183,12 @@ def solve_subproblem_fix_transactions(
     with their objective and peak site load.
 
     Every attribute read by a transaction is forced onto that
-    transaction's site; further replicas are added greedily, in
-    ascending marginal-score order, while they lower the weighted score,
-    and attributes still unplaced land on the site where they are
-    cheapest.  These greedy choices do not price the write-latency
-    charge; the annealer's Metropolis score and the final
+    transaction's site, and each attribute that no transaction reads
+    lands on the site where it raises the weighted score least.  No other
+    replica is added, as an unforced one never lowers the score (see
+    :class:`CostModel`).  These greedy choices do not price the
+    write-latency charge; the annealer's Metropolis score and the final
     :func:`evaluate` do.
-
-    An extra replica needs a negative weighted base cost.  The folded
-    coefficients of a valid instance rule that out up to rounding, which
-    shows only at network penalties of about ``2**52`` and above, so the
-    extras step almost never has a candidate.
     """
     n_txns = model.coloc_cost.shape[1]
     sites = range(site_count)
@@ -200,26 +206,7 @@ def solve_subproblem_fix_transactions(
     m = float(loads.max())
     base_all = csum + model.replica_cost[:, None]
 
-    # extras, in row-major candidate order: each round adds the first
-    # candidate with the lowest marginal score while that is negative
-    cand_a, cand_s = np.nonzero(~replicas & (lam * base_all < 0.0))
-    if cand_a.size:
-        cand_base = base_all[cand_a, cand_s]
-        cand_inc = inc_all[cand_a, cand_s]
-        taken = np.zeros(cand_a.size, bool)
-        while not taken.all():
-            delta = lam * cand_base + rest * np.maximum(loads[cand_s] + cand_inc - m, 0.0)
-            delta[taken] = np.inf
-            i = int(np.argmin(delta))
-            if not delta[i] < 0.0:
-                break
-            s = cand_s[i]
-            replicas[cand_a[i], s] = True
-            loads[s] += cand_inc[i]
-            m = max(m, float(loads[s]))
-            taken[i] = True
-
-    # coverage: every attribute needs at least one site
+    # every attribute that no transaction reads still needs one site
     uncovered = np.flatnonzero(~replicas.any(axis=1))
     loads = loads.tolist()
     for a, weighted, inc in zip(uncovered.tolist(), (lam * base_all[uncovered]).tolist(),

@@ -9,7 +9,8 @@ Exit codes: 0 success, 1 usage problems (including refused oversized
 enumerations), 2 invalid instances / layouts / documents, 3 solver
 timeout without any solution.  The environment variable
 ``VPADVISOR_CONFIG`` may name a JSON file of default flag values
-(keys: sites, p, lambda, p_latency, time_limit, gap, seed, runs).
+(keys: sites, seed and runs hold integers; p, lambda, p_latency,
+time_limit and gap hold numbers).
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from .generators import GenParams, generate
 from .grouping import expand_solution, group_attributes
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force
 from .partitioning import CostBreakdown, evaluate
-from .report import SolveReport
+from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .tpcc import tpcc
 from .workload import Instance, derive
 
@@ -73,6 +74,7 @@ _ENV_KEYS = {
     "seed": "seed",
     "runs": "runs",
 }
+_ENV_INTEGER_KEYS = ("sites", "seed", "runs")
 
 
 def _env_defaults() -> Dict[str, Any]:
@@ -91,6 +93,13 @@ def _env_defaults() -> Dict[str, Any]:
     unknown = sorted(set(obj) - set(_ENV_KEYS))
     if unknown:
         raise FormatError(f"{_ENV_CONFIG} file '{path}': unknown keys {unknown}")
+    # argparse converts only string defaults, so the types are checked here
+    for key, value in obj.items():
+        integral = key in _ENV_INTEGER_KEYS
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            want = "an integer" if integral else "a number"
+            raise FormatError(f"{_ENV_CONFIG} file '{path}': '{key}' must be {want}, "
+                              f"got {json.dumps(value)}")
     return {_ENV_KEYS[k]: v for k, v in obj.items()}
 
 
@@ -225,7 +234,9 @@ def _parse_pins(instance: Instance, pin_args: List[str]) -> Tuple[Tuple[int, int
 
 def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport:
     """Run the chosen solver.  A grouped solve is expanded back to the
-    original attributes and re-priced on ``instance``."""
+    original attributes and re-priced on ``instance``; below ``lambda =
+    1``, where merging attributes can exclude the optimum, it claims no
+    bound."""
     solved, grouping, model = instance, None, None
     if args.group:
         if args.pin:
@@ -254,7 +265,10 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport
     if grouping is None or report.partitioning is None:
         return report
     part = expand_solution(report.partitioning, grouping)
-    return replace(report, partitioning=part, breakdown=evaluate(instance, model, part))
+    report = replace(report, partitioning=part, breakdown=evaluate(instance, model, part))
+    if instance.cost_weight < 1.0 and grouping.group_count < instance.attribute_count:
+        report = replace(report, status=STATUS_FEASIBLE_TIME_LIMIT, bound_gap=math.inf)
+    return report
 
 
 # The flags each solver applies; the others are left out of its record.

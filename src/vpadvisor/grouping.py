@@ -7,10 +7,6 @@ group without changing the pure byte objective.  (When the score also
 weighs the maximum site load, splitting a group across sites can still
 help balance — the merge is exact for the pure-cost objective and a
 mild restriction otherwise; see the test suite.)
-
-:func:`order_transactions_by_load` ranks transactions by their total
-read weight, the order in which the greedy assignment heuristic places
-them.
 """
 from __future__ import annotations
 
@@ -117,14 +113,3 @@ def expand_solution(partitioning: Partitioning,
             f"grouping has {grouping.group_count} groups")
     rows = np.asarray(grouping.group_of, dtype=np.int64)
     return Partitioning(partitioning.txn_site, partitioning.replica[rows])
-
-
-def order_transactions_by_load(model: CostModel) -> list[int]:
-    """Transaction ids sorted by total read weight, heaviest first.
-
-    Ties break toward the lower transaction id so the order is stable.
-    """
-    weight = model.coloc_load.sum(axis=0)
-    ids = np.arange(weight.size)
-    order = np.lexsort((ids, -weight))
-    return [int(t) for t in order]

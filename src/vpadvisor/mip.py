@@ -536,7 +536,6 @@ def _compact_model(
     instance: Instance,
     model: CostModel,
     *,
-    use_symmetry: bool,
     forbid_replication: bool,
     fixed_replicas: Sequence[Tuple[int, int]],
 ) -> Dict[str, object]:
@@ -557,6 +556,9 @@ def _compact_model(
     * Load rows are left out at ``lambda = 1``, where ``m`` is free,
       and so are latency indicators with a zero charge.  Pins are lower
       bounds on ``y``.
+    * Sites are interchangeable unless pins tell them apart, so without
+      pins the site-ordering rows of ``build_mip(use_symmetry=True)``
+      are added.
 
     Column order: ``x[t,s]`` (site fastest), ``y[a,s]``, the kept
     ``u[t,a,s]``, ``m``, then one indicator per priced write query.
@@ -628,7 +630,7 @@ def _compact_model(
     for other in (_per_site(0, pair_t[ks], n_sites), _per_site(nx, pair_a[ks], n_sites)):
         rows.add(local.size, [(local, _per_site(u0, ks, n_sites), 1.0), (local, other, -1.0)],
                  -np.inf, 0.0)
-    if use_symmetry and n_sites > 1:
+    if not fixed_replicas and n_sites > 1:
         _symmetry_rows(rows, n_txns, n_sites)
     # A write query's indicator turns on when an updated attribute keeps
     # a replica away from the transaction's site.  A forced read's
@@ -733,7 +735,6 @@ def solve_exact(
         arrays = _compact_model(
             instance,
             model,
-            use_symmetry=not pins,
             forbid_replication=config.forbid_replication,
             fixed_replicas=pins,
         )

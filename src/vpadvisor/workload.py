@@ -130,6 +130,13 @@ class CostModel:
     * ``coloc_transfer[a, t]`` — bytes ``t``'s writes ship to each replica
       of ``a`` off its site, before the network penalty.
 
+    A replica of ``a`` on site ``s`` costs ``replica_cost[a]`` plus
+    ``coloc_cost[a, t]`` for each transaction ``t`` on ``s``: read work,
+    write upkeep and the transfer of other sites' writes, so it is never
+    negative but for rounding (an ulp of the penalty-scaled terms, from
+    network penalties of about ``2**52``).  A replica that no read forces
+    never lowers the score.
+
     Flags (boolean):
 
     * ``attr_access[a, q]`` — query ``q`` touches attribute ``a`` directly.

@@ -175,6 +175,37 @@ def test_solve_group_flag_preserves_feasibility(small_path, tmp_path, capsys):
     assert main(["eval", small_path, str(part)]) == 0
 
 
+def _grouped_and_plain(algo, cost_weight, tmp_path, capsys):
+    """The structured reports of ``solve --algo ALGO`` on an instance
+    whose grouping merges attributes, without and with ``--group``."""
+    path = tmp_path / "merged.json"
+    save_instance(random_instance(136, site_count=2, cost_weight=cost_weight), str(path))
+    reports = []
+    for extra in ([], ["--group"]):
+        argv = ["solve", str(path), "--algo", algo, "--gap", "0", "--format", "structured"]
+        assert main(argv + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out)["report"])
+    return reports
+
+
+@pytest.mark.parametrize("algo", ["brute", "exact"])
+def test_grouped_solve_claims_no_optimum_below_lambda_one(algo, tmp_path, capsys):
+    # at lambda 0 splitting a group across the sites balances the load
+    # better than any grouped layout can
+    plain, grouped = _grouped_and_plain(algo, 0.0, tmp_path, capsys)
+    assert (plain["status"], plain["bound_gap"], plain["score"]) == ("optimal", 0.0, 100.0)
+    assert grouped["score"] == 160.0
+    assert (grouped["status"], grouped["bound_gap"]) == ("feasible-time-limit", None)
+
+
+@pytest.mark.parametrize("algo", ["brute", "exact"])
+def test_grouped_solve_keeps_its_optimum_at_lambda_one(algo, tmp_path, capsys):
+    plain, grouped = _grouped_and_plain(algo, 1.0, tmp_path, capsys)
+    assert grouped["status"] == plain["status"] == "optimal"
+    assert grouped["bound_gap"] == plain["bound_gap"] == 0.0
+    assert grouped["score"] == pytest.approx(plain["score"], rel=1e-12)
+
+
 def test_solve_runs_flag(small_path, capsys):
     assert main(
         ["solve", small_path, "--algo", "sa", "--runs", "3", "--format", "structured"]
@@ -494,6 +525,18 @@ def test_env_config_rejects_unknown_keys(small_path, tmp_path, capsys, monkeypat
     monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
     assert main(["solve", small_path, "--algo", "brute"]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("seed", 1.5), ("sites", 2.5), ("sites", True), ("runs", 2.5), ("lambda", [1]),
+])
+def test_env_config_rejects_mistyped_values(key, value, small_path, tmp_path, capsys,
+                                            monkeypatch):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({key: value}))
+    monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
+    assert main(["solve", small_path]) == 2
+    assert f"'{key}' must be" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_enumerate_paths_agree_and_match_bruteforce_oracle(seed, forbid):
 
 # ---------------------------------------------------------------------------
 # differential checks against the per-element versions the scalar-loop
-# repairs replaced, kept here verbatim as references
+# repairs replaced, kept here as references
 
 
 def _ref_greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
@@ -199,29 +199,6 @@ def _ref_greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
     loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
     m = float(loads.max())
     base_all = csum + replica_cost[:, None]
-    cand = np.argwhere(~replicas & (lam * base_all < 0.0))
-    cand_list = [(int(a), int(s), base_all[a, s], inc_all[a, s]) for a, s in cand]
-    alive = [True] * len(cand_list)
-    remaining = len(cand_list)
-    while remaining > 0:
-        best = -1
-        best_delta = 0.0
-        for i, ok in enumerate(alive):
-            if ok:
-                _, s, base, inc = cand_list[i]
-                grow = max(loads[s] + inc - m, 0.0)
-                delta = lam * base + (1.0 - lam) * grow
-                if best < 0 or delta < best_delta:
-                    best = i
-                    best_delta = delta
-        if best < 0 or not (best_delta < 0.0):
-            break
-        a, s, _, inc = cand_list[best]
-        replicas[a, s] = True
-        loads[s] += inc
-        m = max(m, float(loads[s]))
-        alive[best] = False
-        remaining -= 1
     for a in np.flatnonzero(~replicas.any(axis=1)):
         grow = np.maximum(loads + inc_all[a] - m, 0.0)
         delta = lam * base_all[a] + (1.0 - lam) * grow
@@ -286,8 +263,8 @@ def _coefficients(kind, seed, n_sites, cost_weight):
     """``(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load)``.
 
     ``instance`` derives them from a generated instance; ``ties`` draws
-    small integers, so equal scores across sites are common, and lets
-    weighted base costs go negative, so the extras step runs."""
+    small integers, some of them negative, so equal scores across sites
+    are common."""
     if kind == "instance":
         model = derive(random_instance(seed, site_count=n_sites, cost_weight=cost_weight))
         return (model.txn_reads, model.coloc_cost, model.replica_cost,
@@ -307,7 +284,7 @@ def _coefficients(kind, seed, n_sites, cost_weight):
 @pytest.mark.parametrize("cost_weight", [0.0, 0.1, 0.5, 1.0])
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
-    extras = stuck = 0
+    stuck = 0
     for seed in range(12):
         reads, coloc_cost, replica_cost, coloc_load, replica_load = _coefficients(
             kind, seed, n_sites, cost_weight
@@ -321,9 +298,6 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
         want = _ref_greedy_replicas(*args)
         got, _, _ = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
         assert np.array_equal(got, want)
-        forced = np.zeros((n_attrs, n_sites), bool)
-        forced[:, txn_site] |= reads
-        extras += int((want & ~forced).sum() > (~forced.any(axis=1)).sum())
 
         order = rng.permutation(n_txns)
         sparse = rng.random((n_attrs, n_sites)) < 0.4
@@ -339,8 +313,6 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
                 got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
                 assert np.array_equal(got_x, want_x)
     assert stuck > 0  # some sparse placement left a transaction with no site
-    if kind == "ties" and cost_weight > 0.0 and n_sites > 1:
-        assert extras > 0  # the extras step added replicas in some draw
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -364,7 +336,7 @@ def test_perturbations_match_reference_values_and_stream(n_sites, move_fraction)
 
 
 # ---------------------------------------------------------------------------
-# the extras step of greedy_replicas on valid instances
+# the replica repair on valid instances
 
 
 @st.composite
@@ -406,10 +378,12 @@ _PROPERTY = settings(max_examples=150, deadline=None, suppress_health_check=[Hea
 @given(_valid_instances(st.floats(0.0, 1e12)))
 def test_replica_cost_bounds_write_savings(case):
     # coloc_cost saves at most the transfer replica_cost charges, so a
-    # replica's weighted base cost is nonnegative and greedy_replicas
-    # finds no extras.  Beyond about 2**52, 1 + penalty rounds to the
-    # penalty and the bound can fail by an ulp (penalty 6.7e15 gave
-    # -32768), which is why the extras step stays.
+    # replica's weighted base cost is nonnegative, as CostModel states
+    # and the replica repair relies on.  Beyond about 2**52, 1 + penalty
+    # rounds to the penalty and the bound can fail by an ulp (penalty
+    # 6.7e15 gave -32768): rounding noise, as evaluate scores a layout
+    # with such a replica and one without it alike
+    # (test_replica_repair_adds_no_replica_at_huge_penalties).
     inst, txn_site = case
     model = derive(inst)
     assert (model.replica_cost + np.minimum(model.coloc_cost, 0.0).sum(axis=1) >= 0.0).all()
@@ -424,13 +398,29 @@ def test_replica_cost_bounds_write_savings(case):
     st.floats(0.0, 1e250), st.sampled_from([2.0**53, 1e16, 1e17, 1e20, 1e100]))))
 def test_greedy_replicas_matches_reference_at_any_penalty(case):
     # penalties up to where the coefficients stay finite, and ones where
-    # rounding gives the extras step candidates
+    # rounding makes some base costs negative
     inst, txn_site = case
     model = derive(inst)
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
     got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
     assert np.array_equal(got, _ref_greedy_replicas(*args))
+
+
+@_PROPERTY
+@given(_valid_instances(st.one_of(st.floats(0.0, 1e250), st.sampled_from([2.0**53, 1e16]))))
+def test_replica_repair_adds_one_site_per_unread_attribute(case):
+    # the forced replicas, and one site for each attribute that no
+    # transaction reads: no more, at any penalty
+    inst, txn_site = case
+    model = derive(inst)
+    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    forced = np.zeros_like(got)
+    for t, s in enumerate(txn_site):
+        forced[model.txn_reads[:, t], s] = True
+    unread = ~model.txn_reads.any(axis=1)
+    assert not (forced & ~got).any()
+    assert np.array_equal((got & ~forced).sum(axis=1), unread.astype(np.int64))
 
 
 @_PROPERTY
@@ -454,11 +444,12 @@ def test_derive_rejects_what_would_price_past_the_float_range(case, latency):
             assert math.isfinite(evaluate(inst, model, Partitioning(x, replica)).score)
 
 
-def test_greedy_replicas_extras_step_runs_at_huge_penalties():
+def test_replica_repair_adds_no_replica_at_huge_penalties():
     # at penalty 2**53 the first write's transfer saving is larger than
     # what the rounded replica cost charges for it, so the weighted base
-    # cost of a replica on the writers' site is negative: the extras step
-    # adds it next to the reader's forced replica
+    # cost of a replica on the writers' site is negative.  The repair
+    # keeps the reader's forced replica alone, and evaluate prices the
+    # layout with that extra replica exactly as it prices this one.
     inst = Instance(
         tables=(Table(0, "T", (0,)),),
         attributes=(Attribute(0, 0, "a", 8),),
@@ -480,8 +471,8 @@ def test_greedy_replicas_extras_step_runs_at_huge_penalties():
     model = derive(inst)
     assert model.replica_cost[0] + np.minimum(model.coloc_cost[0], 0.0).sum() < 0.0
     txn_site = np.array([0, 0, 1])
-    args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
-            model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
     got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
-    assert got.tolist() == [[True, True]]
-    assert np.array_equal(got, _ref_greedy_replicas(*args))
+    assert got.tolist() == [[False, True]]
+    alone, both = (evaluate(inst, model, Partitioning(txn_site, replica)).score
+                   for replica in (got, np.ones_like(got)))
+    assert alone == both

@@ -322,7 +322,7 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
         build_mip(inst, model, forbid_replication=disjoint, fixed_replicas=pins)
     )
     compact = milp(**_compact_model(
-        inst, model, use_symmetry=not pins, forbid_replication=disjoint, fixed_replicas=pins,
+        inst, model, forbid_replication=disjoint, fixed_replicas=pins,
     ))
     assert compact.success, compact.message
     assert compact.fun == pytest.approx(reference, rel=1e-7, abs=1e-7)
@@ -380,8 +380,7 @@ def _compact_digest(arrays) -> str:
 def test_compact_model_arrays_are_pinned(name, make, disjoint, pins, digest):
     inst = make()
     arrays = _compact_model(
-        inst, derive(inst), use_symmetry=not pins, forbid_replication=disjoint,
-        fixed_replicas=pins,
+        inst, derive(inst), forbid_replication=disjoint, fixed_replicas=pins,
     )
     assert _compact_digest(arrays) == digest
 
