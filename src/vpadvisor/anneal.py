@@ -18,7 +18,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import InfeasibleLayoutError
-from .partitioning import Partitioning, _write_latency, evaluate, weighted_score
+from .partitioning import (
+    Partitioning, _write_latency, _write_pairs, evaluate, weighted_score,
+)
 from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
 from .workload import CostModel, Instance, derive
 
@@ -56,6 +58,8 @@ class SaConfig:
             raise ValueError("freeze_stall_loops must be at least 1")
         if not self.time_limit >= 0.0:
             raise ValueError("time_limit must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -165,12 +169,69 @@ def order_transactions_by_load(model: CostModel) -> list[int]:
 # Each repair picks, item by item (an attribute that no transaction
 # reads, or a transaction), the site with the lowest increase of the
 # weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
-# with ``m`` the current peak load, the lowest site winning ties.  The
-# choice among a handful of sites loops over them in plain Python on
-# lists: numpy's per-call overhead on 4-element arrays costs far more
-# than the arithmetic.  Each repair returns, beside its layout, the
+# with ``m`` the current peak load, the lowest site winning ties.  One
+# vectorised ``argmin`` first finds each item's first cheapest site by
+# ``lam * cost`` alone (over its feasible sites, in the assignment
+# repair).  When adding the item there keeps that site's load at or below
+# ``m``, the item goes there without a scan: its increase is its weighted
+# cost, every other site's increase is at least that site's weighted cost
+# (``1 - lam >= 0`` for ``lam`` in [0, 1], and rounding a sum with a
+# nonnegative term never lowers it), and the first minimum wins ties as
+# in the scan.  Loads only grow (every increment is work, never
+# negative), so ``m`` is the running maximum.
+# Otherwise the item takes the scan, which loops over the handful of
+# sites in plain Python on lists: numpy's per-call overhead on 4-element
+# arrays costs far more than the arithmetic.  What the repairs and the
+# latency charge read of the ``CostModel`` beyond its arrays (pairs,
+# index sets, casts, the load order) is built once per run in a
+# :class:`_RepairTables`.  Each repair returns, beside its layout, the
 # layout's objective and peak site load from the costs and loads it
 # already holds, so the annealer prices a move without a second pass.
+
+
+@dataclass(frozen=True)
+class _RepairTables:
+    """Per-model constants of the repairs and the latency charge, built
+    once per :func:`solve_sa` run.
+
+    ``read_attr``/``read_txn`` are the (attribute, transaction) pairs of
+    ``txn_reads``, whose replicas every layout must hold; ``unread`` the
+    attributes that no transaction reads; ``reads_f`` the float (T, A)
+    read counts; ``write_pairs`` the (write query, attribute) pairs of the
+    latency charge (see :func:`_write_pairs`); ``order`` the load order
+    of :func:`order_transactions_by_load`.
+    """
+
+    txn_ids: np.ndarray
+    read_attr: np.ndarray
+    read_txn: np.ndarray
+    unread: np.ndarray
+    reads_f: np.ndarray
+    write_pairs: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    order: List[int]
+
+    @classmethod
+    def build(cls, model: CostModel) -> "_RepairTables":
+        read_attr, read_txn = np.nonzero(model.txn_reads)
+        unread = np.flatnonzero(~model.txn_reads.any(axis=1))
+        return cls(
+            txn_ids=np.arange(model.txn_reads.shape[1]),
+            read_attr=read_attr,
+            read_txn=read_txn,
+            unread=unread,
+            reads_f=model.txn_reads.T.astype(np.float64),
+            write_pairs=_write_pairs(model),
+            order=order_transactions_by_load(model),
+        )
+
+
+def _checked_weight(cost_weight: float) -> float:
+    """``cost_weight`` as a float, checked to lie in [0, 1] as an
+    instance's must: only there are the repairs' fast paths exact."""
+    lam = float(cost_weight)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("cost_weight must lie in [0, 1]")
+    return lam
 
 
 def solve_subproblem_fix_transactions(
@@ -178,6 +239,8 @@ def solve_subproblem_fix_transactions(
     txn_site: np.ndarray,
     site_count: int,
     cost_weight: float,
+    *,
+    tables: Optional[_RepairTables] = None,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort replica sets for a fixed transaction assignment,
     with their objective and peak site load.
@@ -188,38 +251,51 @@ def solve_subproblem_fix_transactions(
     replica is added, as an unforced one never lowers the score (see
     :class:`CostModel`).  These greedy choices do not price the
     write-latency charge; the annealer's Metropolis score and the final
-    :func:`evaluate` do.
+    :func:`evaluate` do.  ``tables`` are ``model``'s (built here when
+    absent).
     """
-    n_txns = model.coloc_cost.shape[1]
-    sites = range(site_count)
-    lam = float(cost_weight)
+    if tables is None:
+        tables = _RepairTables.build(model)
+    lam = _checked_weight(cost_weight)
     rest = 1.0 - lam
-    onehot = np.zeros((n_txns, site_count), np.float64)
-    if n_txns:
-        onehot[np.arange(n_txns), txn_site] = 1.0
+    onehot = np.zeros((tables.txn_ids.size, site_count), np.float64)
+    onehot[tables.txn_ids, txn_site] = 1.0
     csum = model.coloc_cost @ onehot
     lsum = model.coloc_load @ onehot
-    # read counts are small integers, which a float product sums exactly
-    replicas = (model.txn_reads.astype(np.float64) @ onehot) > 0.0
+    replicas = np.zeros((model.coloc_cost.shape[0], site_count), bool)
+    replicas[tables.read_attr, txn_site[tables.read_txn]] = True
     inc_all = lsum + model.replica_load[:, None]
     loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
     m = float(loads.max())
     base_all = csum + model.replica_cost[:, None]
 
-    # every attribute that no transaction reads still needs one site
-    uncovered = np.flatnonzero(~replicas.any(axis=1))
+    # every attribute that no transaction reads still needs one site;
+    # its row of the (item, site) costs and loads starts at ``row`` in
+    # the flat lists
+    unread = tables.unread
+    weighted = lam * base_all[unread]
+    first = weighted.argmin(axis=1)
+    weighted = weighted.ravel().tolist()
+    inc_all = inc_all[unread].ravel().tolist()
     loads = loads.tolist()
-    for a, weighted, inc in zip(uncovered.tolist(), (lam * base_all[uncovered]).tolist(),
-                                inc_all[uncovered].tolist()):
+    for i, s in enumerate(first.tolist()):
+        row = i * site_count
+        grown = loads[s] + inc_all[row + s]
+        if grown <= m:
+            loads[s] = grown
+            continue
         s, best = -1, 0.0
-        for k in sites:
-            over = loads[k] + inc[k] - m
-            delta = weighted[k] + rest * over if over > 0.0 else weighted[k]
+        for k in range(site_count):
+            over = loads[k] + inc_all[row + k] - m
+            w = weighted[row + k]
+            delta = w + rest * over if over > 0.0 else w
             if s < 0 or delta < best:
                 s, best = k, delta
-        replicas[a, s] = True
-        loads[s] += inc[s]
-        m = max(m, loads[s])
+        first[i] = s
+        loads[s] += inc_all[row + s]
+        if loads[s] > m:
+            m = loads[s]
+    replicas[unread, first] = True
     return replicas, float(base_all[replicas].sum()), max(loads)
 
 
@@ -228,6 +304,8 @@ def solve_subproblem_fix_replicas(
     replicas: np.ndarray,
     cost_weight: float,
     order: Optional[np.ndarray] = None,
+    *,
+    tables: Optional[_RepairTables] = None,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort transaction assignment for fixed replica sets, with
     its objective and peak site load.
@@ -238,40 +316,58 @@ def solve_subproblem_fix_replicas(
     write-latency charge; the annealer's Metropolis score and the final
     :func:`evaluate` do.  Raises :class:`InfeasibleLayoutError` when some
     transaction cannot read all of its attributes on any single site,
-    naming it and every transaction after it in ``order``.
+    naming it and every transaction after it in ``order``.  ``tables``
+    are ``model``'s (built here when absent).
     """
-    if order is None:
-        order = order_transactions_by_load(model)
-    n_txns = model.coloc_cost.shape[1]
-    sites = range(replicas.shape[1])
-    lam = float(cost_weight)
+    if tables is None:
+        tables = _RepairTables.build(model)
+    order = tables.order if order is None else np.asarray(order).tolist()
+    lam = _checked_weight(cost_weight)
     rest = 1.0 - lam
+    n_sites = replicas.shape[1]
     rep_f = replicas.astype(np.float64)
-    x = [-1] * n_txns
-    objective = float(model.replica_cost @ rep_f.sum(axis=1))
+    x = [-1] * tables.txn_ids.size
+    # replica counts per attribute: 0/1 sums, exact in a float product
+    objective = float(model.replica_cost @ (rep_f @ np.ones(n_sites)))
     loads = (rep_f.T @ model.replica_load).tolist()
-    cval_all = (model.coloc_cost.T @ rep_f).tolist()  # (T, S)
-    inc_all = (model.coloc_load.T @ rep_f).tolist()
+    m = max(loads)
+    cval = model.coloc_cost.T @ rep_f  # (T, S)
+    inc_all = model.coloc_load.T @ rep_f
     # missing reads per site: small integer counts, exact in a float product
-    missing = (model.txn_reads.T.astype(np.float64) @ (1.0 - rep_f)).tolist()
-    for t in np.asarray(order).tolist():
-        miss, cval, inc = missing[t], cval_all[t], inc_all[t]
-        m = max(loads)
-        s, best = -1, 0.0
-        for k in sites:
-            if miss[k] == 0.0:
-                over = loads[k] + inc[k] - m
-                delta = lam * cval[k] + rest * over if over > 0.0 else lam * cval[k]
-                if s < 0 or delta < best:
-                    s, best = k, delta
-        if s < 0:
-            raise InfeasibleLayoutError([
-                f"transaction {t} reads attributes that no single site holds together"
-                for t, site in enumerate(x) if site < 0
-            ])
+    feasible = (tables.reads_f @ (1.0 - rep_f)) == 0.0
+    # each transaction's first cheapest feasible site (an infeasible one
+    # when it has none); its row of the (T, S) figures starts at ``row``
+    # in the flat lists
+    first = np.where(feasible, lam * cval, np.inf).argmin(axis=1).tolist()
+    cval = cval.ravel().tolist()
+    inc_all = inc_all.ravel().tolist()
+    feasible = feasible.ravel().tolist()
+    for t in order:
+        s = first[t]
+        row = t * n_sites
+        j = row + s
+        grown = loads[s] + inc_all[j]
+        if grown > m or not feasible[j]:
+            s, best = -1, 0.0
+            for k in range(n_sites):
+                if feasible[row + k]:
+                    over = loads[k] + inc_all[row + k] - m
+                    w = lam * cval[row + k]
+                    delta = w + rest * over if over > 0.0 else w
+                    if s < 0 or delta < best:
+                        s, best = k, delta
+            if s < 0:
+                raise InfeasibleLayoutError([
+                    f"transaction {t} reads attributes that no single site holds together"
+                    for t, site in enumerate(x) if site < 0
+                ])
+            j = row + s
+            grown = loads[s] + inc_all[j]
+            if grown > m:
+                m = grown
         x[t] = s
-        objective += cval[s]
-        loads[s] += inc[s]
+        objective += cval[j]
+        loads[s] = grown
     return np.array(x, np.int64), objective, max(loads)
 
 
@@ -297,15 +393,18 @@ def solve_sa(
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
-    order = np.array(order_transactions_by_load(model), np.int64)
     lam = float(instance.cost_weight)
 
+    tables = _RepairTables.build(model)
+
     def score(x, y, objective, max_load):
-        return weighted_score(objective, max_load, _write_latency(instance, model, x, y), lam)
+        latency = _write_latency(instance, model, x, y, tables=tables)
+        return weighted_score(objective, max_load, latency, lam)
 
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
-    cur_y, objective, max_load = solve_subproblem_fix_transactions(model, cur_x, n_sites, lam)
+    cur_y, objective, max_load = solve_subproblem_fix_transactions(
+        model, cur_x, n_sites, lam, tables=tables)
     cur_score = score(cur_x, cur_y, objective, max_load)
 
     best_x, best_y, best_score = cur_x, cur_y, cur_score
@@ -336,11 +435,11 @@ def solve_sa(
             if fix_transactions:
                 cand_x = pert_x
                 cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                    model, cand_x, n_sites, lam)
+                    model, cand_x, n_sites, lam, tables=tables)
             else:
                 cand_y = pert_y
                 cand_x, objective, max_load = solve_subproblem_fix_replicas(
-                    model, cand_y, lam, order)
+                    model, cand_y, lam, tables=tables)
             fix_transactions = not fix_transactions
             evaluations += 1
             cand_score = score(cand_x, cand_y, objective, max_load)

@@ -51,6 +51,8 @@ class GenParams:
         ):
             if getattr(self, field) < 1:
                 problems.append(f"{field} must be at least 1")
+        if self.seed < 0:
+            problems.append("seed must be nonnegative")
         if not 0.0 <= self.update_percent <= 100.0:
             problems.append("update_percent must lie in [0, 100]")
         if not self.allowed_widths:

@@ -134,16 +134,31 @@ def _attr_ref(instance: Instance, attribute_id: int) -> str:
     return f"{instance.tables[attr.table_id].name}.{attr.name}"
 
 
+def _write_pairs(model: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (write query, attribute) pairs of ``write_attr_access``, query
+    by query, with each pair's transaction: ``(query, attribute, txn)``."""
+    query, attr = np.nonzero(model.write_attr_access.T)
+    return query, attr, model.write_txn[query]
+
+
 def _write_latency(instance: Instance, model: CostModel,
-                   txn_site: np.ndarray, replica: np.ndarray) -> Optional[float]:
+                   txn_site: np.ndarray, replica: np.ndarray, *,
+                   tables=None) -> Optional[float]:
     """Latency charge: penalty * frequency for each write query that must
-    reach a replica of an updated attribute off its transaction's site."""
+    reach a replica of an updated attribute off its transaction's site.
+
+    ``tables``, the annealer's per-run tables, supply the write pairs of
+    :func:`_write_pairs`; without them they are built here.
+    """
     if instance.latency_penalty is None:
         return None
-    off = replica.sum(axis=1)[:, None] > replica  # (A, S): a replica on a site other than s
-    # updated attributes with a replica off each site: 0/1 terms, exact in floats
-    hits = model.write_attr_access.T.astype(np.float64) @ off  # (W, S)
-    remote = hits[np.arange(hits.shape[0]), txn_site[model.write_txn]] > 0.0
+    query, attr, txn = _write_pairs(model) if tables is None else tables.write_pairs
+    # a pair reaches off its site when the attribute has more replicas
+    # than the one on the writer's site (0/1 counts, exact in floats)
+    counts = replica @ np.ones(replica.shape[1])
+    off = counts[attr] > replica[attr, txn_site[txn]]
+    remote = np.zeros(model.write_txn.size, bool)
+    remote[query[off]] = True
     return float(instance.latency_penalty) * float(model.write_frequencies[remote].sum())
 
 

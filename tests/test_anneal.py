@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 from vpadvisor import (
+    GenParams,
     Partitioning,
     SaConfig,
     accept_move,
     check_feasible,
     derive,
     evaluate,
+    generate,
     initial_temperature,
     perturb_replicas,
     perturb_transactions,
@@ -161,6 +163,13 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def _benchmark_instance(update_percent, latency_penalty):
+    params = GenParams(transaction_count=60, table_count=40, max_attributes_per_table=15,
+                       update_percent=update_percent, seed=3)
+    return generate(params, site_count=4, network_penalty=8.0, cost_weight=0.1,
+                    latency_penalty=latency_penalty)
+
+
 GOLDEN_SHAPE = dict(
     transaction_count=10, table_count=5, max_attributes_per_table=5, max_queries_per_transaction=3
 )
@@ -171,13 +180,17 @@ GOLDEN_INSTANCES = {
     ),
     "cost-only": lambda: random_instance(13, site_count=4, cost_weight=1.0, **GOLDEN_SHAPE),
     "tpcc-3": lambda: tpcc(site_count=3),
+    # the benchmark's annealing instances (perfbench/workloads.py)
+    "gen-sa-read": lambda: _benchmark_instance(update_percent=10.0, latency_penalty=None),
+    "gen-sa-write": lambda: _benchmark_instance(update_percent=50.0, latency_penalty=100.0),
 }
 
 # (instance, seed): (score as float.hex, evaluations, temperature steps,
 # sha256 prefixes of txn_site, replica and the trace), recorded with the
 # per-element kernels the scalar-loop kernels replaced; ("tpcc-3", 0) was
 # recorded with the separate folded price that the repairs' own prices
-# replaced.
+# replaced; the two benchmark instances were recorded before the repairs
+# gained their per-run tables and fast paths.
 GOLDEN = {
     ("plain", 0): ("0x1.07a6666666667p+11", 1250, 25, "f6b6883f18348ef2", "ec5e14c7556e15d1", "10bed764826e704d"),
     ("plain", 1): ("0x1.07a6666666667p+11", 1100, 22, "f6b6883f18348ef2", "ec5e14c7556e15d1", "c121453918470813"),
@@ -189,6 +202,8 @@ GOLDEN = {
     ("cost-only", 1): ("0x1.c300000000000p+11", 1450, 29, "8128a9daefce07e6", "99036f39ded07f50", "e2aea110fbac7b83"),
     ("cost-only", 2): ("0x1.c300000000000p+11", 1800, 36, "84d9a97c9ba99318", "1cb59075440459c0", "b5f53b0e61858352"),
     ("tpcc-3", 0): ("0x1.dc93333333334p+12", 1100, 22, "42c3fee7b420d10c", "958df4df3b96c047", "895b3dfccd116eb2"),
+    ("gen-sa-read", 0): ("0x1.7853333333334p+14", 2150, 43, "c87eeeed9b6d8bc3", "aa5c9ea145e07f25", "ab57ae4145cb9205"),
+    ("gen-sa-write", 0): ("0x1.0cef333333334p+15", 3300, 66, "1962c9ba2a041c4a", "ddcc4eeeae252793", "7fde3cd431363e16"),
 }
 
 
@@ -309,3 +324,5 @@ def test_sa_config_validation():
         SaConfig(freeze_stall_loops=0)
     with pytest.raises(ValueError):
         SaConfig(time_limit=math.nan)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SaConfig(seed=-1)

@@ -64,6 +64,16 @@ def test_gen_invalid_params_is_usage_error(tmp_path, capsys):
     assert "invalid request" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(tmp_path, small_path, capsys):
+    # numpy would refuse the seed with a message that names no flag
+    out = tmp_path / "never.json"
+    assert main(["gen", str(out), "--seed", "-1"]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "invalid request: seed must be nonnegative\n"
+    assert main(["solve", small_path, "--algo", "sa", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "invalid request: seed must be nonnegative\n"
+
+
 @pytest.mark.parametrize("flags", [
     pytest.param(["--sites", "0"], id="no-sites"),
     pytest.param(["--preset", "tpcc", "--lambda", "2"], id="tpcc-lambda"),

@@ -37,6 +37,8 @@ from vpadvisor import (
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
 )
+from vpadvisor.anneal import _RepairTables
+from vpadvisor.partitioning import _write_latency
 from conftest import (
     folded_price, fractional_instance, oracle_best, oracle_cost, random_instance,
     random_partitioning,
@@ -313,6 +315,133 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
                 got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
                 assert np.array_equal(got_x, want_x)
     assert stuck > 0  # some sparse placement left a transaction with no site
+
+
+def _peak_site_cheapest(n_sites):
+    """A model on which each repair's first cheapest site for every item
+    is the peak-load site and the item's load there lifts the peak, so
+    neither repair can take its fast path; with its inputs.
+
+    Attributes 0 and 1 are read (by transaction 0, and by 1 and 2),
+    attributes 2-4 by nobody.  Every transaction sits on site 0, and an
+    unread attribute costs less beside transactions, so site 0 is the
+    cheapest for each of them and already the peak.  For the assignment
+    the read attributes are everywhere and the unread ones only on
+    site 0, which makes site 0 the cheapest and the peak again.
+    """
+    reads = np.zeros((5, 3), bool)
+    reads[0, 0] = reads[1, 1] = reads[1, 2] = True
+    coloc_cost = np.where(reads.any(axis=1)[:, None], 2.0, -1.0) * np.ones((5, 3))
+    model = _model(reads, coloc_cost, np.ones(5), np.ones((5, 3)), np.ones(5))
+    replicas = np.zeros((5, n_sites), bool)
+    replicas[:2] = replicas[2:, 0] = True
+    return model, np.zeros(3, np.int64), replicas
+
+
+@pytest.mark.parametrize("cost_weight", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight):
+    model, txn_site, replicas = _peak_site_cheapest(n_sites)
+    reads, coloc_cost, replica_cost, coloc_load, replica_load = (
+        model.txn_reads, model.coloc_cost, model.replica_cost, model.coloc_load,
+        model.replica_load)
+    want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
+                                replica_load, cost_weight, n_sites)
+    got, _, max_load = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
+    assert np.array_equal(got, want)
+    if cost_weight == 1.0:
+        # no load term: each unread attribute stays on the cheapest site
+        # and lifts the peak there, from 8 by 4 each
+        assert want[2:, 0].all() and max_load == 8.0 + 3 * 4.0
+    else:
+        assert not want[2:, 0].all()  # the scan moved some off their cheapest site
+    order = np.array([2, 0, 1])
+    want_x = _ref_assign_transactions(replicas, reads, coloc_cost, coloc_load, replica_load,
+                                      cost_weight, order)
+    got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+    assert np.array_equal(got_x, want_x)
+    assert (want_x == 0).all() == (cost_weight == 1.0)
+
+
+@pytest.mark.parametrize("cost_weight", [0.0, 0.1, 1.0])
+def test_repairs_on_one_site_match_reference(cost_weight):
+    for seed in range(6):
+        reads, coloc_cost, replica_cost, coloc_load, replica_load = _coefficients(
+            "ties", seed, 1, cost_weight)
+        model = _model(reads, coloc_cost, replica_cost, coloc_load, replica_load)
+        txn_site = np.zeros(coloc_cost.shape[1], np.int64)
+        want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
+                                    replica_load, cost_weight, 1)
+        got, _, _ = solve_subproblem_fix_transactions(model, txn_site, 1, cost_weight)
+        assert np.array_equal(got, want) and want.all()
+        order = np.arange(coloc_cost.shape[1])[::-1]
+        got_x, _, _ = solve_subproblem_fix_replicas(model, got, cost_weight, order)
+        assert np.array_equal(got_x, txn_site)
+
+
+@pytest.mark.parametrize("cost_weight", [-0.1, 1.5, math.nan])
+def test_repairs_reject_weights_outside_unit_interval(cost_weight):
+    model, txn_site, replicas = _peak_site_cheapest(2)
+    with pytest.raises(ValueError, match="cost_weight"):
+        solve_subproblem_fix_transactions(model, txn_site, 2, cost_weight)
+    with pytest.raises(ValueError, match="cost_weight"):
+        solve_subproblem_fix_replicas(model, replicas, cost_weight)
+
+
+def test_stuck_assignment_names_every_unplaced_transaction():
+    # transaction 2 reads attribute 0, which site 1 holds; transactions
+    # 0 and 1 read attribute 1, which no site holds.  The repair places
+    # transaction 2 first and stops at transaction 0, naming it and
+    # transaction 1 after it.
+    reads = np.array([[False, False, True], [True, True, False]])
+    model = _model(reads, np.zeros((2, 3)), np.zeros(2), np.ones((2, 3)), np.zeros(2))
+    replicas = np.array([[False, True], [False, False]])
+    order = np.array([2, 0, 1])
+    want_x = _ref_assign_transactions(replicas, reads, model.coloc_cost, model.coloc_load,
+                                      model.replica_load, 0.5, order)
+    assert want_x.tolist() == [-1, -1, 1]
+    with pytest.raises(InfeasibleLayoutError) as err:
+        solve_subproblem_fix_replicas(model, replicas, 0.5, order)
+    assert err.value.violations == _stuck_messages(want_x) == [
+        "transaction 0 reads attributes that no single site holds together",
+        "transaction 1 reads attributes that no single site holds together",
+    ]
+
+
+def _ref_write_latency(instance, model, txn_site, replica):
+    """The latency charge as one dense (W, S) product."""
+    if instance.latency_penalty is None:
+        return None
+    off = replica.sum(axis=1)[:, None] > replica  # (A, S): a replica on a site other than s
+    hits = model.write_attr_access.T.astype(np.float64) @ off  # (W, S)
+    remote = hits[np.arange(hits.shape[0]), txn_site[model.write_txn]] > 0.0
+    return float(instance.latency_penalty) * float(model.write_frequencies[remote].sum())
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_write_latency_matches_dense_reference(n_sites):
+    for seed in range(8):
+        inst = random_instance(seed, site_count=n_sites, latency_penalty=5.0,
+                               update_percent=60.0)
+        model = derive(inst)
+        tables = _RepairTables.build(model)
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            part = random_partitioning(inst, rng)
+            x, replica = part.txn_site, part.replica.copy()
+            if model.write_txn.size:
+                # an updated attribute held on every site, and one held
+                # only on its writer's site
+                w_all, w_home = rng.integers(0, model.write_txn.size, 2)
+                replica[np.flatnonzero(model.write_attr_access[:, w_all])[0]] = True
+                home = np.flatnonzero(model.write_attr_access[:, w_home])[-1]
+                replica[home] = False
+                replica[home, x[model.write_txn[w_home]]] = True
+            want = _ref_write_latency(inst, model, x, replica)
+            assert _write_latency(inst, model, x, replica) == want
+            assert _write_latency(inst, model, x, replica, tables=tables) == want
+    unpriced = replace(inst, latency_penalty=None)
+    assert _write_latency(unpriced, model, x, replica) is None
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
