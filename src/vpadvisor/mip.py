@@ -11,6 +11,13 @@ a compact form with the same optimum: auxiliaries only where a
 coefficient needs them, and only the McCormick rows each coefficient's
 sign needs.  Both forms are built block by block into sparse arrays by
 one row builder, :class:`_Rows`.
+
+:func:`export_model` writes the full form as free-MPS or LP text,
+byte-deterministically and at most :data:`EXPORT_CHUNK_LINES` lines per
+``write``, never holding the whole text.  Every free-MPS line is a fixed
+sequence of fields, so the MPS writer renders each window of lines as a
+numpy byte block: one fixed-width ``S`` array per field, in output
+order, laid side by side and stripped of its NUL padding.
 """
 from __future__ import annotations
 
@@ -19,8 +26,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,8 +57,10 @@ class MipModel:
     modeled.  Base row order: assignment, coverage, read co-location,
     per-site load, linearization triples; the symmetry-breaking rows
     (when ``symmetry``), one row per pin of ``pins`` and the latency
-    rows follow.  :meth:`column_names` and :meth:`row_names` format the
-    names export writes from this layout on each call.
+    rows follow.  The model stores no names: :meth:`column_names` and
+    :meth:`row_names` format them from this layout on each call, decoded
+    from the fixed-width byte arrays (``_column_labels``, ``_row_labels``)
+    that the MPS writer lays into its lines.
     """
 
     c: np.ndarray
@@ -94,38 +104,61 @@ class MipModel:
             raise ValueError("model has no latency indicators")
         return self.m_index + 1 + write_pos
 
-    def _labels(self) -> Tuple[List[str], List[str], List[str]]:
-        """The transaction, attribute and site ids as strings."""
-        return tuple([str(i) for i in range(n)] for n in (self.n_txns, self.n_attrs, self.n_sites))
+    def _column_labels(self) -> np.ndarray:
+        """:meth:`column_names` as one fixed-width ``S`` array."""
+        t, a, s = (_ids(np.arange(n)) for n in (self.n_txns, self.n_attrs, self.n_sites))
+        return np.concatenate([
+            _join(b"x_", t[:, None], b"_", s),
+            _join(b"y_", a[:, None], b"_", s),
+            _join(b"u_", t[:, None, None], b"_", a[:, None], b"_", s),
+            np.array([b"m"]),
+            _join(b"psi_q", _ids(self.write_query_ids)),
+        ])
+
+    def _row_labels(self) -> np.ndarray:
+        """:meth:`row_names` as one fixed-width ``S`` array."""
+        t, a, s = (_ids(np.arange(n)) for n in (self.n_txns, self.n_attrs, self.n_sites))
+        side = np.array([b"x", b"y", b"xy"])
+        pins = np.array(self.pins, dtype=np.int64).reshape(-1, 2)
+        return np.concatenate([
+            _join(b"assign_t", t),
+            _join(b"cover_a", a),
+            _join(b"coloc_a", a[:, None, None], b"_t", t[:, None], b"_s", s),
+            _join(b"load_s", s),
+            _join(b"lin_", side, b"_t", t[:, None, None, None], b"_a", a[:, None, None],
+                  b"_s", s[:, None]),
+            _join(b"sym_t", t[:, None], b"_s", s[1:] if self.symmetry else s[:0]),
+            _join(b"pin_a", _ids(pins[:, 0]), b"_s", _ids(pins[:, 1])),
+            _join(b"remote_q", _ids(self.write_query_ids)),
+        ])
 
     def column_names(self) -> List[str]:
         """Names in column order: ``x_{t}_{s}``, ``y_{a}_{s}``,
         ``u_{t}_{a}_{s}``, ``m`` and ``psi_q{query}``."""
-        txns, attrs, sites = self._labels()
-        return (
-            [f"x_{t}_{s}" for t in txns for s in sites]
-            + [f"y_{a}_{s}" for a in attrs for s in sites]
-            + [f"u_{t}_{a}_{s}" for t in txns for a in attrs for s in sites]
-            + ["m"]
-            + [f"psi_q{q}" for q in self.write_query_ids]
-        )
+        return _lines(self._column_labels()).splitlines()
 
     def row_names(self) -> List[str]:
-        """Names in row order, one block per kind of row."""
-        txns, attrs, sites = self._labels()
-        return (
-            [f"assign_t{t}" for t in txns]
-            + [f"cover_a{a}" for a in attrs]
-            + [f"coloc_a{a}_t{t}_s{s}" for a in attrs for t in txns for s in sites]
-            + [f"load_s{s}" for s in sites]
-            + [
-                f"lin_{side}_t{t}_a{a}_s{s}"
-                for t in txns for a in attrs for s in sites for side in ("x", "y", "xy")
-            ]
-            + ([f"sym_t{t}_s{s}" for t in txns for s in sites[1:]] if self.symmetry else [])
-            + [f"pin_a{a}_s{s}" for a, s in self.pins]
-            + [f"remote_q{q}" for q in self.write_query_ids]
-        )
+        """Names in row order, one block per kind of row:
+        ``assign_t{t}``, ``cover_a{a}``, ``coloc_a{a}_t{t}_s{s}``,
+        ``load_s{s}``, ``lin_{x|y|xy}_t{t}_a{a}_s{s}``, ``sym_t{t}_s{s}``,
+        ``pin_a{a}_s{s}`` and ``remote_q{query}``."""
+        return _lines(self._row_labels()).splitlines()
+
+
+def _trimmed(texts: np.ndarray) -> np.ndarray:
+    """``texts`` as an ``S`` array as wide as its longest entry."""
+    return texts.astype(f"S{max(1, int(np.strings.str_len(texts).max(initial=0)))}")
+
+
+def _ids(values) -> np.ndarray:
+    """Integers as decimal ``S`` texts."""
+    return _trimmed(np.asarray(values, dtype=np.int64).astype("S"))
+
+
+def _join(*parts) -> np.ndarray:
+    """Byte strings and ``S`` arrays concatenated entry by entry under
+    broadcasting, flattened in C order."""
+    return _trimmed(reduce(np.strings.add, parts).ravel())
 
 
 class _Rows:
@@ -321,11 +354,18 @@ def _num(value: float) -> str:
     return repr(v)
 
 
-def _num_texts(values: np.ndarray) -> List[str]:
-    """:func:`_num` of every value, formatting each distinct value once."""
+def _texts(values: np.ndarray) -> np.ndarray:
+    """:func:`_num` of every value as an ``S`` array, formatting each
+    distinct value once."""
     distinct, which = np.unique(values, return_inverse=True)
-    texts = [_num(v) for v in distinct.tolist()]
-    return [texts[k] for k in which.tolist()]
+    return np.array([_num(v) for v in distinct.tolist()], dtype="S")[which]
+
+
+def _relations(model: MipModel) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's relation, 0 for ``=``, 1 for ``<=`` and 2 for ``>=``,
+    and its right-hand side; the model has no ranged rows."""
+    lo, hi = model.row_lower, model.row_upper
+    return np.where(lo == hi, 0, np.where(np.isinf(lo), 1, 2)), np.where(np.isinf(lo), hi, lo)
 
 
 def export_model(model: MipModel, fmt: str, fh: TextIO) -> None:
@@ -334,99 +374,156 @@ def export_model(model: MipModel, fmt: str, fh: TextIO) -> None:
     byte-deterministically.  ``fmt`` is matched ignoring case and
     surrounding blanks.
 
-    Lines are formatted as they are written, at most
-    :data:`EXPORT_CHUNK_LINES` per ``fh.write`` call, so the whole text
-    is never held in memory.
+    The text goes out in windows of :data:`EXPORT_CHUNK_LINES` lines,
+    one ``fh.write`` call each (the last may be shorter), so the whole
+    text is never held in memory.  A free-MPS window is rendered as one
+    numpy byte block from fixed-width field arrays
+    (:func:`_mps_sections`); LP lines are formatted one by one.
     """
     key = fmt.strip().lower()
     if key in {"mps", "free-mps"}:
-        lines = _mps_lines(model)
+        windows = _windows(_mps_sections(model))
     elif key in {"lp", "lp-text"}:
-        lines = _lp_lines(model)
+        windows = _lp_windows(model)
     else:
         raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
-    while True:
-        chunk = list(islice(lines, EXPORT_CHUNK_LINES))
-        if not chunk:
-            return
-        chunk.append("")  # every line ends in a newline
-        fh.write("\n".join(chunk))
+    for text in windows:
+        fh.write(text)
 
 
-def _row_blocks(model: MipModel) -> Iterator[Tuple[int, List[str], np.ndarray]]:
-    """Rows in blocks of :data:`EXPORT_CHUNK_LINES`: the block's first
-    row, each row's relation (``E``, ``L`` or ``G``) and right-hand
-    side; the model has no ranged rows."""
-    for start in range(0, model.constraint_count, EXPORT_CHUNK_LINES):
-        lo = model.row_lower[start : start + EXPORT_CHUNK_LINES]
-        hi = model.row_upper[start : start + EXPORT_CHUNK_LINES]
-        senses = np.where(lo == hi, "E", np.where(np.isinf(lo), "L", "G"))
-        yield start, senses.tolist(), np.where(np.isinf(lo), hi, lo)
+_Section = Tuple[int, Callable[[int, int], str]]
 
 
-def _column_blocks(starts: np.ndarray) -> Iterator[Tuple[int, int]]:
-    """Consecutive column ranges ``[first, last)`` of a CSC matrix with
-    at most :data:`EXPORT_CHUNK_LINES` entries each, unless one column
-    alone holds more."""
-    n = starts.size - 1
-    first = 0
-    while first < n:
-        last = int(np.searchsorted(starts, starts[first] + EXPORT_CHUNK_LINES, side="right")) - 1
-        last = min(max(last, first + 1), n)
-        yield first, last
-        first = last
+def _windows(sections: Sequence[_Section]) -> Iterator[str]:
+    """The text of ``sections``, each a line count and a function that
+    renders lines ``[lo, hi)``, in windows of exactly
+    :data:`EXPORT_CHUNK_LINES` lines but the last."""
+    parts: List[str] = []
+    room = EXPORT_CHUNK_LINES
+    for count, render in sections:
+        lo = 0
+        while lo < count:
+            hi = min(count, lo + room)
+            parts.append(render(lo, hi))
+            room -= hi - lo
+            lo = hi
+            if room == 0:
+                yield "".join(parts)
+                parts, room = [], EXPORT_CHUNK_LINES
+    if parts:
+        yield "".join(parts)
 
 
-def _mps_lines(model: MipModel) -> Iterator[str]:
-    row_names = model.row_names()
-    column_names = model.column_names()
-    yield from ("NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj")
-    for start, senses, _ in _row_blocks(model):
-        names = row_names[start : start + len(senses)]
-        yield from [f" {sense} {name}" for sense, name in zip(senses, names)]
-    # Column-major entries, each column's in row order; integer columns
-    # inside INTORG/INTEND markers.
-    yield "COLUMNS"
+def _fixed(*lines: str) -> _Section:
+    """A section of literal lines."""
+    texts = [line + "\n" for line in lines]
+    return len(texts), lambda lo, hi: "".join(texts[lo:hi])
+
+
+def _lines(*fields) -> str:
+    """Lines that each join one entry of every field and a newline.  A
+    field is a byte string all lines share or an ``S`` array with one
+    entry per line.  The fields are laid side by side as one
+    (lines x bytes) block, whose NUL padding is then dropped."""
+    columns = [np.asarray(field).reshape(-1) for field in fields + (b"\n",)]
+    n = max(column.size for column in columns)
+    block = np.concatenate([
+        np.broadcast_to(column.view(np.uint8).reshape(column.size, -1), (n, column.itemsize))
+        for column in columns
+    ], axis=1)
+    return block[block != 0].tobytes().decode("ascii")
+
+
+def _merged(n: int, *pieces: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """An ``S`` array of ``n`` entries, ``values`` where ``mask`` for each
+    ``(mask, values)``; as wide as the widest entries placed."""
+    width = max((np.asarray(values).itemsize for mask, values in pieces if mask.any()), default=1)
+    out = np.zeros(n, dtype=f"S{width}")
+    for mask, values in pieces:
+        out[mask] = values
+    return out
+
+
+def _mps_sections(model: MipModel) -> List[_Section]:
+    """The free-MPS text of ``model`` as sections of fixed fields."""
+    columns, rows = model._column_labels(), model._row_labels()
+    relation, rhs = _relations(model)
+    senses = np.array([b"E", b"L", b"G"])[relation]
+    nonzero = np.flatnonzero(rhs)
+    finite = np.flatnonzero(np.isfinite(model.upper))
+
+    def rhs_lines(lo: int, hi: int) -> str:
+        at = nonzero[lo:hi]
+        return _lines(b"    RHS ", rows[at], b" ", _texts(rhs[at]))
+
+    def bound_lines(lo: int, hi: int) -> str:
+        at = finite[lo:hi]
+        return _lines(b" UP BND ", columns[at], b" ", _texts(model.upper[at]))
+
+    return [
+        _fixed("NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"),
+        (rows.size, lambda lo, hi: _lines(b" ", senses[lo:hi], b" ", rows[lo:hi])),
+        _fixed("COLUMNS"),
+        _column_section(model, columns, rows),
+        _fixed("RHS"),
+        (nonzero.size, rhs_lines),
+        _fixed("BOUNDS"),
+        (finite.size, bound_lines),
+        _fixed("ENDATA"),
+    ]
+
+
+def _column_section(model: MipModel, columns: np.ndarray, rows: np.ndarray) -> _Section:
+    """The COLUMNS lines, column by column: a marker where an
+    ``INTORG``/``INTEND`` block of integer columns opens or closes, the
+    objective coefficient when nonzero, then the column's entries in row
+    order.  A line's place follows from the counts alone: column ``j``
+    starts at ``first[j]`` with one marker slot, one objective slot and
+    its CSC entries; slot ``j = n`` after the last column holds only the
+    marker that closes a final integer block."""
     by_column = model.matrix.tocsc()
     by_column.sort_indices()
-    starts = by_column.indptr
-    integer = model.integrality.tolist()
-    objective = model.c.tolist()
-    in_integer = False
-    marker = 0
-    for first, last in _column_blocks(starts):
-        entries = slice(starts[first], starts[last])
-        rows_of = by_column.indices[entries].tolist()
-        coef_texts = _num_texts(by_column.data[entries])
-        ends = (starts[first + 1 : last + 1] - starts[first]).tolist()
-        k = 0
-        for j, end in zip(range(first, last), ends):
-            if bool(integer[j]) != in_integer:
-                yield f"    MARKER{marker} 'MARKER' '{'INTEND' if in_integer else 'INTORG'}'"
-                marker += 1
-                in_integer = not in_integer
-            name = column_names[j]
-            if objective[j] != 0.0:
-                yield f"    {name} obj {_num(objective[j])}"
-            yield from [
-                f"    {name} {row_names[r]} {text}"
-                for r, text in zip(rows_of[k:end], coef_texts[k:end])
-            ]
-            k = end
-    if in_integer:
-        yield f"    MARKER{marker} 'MARKER' 'INTEND'"
-    yield "RHS"
-    for start, _, rhs in _row_blocks(model):
-        nonzero = np.flatnonzero(rhs)
-        texts = _num_texts(rhs[nonzero])
-        yield from [
-            f"    RHS {row_names[start + i]} {text}" for i, text in zip(nonzero.tolist(), texts)
-        ]
-    yield "BOUNDS"
-    finite = np.flatnonzero(np.isfinite(model.upper))
-    texts = _num_texts(model.upper[finite])
-    yield from [f" UP BND {column_names[j]} {text}" for j, text in zip(finite.tolist(), texts)]
-    yield "ENDATA"
+    integer = np.concatenate(([0], model.integrality, [0]))
+    marker = (integer[1:] != integer[:-1]).astype(np.int64)
+    objective = np.append(model.c != 0.0, False).astype(np.int64)
+    count = marker + objective + np.append(np.diff(by_column.indptr), 0)
+    first = np.concatenate(([0], np.cumsum(count)))
+    marker_names = _join(b"MARKER", _ids(np.arange(marker.sum())))
+    marker_of = np.cumsum(marker) - 1
+    marker_kind = np.where(integer[1:] == 1, b"'INTORG'", b"'INTEND'")
+
+    def render(lo: int, hi: int) -> str:
+        line = np.arange(lo, hi)
+        j = np.searchsorted(first, line, side="right") - 1
+        slot = line - first[j] - marker[j]  # -1 on a marker line, 0 on an objective line
+        at_marker = slot < 0
+        at_objective = (slot == 0) & (objective[j] == 1)
+        at_entry = ~at_marker & ~at_objective
+        body = ~at_marker
+        jm, jo, je = j[at_marker], j[at_objective], j[at_entry]
+        entry = by_column.indptr[je] + slot[at_entry] - objective[je]
+        values = np.zeros(line.size)
+        values[at_objective] = model.c[jo]
+        values[at_entry] = by_column.data[entry]
+        n = line.size
+        return _lines(
+            b"    ",
+            _merged(n, (at_marker, marker_names[marker_of[jm]]), (body, columns[j[body]])),
+            b" ",
+            _merged(n, (at_marker, b"'MARKER'"), (at_objective, b"obj"),
+                    (at_entry, rows[by_column.indices[entry]])),
+            b" ",
+            _merged(n, (at_marker, marker_kind[jm]), (body, _texts(values[body]))),
+        )
+
+    return int(first[-1]), render
+
+
+def _lp_windows(model: MipModel) -> Iterator[str]:
+    """The LP text in windows of :data:`EXPORT_CHUNK_LINES` lines."""
+    lines = _lp_lines(model)
+    while chunk := list(islice(lines, EXPORT_CHUNK_LINES)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _lp_terms(coefs: np.ndarray, cols: np.ndarray, opens: np.ndarray,
@@ -472,18 +569,19 @@ def _lp_lines(model: MipModel) -> Iterator[str]:
     yield from _wrap_expr("obj", tokens, "")
     yield "Subject To"
     row_names = model.row_names()
-    rel_txt = {"E": "=", "L": "<=", "G": ">="}
+    relation, rhs = _relations(model)
+    relations = np.array([b"= ", b"<= ", b">= "])
     by_row = model.matrix
-    for start, senses, rhs in _row_blocks(model):
-        starts = by_row.indptr[start : start + len(senses) + 1]
+    for start in range(0, model.constraint_count, EXPORT_CHUNK_LINES):
+        block = slice(start, start + EXPORT_CHUNK_LINES)
+        starts = by_row.indptr[start : start + EXPORT_CHUNK_LINES + 1]
         entries = slice(starts[0], starts[-1])
         opens = np.zeros(starts[-1] - starts[0], dtype=np.bool_)
         opens[starts[:-1][np.diff(starts) > 0] - starts[0]] = True  # each row's first entry
         tokens = _lp_terms(by_row.data[entries], by_row.indices[entries], opens, names)
-        tails = [f"{rel_txt[sense]} {text}" for sense, text in zip(senses, _num_texts(rhs))]
+        tails = _lines(relations[relation[block]], _texts(rhs[block])).splitlines()
         bounds = (starts - starts[0]).tolist()
-        labels = row_names[start : start + len(senses)]
-        for label, lo, hi, tail in zip(labels, bounds, bounds[1:], tails):
+        for label, lo, hi, tail in zip(row_names[block], bounds, bounds[1:], tails):
             row = tokens[lo:hi] or ["0 " + names[0]]
             line = f" {label}: {' '.join(row)}"
             if len(line) <= 200:  # then _wrap_expr would not wrap

@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from vpadvisor import (
@@ -31,7 +33,7 @@ from vpadvisor import (
 )
 from vpadvisor import mip as mip_module
 from vpadvisor.errors import FormatError
-from vpadvisor.mip import _compact_model
+from vpadvisor.mip import _compact_model, _num
 from vpadvisor.report import (
     STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
@@ -258,6 +260,193 @@ def test_model_holds_no_names_and_formats_them_on_request():
     assert [name for name in rows if name.startswith("pin_")] == ["pin_a0_s1", "pin_a1_s2"]
     assert sum(name.startswith("sym_") for name in rows) == inst.transaction_count * 2
     assert rows[-1] == f"remote_q{mip.write_query_ids[-1]}"
+
+
+def _reference_names(mip):
+    """Column and row names as the earlier f-string builders formatted
+    them, one Python string at a time."""
+    txns, attrs, sites = ([str(i) for i in range(n)] for n in (mip.n_txns, mip.n_attrs, mip.n_sites))
+    columns = (
+        [f"x_{t}_{s}" for t in txns for s in sites]
+        + [f"y_{a}_{s}" for a in attrs for s in sites]
+        + [f"u_{t}_{a}_{s}" for t in txns for a in attrs for s in sites]
+        + ["m"]
+        + [f"psi_q{q}" for q in mip.write_query_ids]
+    )
+    rows = (
+        [f"assign_t{t}" for t in txns]
+        + [f"cover_a{a}" for a in attrs]
+        + [f"coloc_a{a}_t{t}_s{s}" for a in attrs for t in txns for s in sites]
+        + [f"load_s{s}" for s in sites]
+        + [f"lin_{side}_t{t}_a{a}_s{s}"
+           for t in txns for a in attrs for s in sites for side in ("x", "y", "xy")]
+        + ([f"sym_t{t}_s{s}" for t in txns for s in sites[1:]] if mip.symmetry else [])
+        + [f"pin_a{a}_s{s}" for a, s in mip.pins]
+        + [f"remote_q{q}" for q in mip.write_query_ids]
+    )
+    return columns, rows
+
+
+def _reference_mps(mip):
+    """The free-MPS text as the earlier per-line writer formatted it, one
+    f-string per line: the reference the byte-block writer must equal."""
+    column_names, row_names = _reference_names(mip)
+    lo, hi = mip.row_lower, mip.row_upper
+    senses = np.where(lo == hi, "E", np.where(np.isinf(lo), "L", "G")).tolist()
+    rhs = np.where(np.isinf(lo), hi, lo)
+    lines = ["NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"]
+    lines += [f" {sense} {name}" for sense, name in zip(senses, row_names)]
+    lines.append("COLUMNS")
+    by_column = mip.matrix.tocsc()
+    by_column.sort_indices()
+    in_integer = False
+    marker = 0
+    for j, name in enumerate(column_names):
+        if bool(mip.integrality[j]) != in_integer:
+            lines.append(f"    MARKER{marker} 'MARKER' '{'INTEND' if in_integer else 'INTORG'}'")
+            marker += 1
+            in_integer = not in_integer
+        if mip.c[j] != 0.0:
+            lines.append(f"    {name} obj {_num(mip.c[j])}")
+        entries = slice(by_column.indptr[j], by_column.indptr[j + 1])
+        lines += [f"    {name} {row_names[r]} {_num(v)}"
+                  for r, v in zip(by_column.indices[entries], by_column.data[entries])]
+    if in_integer:
+        lines.append(f"    MARKER{marker} 'MARKER' 'INTEND'")
+    lines.append("RHS")
+    lines += [f"    RHS {row_names[i]} {_num(rhs[i])}" for i in np.flatnonzero(rhs)]
+    lines.append("BOUNDS")
+    lines += [f" UP BND {column_names[j]} {_num(mip.upper[j])}"
+              for j in np.flatnonzero(np.isfinite(mip.upper))]
+    lines.append("ENDATA")
+    return "\n".join(lines) + "\n"
+
+
+def _read_mps(text):
+    """Parse free-MPS text back into the arrays of a model (``c``,
+    ``matrix``, ``row_lower``, ``row_upper``, ``integrality``, ``upper``)
+    and its row and column names, matching entries to rows and columns
+    by name and numbering both in the order the file first names them."""
+    section, in_integer = "", False
+    senses, columns, integer = {}, {}, set()
+    objective, entries, rhs, upper = {}, [], {}, {}
+    for line in text.splitlines():
+        fields = line.split()
+        if not line.startswith(" "):
+            section = fields[0]
+        elif section == "ROWS":
+            if fields[0] != "N":
+                senses[fields[1]] = fields[0]
+        elif section == "COLUMNS" and fields[1] == "'MARKER'":
+            in_integer = fields[2] == "'INTORG'"
+        elif section == "COLUMNS":
+            column, row, value = fields[0], fields[1], float(fields[2])
+            if column not in columns:
+                columns[column] = len(columns)
+                if in_integer:
+                    integer.add(column)
+            if row == "obj":
+                objective[column] = value
+            else:
+                entries.append((row, column, value))
+        elif section == "RHS":
+            rhs[fields[1]] = float(fields[2])
+        elif section == "BOUNDS":
+            assert fields[:2] == ["UP", "BND"]
+            upper[fields[2]] = float(fields[3])
+    row_of = {name: i for i, name in enumerate(senses)}
+    rows, cols, coefs = zip(*entries)
+    values = np.array([rhs.get(name, 0.0) for name in senses])
+    kind = np.array(list(senses.values()))
+    return {
+        "rows": list(senses),
+        "columns": list(columns),
+        "entries": len(entries),
+        "c": np.array([objective.get(name, 0.0) for name in columns]),
+        "matrix": sp.csr_array((coefs, ([row_of[r] for r in rows], [columns[c] for c in cols])),
+                               shape=(len(senses), len(columns))),
+        "row_lower": np.where(kind == "L", -np.inf, values),
+        "row_upper": np.where(kind == "G", np.inf, values),
+        "integrality": np.array([name in integer for name in columns], dtype=np.int8),
+        "upper": np.array([upper.get(name, np.inf) for name in columns]),
+    }
+
+
+def _chunked_export(mip, fmt, chunk):
+    """The export text written with ``EXPORT_CHUNK_LINES`` at ``chunk``,
+    checking that every write holds at most ``chunk`` whole lines."""
+    spy = _SpyFile()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mip_module, "EXPORT_CHUNK_LINES", chunk)
+        export_model(mip, fmt, spy)
+    assert all(part.count("\n") <= chunk and part.endswith("\n") for part in spy.writes)
+    return "".join(spy.writes)
+
+
+# (generator seed, sites, transactions, update percent, cost weight,
+# latency penalty, use_symmetry, forbid_replication, pins); pins are
+# taken modulo the instance's attribute and site counts.
+_EXPORT_CASES = st.tuples(
+    st.integers(0, 2**16), st.integers(1, 4), st.integers(1, 12),
+    st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([0.0, 0.4, 1.0]),
+    st.sampled_from([None, 3.5]), st.booleans(), st.booleans(),
+    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3)), max_size=3),
+)
+_EXPORT_PROPERTY = settings(max_examples=40, deadline=None,
+                            suppress_health_check=[HealthCheck.too_slow])
+# No write query at all; and latency indicators whose first column both
+# opens an integer block and carries an objective coefficient.
+_NO_WRITES = (5, 3, 11, 0.0, 0.4, 3.5, True, False, [(4, 2)])
+_PRICED_MARKER = (2, 2, 3, 60.0, 0.1, 7.0, False, True, [(0, 1), (1, 0)])
+
+
+def _case_model(case):
+    seed, sites, txns, update, weight, latency, symmetry, disjoint, pins = case
+    inst = random_instance(seed, site_count=sites, transaction_count=txns,
+                           update_percent=update, cost_weight=weight, latency_penalty=latency)
+    pins = [(a % inst.attribute_count, s % sites) for a, s in pins]
+    return build_mip(inst, use_symmetry=symmetry, forbid_replication=disjoint,
+                     fixed_replicas=pins)
+
+
+def test_export_cases_cover_the_marked_edges():
+    assert _case_model(_NO_WRITES).write_query_ids == ()
+    mip = _case_model(_PRICED_MARKER)
+    psi = mip.psi_index(0)
+    assert mip.integrality[psi - 1] == 0 and mip.integrality[psi] == 1 and mip.c[psi] != 0.0
+
+
+@_EXPORT_PROPERTY
+@given(_EXPORT_CASES, st.sampled_from([1, 7, 200]))
+@example(_NO_WRITES, 7)
+@example(_PRICED_MARKER, 1)
+@example(_PRICED_MARKER, 7)
+@example(_PRICED_MARKER, 200)
+def test_mps_export_equals_the_reference_writer(case, chunk):
+    mip = _case_model(case)
+    assert (mip.column_names(), mip.row_names()) == _reference_names(mip)
+    assert _chunked_export(mip, "free-mps", chunk) == _reference_mps(mip)
+
+
+@pytest.mark.parametrize("name,options,digest", EXPORT_HASHES)
+def test_reference_writer_reproduces_the_pinned_texts(name, options, digest):
+    text = _reference_mps(build_mip(_pinned_instance(name), **options))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@_EXPORT_PROPERTY
+@given(_EXPORT_CASES)
+@example(_NO_WRITES)
+@example(_PRICED_MARKER)
+def test_mps_export_reads_back_as_the_model(case):
+    mip = _case_model(case)
+    parsed = _read_mps(_export_text(mip, "free-mps"))
+    assert parsed["columns"] == mip.column_names()
+    assert parsed["rows"] == mip.row_names()
+    for name in ("c", "row_lower", "row_upper", "integrality", "upper"):
+        assert np.array_equal(parsed[name], getattr(mip, name)), name
+    assert parsed["entries"] == mip.matrix.nnz
+    assert np.array_equal(parsed["matrix"].toarray(), mip.matrix.toarray())
 
 
 # ---------------------------------------------------------------------------
