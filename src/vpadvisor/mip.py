@@ -14,10 +14,10 @@ one row builder, :class:`_Rows`.
 
 :func:`export_model` writes the full form as free-MPS or LP text,
 byte-deterministically and at most :data:`EXPORT_CHUNK_LINES` lines per
-``write``, never holding the whole text.  Every free-MPS line is a fixed
-sequence of fields, so the MPS writer renders each window of lines as a
-numpy byte block: one fixed-width ``S`` array per field, in output
-order, laid side by side and stripped of its NUL padding.
+``write``, never holding the whole text.  Every free-MPS line and every
+piece of an LP expression is a fixed sequence of fields, so both writers
+render a window of lines as a numpy byte block: one fixed-width ``S``
+array per field, laid side by side and stripped of its NUL padding.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -60,7 +59,7 @@ class MipModel:
     rows follow.  The model stores no names: :meth:`column_names` and
     :meth:`row_names` format them from this layout on each call, decoded
     from the fixed-width byte arrays (``_column_labels``, ``_row_labels``)
-    that the MPS writer lays into its lines.
+    that both export writers lay into their lines.
     """
 
     c: np.ndarray
@@ -135,14 +134,14 @@ class MipModel:
     def column_names(self) -> List[str]:
         """Names in column order: ``x_{t}_{s}``, ``y_{a}_{s}``,
         ``u_{t}_{a}_{s}``, ``m`` and ``psi_q{query}``."""
-        return _lines(self._column_labels()).splitlines()
+        return _lines(self._column_labels(), b"\n").splitlines()
 
     def row_names(self) -> List[str]:
         """Names in row order, one block per kind of row:
         ``assign_t{t}``, ``cover_a{a}``, ``coloc_a{a}_t{t}_s{s}``,
         ``load_s{s}``, ``lin_{x|y|xy}_t{t}_a{a}_s{s}``, ``sym_t{t}_s{s}``,
         ``pin_a{a}_s{s}`` and ``remote_q{query}``."""
-        return _lines(self._row_labels()).splitlines()
+        return _lines(self._row_labels(), b"\n").splitlines()
 
 
 def _trimmed(texts: np.ndarray) -> np.ndarray:
@@ -376,15 +375,15 @@ def export_model(model: MipModel, fmt: str, fh: TextIO) -> None:
 
     The text goes out in windows of :data:`EXPORT_CHUNK_LINES` lines,
     one ``fh.write`` call each (the last may be shorter), so the whole
-    text is never held in memory.  A free-MPS window is rendered as one
-    numpy byte block from fixed-width field arrays
-    (:func:`_mps_sections`); LP lines are formatted one by one.
+    text is never held in memory.  Each window is rendered as one numpy
+    byte block from fixed-width field arrays (:func:`_mps_sections`,
+    :func:`_lp_sections`).
     """
     key = fmt.strip().lower()
     if key in {"mps", "free-mps"}:
         windows = _windows(_mps_sections(model))
     elif key in {"lp", "lp-text"}:
-        windows = _lp_windows(model)
+        windows = _windows(_lp_sections(model))
     else:
         raise FormatError(f"unsupported export format: {fmt!r} (use 'free-mps' or 'lp-text')")
     for text in windows:
@@ -421,11 +420,11 @@ def _fixed(*lines: str) -> _Section:
 
 
 def _lines(*fields) -> str:
-    """Lines that each join one entry of every field and a newline.  A
-    field is a byte string all lines share or an ``S`` array with one
-    entry per line.  The fields are laid side by side as one
-    (lines x bytes) block, whose NUL padding is then dropped."""
-    columns = [np.asarray(field).reshape(-1) for field in fields + (b"\n",)]
+    """The text of a block whose rows each join one entry of every
+    field: a byte string all rows share or an ``S`` array with one entry
+    per row (a ``b"\\n"`` field ends lines).  The fields are laid side by
+    side as one (rows x bytes) block, whose NUL padding is then dropped."""
+    columns = [np.asarray(field).reshape(-1) for field in fields]
     n = max(column.size for column in columns)
     block = np.concatenate([
         np.broadcast_to(column.view(np.uint8).reshape(column.size, -1), (n, column.itemsize))
@@ -454,15 +453,15 @@ def _mps_sections(model: MipModel) -> List[_Section]:
 
     def rhs_lines(lo: int, hi: int) -> str:
         at = nonzero[lo:hi]
-        return _lines(b"    RHS ", rows[at], b" ", _texts(rhs[at]))
+        return _lines(b"    RHS ", rows[at], b" ", _texts(rhs[at]), b"\n")
 
     def bound_lines(lo: int, hi: int) -> str:
         at = finite[lo:hi]
-        return _lines(b" UP BND ", columns[at], b" ", _texts(model.upper[at]))
+        return _lines(b" UP BND ", columns[at], b" ", _texts(model.upper[at]), b"\n")
 
     return [
         _fixed("NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"),
-        (rows.size, lambda lo, hi: _lines(b" ", senses[lo:hi], b" ", rows[lo:hi])),
+        (rows.size, lambda lo, hi: _lines(b" ", senses[lo:hi], b" ", rows[lo:hi], b"\n")),
         _fixed("COLUMNS"),
         _column_section(model, columns, rows),
         _fixed("RHS"),
@@ -514,94 +513,94 @@ def _column_section(model: MipModel, columns: np.ndarray, rows: np.ndarray) -> _
                     (at_entry, rows[by_column.indices[entry]])),
             b" ",
             _merged(n, (at_marker, marker_kind[jm]), (body, _texts(values[body]))),
+            b"\n",
         )
 
     return int(first[-1]), render
 
 
-def _lp_windows(model: MipModel) -> Iterator[str]:
-    """The LP text in windows of :data:`EXPORT_CHUNK_LINES` lines."""
-    lines = _lp_lines(model)
-    while chunk := list(islice(lines, EXPORT_CHUNK_LINES)):
-        yield "\n".join(chunk) + "\n"
-
-
-def _lp_terms(coefs: np.ndarray, cols: np.ndarray, opens: np.ndarray,
-              names: Sequence[str]) -> List[str]:
-    """LP tokens ``[sign] [magnitude] name`` of matrix entries: a unit
-    magnitude is left out, and so is the ``+`` of an entry that opens
-    its expression (``opens``)."""
-    distinct, which = np.unique(coefs, return_inverse=True)
-    values = distinct.tolist()
-    magnitudes = ["" if abs(v) == 1.0 else f"{_num(abs(v))} " for v in values]
-    inner = [("- " if v < 0 else "+ ") + m for v, m in zip(values, magnitudes)]
-    leading = [("- " if v < 0 else "") + m for v, m in zip(values, magnitudes)]
-    prefixes = inner + leading
-    which = which + opens * len(values)
-    return [prefixes[k] + names[c] for k, c in zip(which.tolist(), cols.tolist())]
-
-
-def _wrap_expr(label: str, tokens: List[str], tail: str) -> List[str]:
-    """Lay out one LP row, wrapping long expressions deterministically."""
-    lines: List[str] = []
-    current = f" {label}:"
-    for tok in tokens:
-        if len(current) + 1 + len(tok) > 200 and current.strip() != f"{label}:":
-            lines.append(current)
-            current = "   " + tok
-        else:
-            current = f"{current} {tok}"
-    current = f"{current} {tail}" if tail else current
-    lines.append(current)
-    return lines
-
-
-def _lp_lines(model: MipModel) -> Iterator[str]:
-    """LP text; each row lists its terms in column order."""
-    names = model.column_names()
-    yield from ("\\ vpadvisor linearized placement model", "Minimize")
-    obj = np.flatnonzero(model.c)
-    if obj.size:
-        opens = np.arange(obj.size) == 0
-        tokens = _lp_terms(model.c[obj], obj, opens, names)
-    else:
-        tokens = [f"0 {names[-1]}"]
-    yield from _wrap_expr("obj", tokens, "")
-    yield "Subject To"
-    row_names = model.row_names()
+def _lp_sections(model: MipModel) -> List[_Section]:
+    """The LP text of ``model`` as sections of fixed fields."""
+    columns = model._column_labels()
     relation, rhs = _relations(model)
-    relations = np.array([b"= ", b"<= ", b">= "])
-    by_row = model.matrix
-    for start in range(0, model.constraint_count, EXPORT_CHUNK_LINES):
-        block = slice(start, start + EXPORT_CHUNK_LINES)
-        starts = by_row.indptr[start : start + EXPORT_CHUNK_LINES + 1]
-        entries = slice(starts[0], starts[-1])
-        opens = np.zeros(starts[-1] - starts[0], dtype=np.bool_)
-        opens[starts[:-1][np.diff(starts) > 0] - starts[0]] = True  # each row's first entry
-        tokens = _lp_terms(by_row.data[entries], by_row.indices[entries], opens, names)
-        tails = _lines(relations[relation[block]], _texts(rhs[block])).splitlines()
-        bounds = (starts - starts[0]).tolist()
-        for label, lo, hi, tail in zip(row_names[block], bounds, bounds[1:], tails):
-            row = tokens[lo:hi] or ["0 " + names[0]]
-            line = f" {label}: {' '.join(row)}"
-            if len(line) <= 200:  # then _wrap_expr would not wrap
-                yield f"{line} {tail}"
-            else:
-                yield from _wrap_expr(label, row, tail)
-    integer = model.integrality.tolist()
-    bounds = [
-        f" {name} <= {_num(up)}"
-        for name, k, up in zip(names, integer, model.upper.tolist())
-        if not k and math.isfinite(up)
+    # An all-zero objective is written as one zero term, ``0 <last column>``.
+    costed = np.flatnonzero(model.c) if model.c.any() else np.array([model.c.size - 1])
+    objective = sp.csr_array((model.c[costed], costed, [0, costed.size]), shape=(1, model.c.size))
+    tails = np.strings.add(np.array([b" = ", b" <= ", b" >= "])[relation], _texts(rhs))
+    bounded = np.flatnonzero((model.integrality == 0) & np.isfinite(model.upper))
+    binary = np.flatnonzero(model.integrality)
+
+    def bound_lines(lo: int, hi: int) -> str:
+        at = bounded[lo:hi]
+        return _lines(b" ", columns[at], b" <= ", _texts(model.upper[at]), b"\n")
+
+    return [
+        _fixed("\\ vpadvisor linearized placement model", "Minimize"),
+        _expressions(np.array([b"obj"]), objective, columns, np.array([b""])),
+        _fixed("Subject To"),
+        _expressions(model._row_labels(), model.matrix, columns, tails),
+        _fixed(*["Bounds"][: bounded.size]),  # a header only above a nonempty list
+        (bounded.size, bound_lines),
+        _fixed(*["Binary"][: binary.size]),
+        (binary.size, lambda lo, hi: _lines(b" ", columns[binary[lo:hi]], b"\n")),
+        _fixed("End"),
     ]
-    if bounds:
-        yield "Bounds"
-        yield from bounds
-    binaries = [f" {name}" for name, k in zip(names, integer) if k]
-    if binaries:
-        yield "Binary"
-        yield from binaries
-    yield "End"
+
+
+def _expressions(labels: np.ndarray, by_row: sp.csr_array, names: np.ndarray,
+                 tails: np.ndarray) -> _Section:
+    """LP expressions, one per row of ``by_row``: `` label:``, a term
+    `` [sign] [magnitude] name`` per entry (no unit magnitude, no ``+``
+    on a first term) and the row's tail.  Past 200 characters, each term
+    but the first that would overflow its line starts a new line, after
+    three blanks.  Expression ``i`` is the items head, terms and tail from
+    ``first[i]``, one block row each; a newline ends item ``ends[k]``."""
+    indptr, indices, data = by_row.indptr, by_row.indices, by_row.data
+    first = 2 * np.arange(labels.size + 1) + indptr
+    # Term widths with their blank: " + name", "magnitude " unless 1, no "+ " first.
+    size = 3 + np.strings.str_len(names)[indices]
+    scaled = np.flatnonzero(np.abs(data) != 1.0)
+    size[scaled] += 1 + np.strings.str_len(_texts(np.abs(data[scaled])))
+    opening = indptr[:-1][np.diff(indptr) > 0]
+    size[opening] -= 2 * (data[opening] >= 0)
+    total = np.concatenate(([0], np.cumsum(size)))
+    length = 2 + np.strings.str_len(labels) + total[indptr[1:]] - total[indptr[:-1]]
+    wraps = []  # the items that start a continued line
+    for i in np.flatnonzero(length > 200).tolist():
+        line = 2 + len(labels[i])
+        for k, width in enumerate(size[indptr[i] : indptr[i + 1]].tolist()):
+            if line + width > 200 and k:
+                wraps.append(first[i] + 1 + k)
+                line = 2 + width
+            else:
+                line += width
+    ends = np.sort(np.concatenate((first[1:] - 1, np.array(wraps, dtype=np.int64) - 1)))
+
+    def render(lo: int, hi: int) -> str:
+        start = ends[lo - 1] + 1 if lo else 0
+        item = np.arange(start, ends[hi - 1] + 1)
+        i = np.searchsorted(first, item, side="right") - 1
+        slot = item - first[i]  # 0 at the head, k at the k-th term
+        head = slot == 0
+        tail = item == first[i + 1] - 1
+        term = ~head & ~tail
+        entry = indptr[i[term]] + slot[term] - 1
+        values = data[entry]
+        magnitude = np.abs(values)
+        n = item.size
+        newline = np.zeros(n, dtype=np.bool_)
+        newline[ends[lo:hi] - start] = True
+        return _lines(
+            _merged(n, (~tail, b" "), (term & np.roll(newline, 1), b"   ")),
+            _merged(n, (term, np.where(values < 0, b"- ", np.where(slot[term] == 1, b"", b"+ "))),
+                    (tail, tails[i[tail]])),
+            _merged(n, (term, np.where(magnitude == 1.0, b"",
+                                       np.strings.add(_texts(magnitude), b" ")))),
+            _merged(n, (head, labels[i[head]]), (term, names[indices[entry]])),
+            _merged(n, (head, b":"), (newline, b"\n")),
+        )
+
+    return ends.size, render
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy._core import HighsStatus, MatrixFormat, ObjSense, _Highs
 
 from vpadvisor import (
     BudgetExceededError,
@@ -447,6 +448,127 @@ def test_mps_export_reads_back_as_the_model(case):
         assert np.array_equal(parsed[name], getattr(mip, name)), name
     assert parsed["entries"] == mip.matrix.nnz
     assert np.array_equal(parsed["matrix"].toarray(), mip.matrix.toarray())
+
+
+def _reference_lp(mip):
+    """The LP text as the earlier per-line writer formatted it, one
+    string per term and per line: the reference the byte-block writer
+    must equal."""
+    names, row_names = _reference_names(mip)
+
+    def expression(label, columns, values, tail):
+        """`` label: term ...`` and ``tail``; past 200 characters each
+        term but the first that would overflow its line starts a new
+        line after three blanks."""
+        lines, current = [], f" {label}:"
+        for k, (j, v) in enumerate(zip(columns.tolist(), values.tolist())):
+            sign = "- " if v < 0 else "+ " if k else ""
+            term = sign + ("" if abs(v) == 1.0 else f"{_num(abs(v))} ") + names[j]
+            if len(current) + 1 + len(term) > 200 and k:
+                lines.append(current)
+                current = "   " + term
+            else:
+                current = f"{current} {term}"
+        return lines + [f"{current} {tail}" if tail else current]
+
+    lines = ["\\ vpadvisor linearized placement model", "Minimize"]
+    obj = np.flatnonzero(mip.c)
+    lines += expression("obj", obj, mip.c[obj], "") if obj.size else [f" obj: 0 {names[-1]}"]
+    lines.append("Subject To")
+    by_row = mip.matrix
+    for i, (label, lo, hi) in enumerate(zip(row_names, mip.row_lower, mip.row_upper)):
+        entries = slice(by_row.indptr[i], by_row.indptr[i + 1])
+        tail = (f"= {_num(lo)}" if lo == hi
+                else f"<= {_num(hi)}" if np.isinf(lo) else f">= {_num(lo)}")
+        lines += expression(label, by_row.indices[entries], by_row.data[entries], tail)
+    bounds = [f" {names[j]} <= {_num(mip.upper[j])}"
+              for j in np.flatnonzero((mip.integrality == 0) & np.isfinite(mip.upper))]
+    binaries = [f" {names[j]}" for j in np.flatnonzero(mip.integrality)]
+    lines += (["Bounds"] + bounds if bounds else []) + (["Binary"] + binaries if binaries else [])
+    lines.append("End")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name,options,digest", LP_EXPORT_HASHES)
+def test_reference_lp_writer_reproduces_the_pinned_texts(name, options, digest):
+    text = _reference_lp(build_mip(_pinned_instance(name), **options))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@_EXPORT_PROPERTY
+@given(_EXPORT_CASES, st.sampled_from([1, 7, 200]))
+@example(_NO_WRITES, 7)
+@example(_PRICED_MARKER, 1)
+@example(_PRICED_MARKER, 200)
+def test_lp_export_equals_the_reference_writer(case, chunk):
+    mip = _case_model(case)
+    # Every row has an entry, so neither writer needs a text for an empty row.
+    assert np.diff(mip.matrix.indptr).min() > 0
+    assert _chunked_export(mip, "lp-text", chunk) == _reference_lp(mip)
+
+
+def _zero_objective_instance():
+    """An instance whose objective is all zero: every query frequency is
+    0 and the cost weight is 1, so nothing is priced."""
+    inst = random_instance(3, site_count=3, latency_penalty=4.0, update_percent=50.0,
+                           cost_weight=1.0)
+    return dataclasses.replace(
+        inst, queries=tuple(dataclasses.replace(q, frequency=0.0) for q in inst.queries))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 200])
+def test_lp_export_wraps_long_rows_and_writes_an_empty_objective(chunk):
+    wide = build_mip(_pinned_instance("wide"), use_symmetry=True, fixed_replicas=((0, 1),))
+    text = _chunked_export(wide, "lp-text", chunk)
+    assert text == _reference_lp(wide)
+    assert any(line.startswith("   ") for line in text.splitlines())  # continued lines
+    empty = build_mip(_zero_objective_instance())
+    assert not empty.c.any() and empty.has_latency
+    text = _chunked_export(empty, "lp-text", chunk)
+    assert text == _reference_lp(empty)
+    assert text.splitlines()[2] == f" obj: 0 psi_q{empty.write_query_ids[-1]}"
+
+
+def _read_with_highs(mip, fmt, path):
+    """The model HiGHS's own reader takes from the exported text, its
+    columns and rows put in the model's order by name.  HiGHS picks its
+    reader by the suffix of ``path``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        export_model(mip, fmt, fh)
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    assert highs.readModel(str(path)) == HighsStatus.kOk
+    lp = highs.getLp()
+    assert lp.sense_ == ObjSense.kMinimize and lp.offset_ == 0.0
+    assert sorted(lp.col_names_) == sorted(mip.column_names())
+    assert sorted(lp.row_names_) == sorted(mip.row_names())
+    col_of = {name: j for j, name in enumerate(lp.col_names_)}
+    row_of = {name: i for i, name in enumerate(lp.row_names_)}
+    cols = [col_of[name] for name in mip.column_names()]
+    rows = [row_of[name] for name in mip.row_names()]
+    a = lp.a_matrix_
+    assert a.format_ == MatrixFormat.kColwise
+    matrix = sp.csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_))
+    return {
+        "c": np.array(lp.col_cost_)[cols],
+        "lower": np.array(lp.col_lower_)[cols],
+        "upper": np.array(lp.col_upper_)[cols],
+        "integrality": np.array([int(kind) for kind in lp.integrality_], dtype=np.int8)[cols],
+        "row_lower": np.array(lp.row_lower_)[rows],
+        "row_upper": np.array(lp.row_upper_)[rows],
+        "matrix": matrix.toarray()[np.ix_(rows, cols)],
+    }
+
+
+@pytest.mark.parametrize("name", ["t1", "latency", "wide"])
+@pytest.mark.parametrize("fmt,suffix", [("free-mps", ".mps"), ("lp-text", ".lp")])
+def test_export_reads_back_through_highs_as_the_model(name, fmt, suffix, tmp_path):
+    mip = build_mip(_pinned_instance(name), use_symmetry=True)
+    read = _read_with_highs(mip, fmt, tmp_path / f"model{suffix}")
+    for field in ("c", "upper", "integrality", "row_lower", "row_upper"):
+        assert np.array_equal(read[field], getattr(mip, field)), field
+    assert np.array_equal(read["lower"], np.zeros(mip.variable_count))
+    assert np.array_equal(read["matrix"], mip.matrix.toarray())
 
 
 # ---------------------------------------------------------------------------
