@@ -16,19 +16,7 @@ need.
 """
 from __future__ import annotations
 
-from .anneal import (
-    SaConfig,
-    SaTrace,
-    accept_move,
-    initial_temperature,
-    order_transactions_by_load,
-    perturb_replicas,
-    perturb_transactions,
-    solve_sa,
-    solve_sa_best_of,
-    solve_subproblem_fix_replicas,
-    solve_subproblem_fix_transactions,
-)
+from .anneal import SaConfig, SaTrace, solve_sa, solve_sa_best_of
 from .errors import (
     BudgetExceededError,
     FormatError,
@@ -103,13 +91,6 @@ __all__ = [
     # annealing
     "SaConfig",
     "SaTrace",
-    "initial_temperature",
-    "accept_move",
-    "perturb_transactions",
-    "perturb_replicas",
-    "order_transactions_by_load",
-    "solve_subproblem_fix_transactions",
-    "solve_subproblem_fix_replicas",
     "solve_sa",
     "solve_sa_best_of",
     # exact / enumeration

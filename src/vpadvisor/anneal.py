@@ -155,17 +155,6 @@ def perturb_replicas(
     return grown
 
 
-def order_transactions_by_load(model: CostModel) -> list[int]:
-    """Transaction ids sorted by total read weight, heaviest first.
-
-    Ties break toward the lower transaction id so the order is stable.
-    """
-    weight = model.coloc_load.sum(axis=0)
-    ids = np.arange(weight.size)
-    order = np.lexsort((ids, -weight))
-    return [int(t) for t in order]
-
-
 # Each repair picks, item by item (an attribute that no transaction
 # reads, or a transaction), the site with the lowest increase of the
 # weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
@@ -181,27 +170,32 @@ def order_transactions_by_load(model: CostModel) -> list[int]:
 # negative), so ``m`` is the running maximum.
 # Otherwise the item takes the scan, which loops over the handful of
 # sites in plain Python on lists: numpy's per-call overhead on 4-element
-# arrays costs far more than the arithmetic.  What the repairs and the
-# latency charge read of the ``CostModel`` beyond its arrays (pairs,
-# index sets, casts, the load order) is built once per run in a
-# :class:`_RepairTables`.  Each repair returns, beside its layout, the
+# arrays costs far more than the arithmetic.  Everything the repairs and
+# the latency charge read beyond the ``CostModel``'s arrays (the checked
+# weight, the site count, pairs, index sets, casts, the load order) is
+# built once per run in a :class:`_RepairTables`, which every call takes.
+# Each repair returns, beside its layout, the
 # layout's objective and peak site load from the costs and loads it
 # already holds, so the annealer prices a move without a second pass.
 
 
 @dataclass(frozen=True)
 class _RepairTables:
-    """Per-model constants of the repairs and the latency charge, built
-    once per :func:`solve_sa` run.
+    """Per-run constants of the repairs and the latency charge, built
+    once per :func:`solve_sa` run and passed to every call.
 
+    ``site_count`` and ``lam`` (the cost weight) are the instance's;
     ``read_attr``/``read_txn`` are the (attribute, transaction) pairs of
     ``txn_reads``, whose replicas every layout must hold; ``unread`` the
     attributes that no transaction reads; ``reads_f`` the float (T, A)
     read counts; ``write_pairs`` the (write query, attribute) pairs of the
-    latency charge (see :func:`_write_pairs`); ``order`` the load order
-    of :func:`order_transactions_by_load`.
+    latency charge (see :func:`_write_pairs`); ``order`` the transaction
+    ids by total read weight, heaviest first and ties toward the lower
+    id, the order in which the assignment repair places them.
     """
 
+    site_count: int
+    lam: float
     txn_ids: np.ndarray
     read_attr: np.ndarray
     read_txn: np.ndarray
@@ -211,36 +205,29 @@ class _RepairTables:
     order: List[int]
 
     @classmethod
-    def build(cls, model: CostModel) -> "_RepairTables":
+    def build(cls, model: CostModel, site_count: int, cost_weight: float) -> "_RepairTables":
+        """``model``'s tables; ``cost_weight`` must lie in [0, 1], as an
+        instance's must: only there are the repairs' fast paths exact."""
+        lam = float(cost_weight)
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError("cost_weight must lie in [0, 1]")
         read_attr, read_txn = np.nonzero(model.txn_reads)
-        unread = np.flatnonzero(~model.txn_reads.any(axis=1))
+        txn_ids = np.arange(model.txn_reads.shape[1])
         return cls(
-            txn_ids=np.arange(model.txn_reads.shape[1]),
+            site_count=site_count,
+            lam=lam,
+            txn_ids=txn_ids,
             read_attr=read_attr,
             read_txn=read_txn,
-            unread=unread,
+            unread=np.flatnonzero(~model.txn_reads.any(axis=1)),
             reads_f=model.txn_reads.T.astype(np.float64),
             write_pairs=_write_pairs(model),
-            order=order_transactions_by_load(model),
+            order=np.lexsort((txn_ids, -model.coloc_load.sum(axis=0))).tolist(),
         )
 
 
-def _checked_weight(cost_weight: float) -> float:
-    """``cost_weight`` as a float, checked to lie in [0, 1] as an
-    instance's must: only there are the repairs' fast paths exact."""
-    lam = float(cost_weight)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("cost_weight must lie in [0, 1]")
-    return lam
-
-
 def solve_subproblem_fix_transactions(
-    model: CostModel,
-    txn_site: np.ndarray,
-    site_count: int,
-    cost_weight: float,
-    *,
-    tables: Optional[_RepairTables] = None,
+    model: CostModel, txn_site: np.ndarray, tables: _RepairTables,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort replica sets for a fixed transaction assignment,
     with their objective and peak site load.
@@ -251,12 +238,9 @@ def solve_subproblem_fix_transactions(
     replica is added, as an unforced one never lowers the score (see
     :class:`CostModel`).  These greedy choices do not price the
     write-latency charge; the annealer's Metropolis score and the final
-    :func:`evaluate` do.  ``tables`` are ``model``'s (built here when
-    absent).
+    :func:`evaluate` do.  ``tables`` are ``model``'s.
     """
-    if tables is None:
-        tables = _RepairTables.build(model)
-    lam = _checked_weight(cost_weight)
+    lam, site_count = tables.lam, tables.site_count
     rest = 1.0 - lam
     onehot = np.zeros((tables.txn_ids.size, site_count), np.float64)
     onehot[tables.txn_ids, txn_site] = 1.0
@@ -300,31 +284,22 @@ def solve_subproblem_fix_transactions(
 
 
 def solve_subproblem_fix_replicas(
-    model: CostModel,
-    replicas: np.ndarray,
-    cost_weight: float,
-    order: Optional[np.ndarray] = None,
-    *,
-    tables: Optional[_RepairTables] = None,
+    model: CostModel, replicas: np.ndarray, tables: _RepairTables,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort transaction assignment for fixed replica sets, with
     its objective and peak site load.
 
-    Transactions are placed one at a time in ``order`` (heaviest read
-    weight first by default), each on the feasible site with the lowest
+    Transactions are placed one at a time in ``tables.order`` (heaviest
+    read weight first), each on the feasible site with the lowest
     weighted-score increase.  These greedy choices do not price the
     write-latency charge; the annealer's Metropolis score and the final
     :func:`evaluate` do.  Raises :class:`InfeasibleLayoutError` when some
     transaction cannot read all of its attributes on any single site,
-    naming it and every transaction after it in ``order``.  ``tables``
-    are ``model``'s (built here when absent).
+    naming it and every transaction after it in that order.  ``tables``
+    are ``model``'s.
     """
-    if tables is None:
-        tables = _RepairTables.build(model)
-    order = tables.order if order is None else np.asarray(order).tolist()
-    lam = _checked_weight(cost_weight)
+    lam, n_sites = tables.lam, tables.site_count
     rest = 1.0 - lam
-    n_sites = replicas.shape[1]
     rep_f = replicas.astype(np.float64)
     x = [-1] * tables.txn_ids.size
     # replica counts per attribute: 0/1 sums, exact in a float product
@@ -342,7 +317,7 @@ def solve_subproblem_fix_replicas(
     cval = cval.ravel().tolist()
     inc_all = inc_all.ravel().tolist()
     feasible = feasible.ravel().tolist()
-    for t in order:
+    for t in tables.order:
         s = first[t]
         row = t * n_sites
         j = row + s
@@ -393,18 +368,16 @@ def solve_sa(
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
-    lam = float(instance.cost_weight)
-
-    tables = _RepairTables.build(model)
+    tables = _RepairTables.build(model, n_sites, instance.cost_weight)
 
     def score(x, y, objective, max_load):
-        latency = _write_latency(instance, model, x, y, tables=tables)
-        return weighted_score(objective, max_load, latency, lam)
+        latency = _write_latency(instance, model, x, y, tables.write_pairs)
+        return weighted_score(objective, max_load, latency, tables.lam)
 
     # Initial solution: random transaction sites, repaired replica sets.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
     cur_y, objective, max_load = solve_subproblem_fix_transactions(
-        model, cur_x, n_sites, lam, tables=tables)
+        model, cur_x, tables)
     cur_score = score(cur_x, cur_y, objective, max_load)
 
     best_x, best_y, best_score = cur_x, cur_y, cur_score
@@ -435,11 +408,11 @@ def solve_sa(
             if fix_transactions:
                 cand_x = pert_x
                 cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                    model, cand_x, n_sites, lam, tables=tables)
+                    model, cand_x, tables)
             else:
                 cand_y = pert_y
                 cand_x, objective, max_load = solve_subproblem_fix_replicas(
-                    model, cand_y, lam, tables=tables)
+                    model, cand_y, tables)
             fix_transactions = not fix_transactions
             evaluations += 1
             cand_score = score(cand_x, cand_y, objective, max_load)

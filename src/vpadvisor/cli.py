@@ -179,6 +179,15 @@ def _run_record(command: str, instance: Instance, solver: str, config: Dict[str,
 # gen
 
 
+def _widths(text: str) -> Tuple[int, ...]:
+    """The ``--widths`` flag: comma-separated integers."""
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got '{text}'") from None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset == "tpcc":
         instance = tpcc()
@@ -191,7 +200,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             max_attributes_per_table=args.max_attrs,
             max_table_refs_per_query=args.max_table_refs,
             max_attribute_refs_per_query=args.max_attr_refs,
-            allowed_widths=tuple(int(w) for w in args.widths.split(",")),
+            allowed_widths=args.widths,
             **_given(args, seed="seed"),
         )
         instance = generate(params)
@@ -458,7 +467,9 @@ def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.Argument
     gen.add_argument("--max-attrs", type=int, default=15, help="attributes per table bound")
     gen.add_argument("--max-table-refs", type=int, default=5)
     gen.add_argument("--max-attr-refs", type=int, default=15)
-    gen.add_argument("--widths", default="4,8", help="comma-separated attribute widths")
+    gen.add_argument(
+        "--widths", type=_widths, default="4,8", help="comma-separated attribute widths"
+    )
     _add_config_flags(gen)
     gen.set_defaults(func=cmd_generate)
 

@@ -141,18 +141,18 @@ def _write_pairs(model: CostModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return query, attr, model.write_txn[query]
 
 
-def _write_latency(instance: Instance, model: CostModel,
-                   txn_site: np.ndarray, replica: np.ndarray, *,
-                   tables=None) -> Optional[float]:
+def _write_latency(instance: Instance, model: CostModel, txn_site: np.ndarray,
+                   replica: np.ndarray,
+                   write_pairs: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Optional[float]:
     """Latency charge: penalty * frequency for each write query that must
     reach a replica of an updated attribute off its transaction's site.
 
-    ``tables``, the annealer's per-run tables, supply the write pairs of
-    :func:`_write_pairs`; without them they are built here.
+    ``write_pairs`` are ``model``'s :func:`_write_pairs`, which the
+    annealer builds once per run.
     """
     if instance.latency_penalty is None:
         return None
-    query, attr, txn = _write_pairs(model) if tables is None else tables.write_pairs
+    query, attr, txn = write_pairs
     # a pair reaches off its site when the attribute has more replicas
     # than the one on the writer's site (0/1 counts, exact in floats)
     counts = replica @ np.ones(replica.shape[1])
@@ -197,7 +197,7 @@ def evaluate(instance: Instance, model: CostModel,
     loads = rep_f.T @ model.replica_load
     np.add.at(loads, x, (model.coloc_load * on_site).sum(axis=0))
     max_load = float(loads.max())
-    latency = _write_latency(instance, model, x, rep)
+    latency = _write_latency(instance, model, x, rep, _write_pairs(model))
     score = weighted_score(objective, max_load, latency, float(instance.cost_weight))
 
     return CostBreakdown(

@@ -16,7 +16,6 @@ from vpadvisor import (
     ExactConfig,
     GenParams,
     SaConfig,
-    accept_move,
     brute_force,
     build_mip,
     check_feasible,
@@ -25,13 +24,13 @@ from vpadvisor import (
     evaluate,
     generate,
     group_attributes,
-    initial_temperature,
     save_instance,
     solve_exact,
     solve_sa,
     solve_sa_best_of,
     tpcc,
 )
+from vpadvisor.anneal import accept_move, initial_temperature
 from vpadvisor.cli import main as cli_main
 from vpadvisor.report import STATUS_OPTIMAL
 

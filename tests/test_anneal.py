@@ -13,19 +13,22 @@ from vpadvisor import (
     GenParams,
     Partitioning,
     SaConfig,
-    accept_move,
     check_feasible,
     derive,
     evaluate,
     generate,
+    solve_sa,
+    solve_sa_best_of,
+    tpcc,
+)
+from vpadvisor.anneal import (
+    _RepairTables,
+    accept_move,
     initial_temperature,
     perturb_replicas,
     perturb_transactions,
-    solve_sa,
-    solve_sa_best_of,
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
-    tpcc,
 )
 
 from conftest import random_instance, t1_instance
@@ -112,9 +115,9 @@ def test_perturb_replicas_skips_full_rows():
 def test_fix_transactions_recovers_t1_optimum():
     inst = t1_instance()
     model = derive(inst)
+    tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
     replicas, _, _ = solve_subproblem_fix_transactions(
-        model, np.array([0], dtype=np.int64), inst.site_count, inst.cost_weight
-    )
+        model, np.array([0], dtype=np.int64), tables)
     part = Partitioning(txn_site=np.array([0]), replica=replicas)
     assert check_feasible(inst, model, part) == []
     assert evaluate(inst, model, part).score == pytest.approx(80.0)
@@ -122,9 +125,9 @@ def test_fix_transactions_recovers_t1_optimum():
 
 def test_fix_transactions_on_t2_keeps_single_cheap_replica(t2):
     model = derive(t2)
+    tables = _RepairTables.build(model, t2.site_count, t2.cost_weight)
     replicas, _, _ = solve_subproblem_fix_transactions(
-        model, np.array([0], dtype=np.int64), t2.site_count, t2.cost_weight
-    )
+        model, np.array([0], dtype=np.int64), tables)
     # replicating the written attribute would raise the score by 3.6
     assert replicas.sum() == 1
     part = Partitioning(txn_site=np.array([0]), replica=replicas)
@@ -135,7 +138,8 @@ def test_fix_replicas_places_reader_with_its_attribute():
     inst = t1_instance()
     model = derive(inst)
     replicas = np.array([[True, False], [False, True]])
-    x, _, _ = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
+    tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
+    x, _, _ = solve_subproblem_fix_replicas(model, replicas, tables)
     assert x[0] == 0  # only site holding a1 keeps the reader co-located
 
 
@@ -145,12 +149,11 @@ def test_subproblem_outputs_always_feasible(seed):
     model = derive(inst)
     rng = np.random.default_rng(seed)
     txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
-    replicas, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, inst.site_count, inst.cost_weight
-    )
+    tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
+    replicas, _, _ = solve_subproblem_fix_transactions(model, txn_site, tables)
     part = Partitioning(txn_site=txn_site, replica=replicas)
     assert check_feasible(inst, model, part) == []
-    x2, _, _ = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight)
+    x2, _, _ = solve_subproblem_fix_replicas(model, replicas, tables)
     part2 = Partitioning(txn_site=x2, replica=replicas)
     assert check_feasible(inst, model, part2) == []
 

@@ -74,6 +74,16 @@ def test_negative_seed_is_usage_error(tmp_path, small_path, capsys):
     assert capsys.readouterr().err == "invalid request: seed must be nonnegative\n"
 
 
+@pytest.mark.parametrize("widths", ["4,,8", "a"])
+def test_malformed_widths_is_usage_error_naming_the_flag(tmp_path, capsys, widths):
+    # int() would refuse the text with a message that names no flag
+    out = tmp_path / "never.json"
+    assert main(["gen", str(out), "--widths", widths]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"vpadvisor gen: argument --widths: expected comma-separated integers, got '{widths}'\n")
+
+
 @pytest.mark.parametrize("flags", [
     pytest.param(["--sites", "0"], id="no-sites"),
     pytest.param(["--preset", "tpcc", "--lambda", "2"], id="tpcc-lambda"),

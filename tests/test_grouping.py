@@ -16,9 +16,9 @@ from vpadvisor import (
     evaluate,
     expand_solution,
     group_attributes,
-    order_transactions_by_load,
     validate,
 )
+from vpadvisor.anneal import _RepairTables
 
 from conftest import random_instance
 
@@ -141,10 +141,16 @@ def test_grouping_can_restrict_load_balancing_below_lambda_one():
     assert orig.score < grouped.score
 
 
+def _load_order(inst: Instance) -> list:
+    """The order in which the annealer's assignment repair places the
+    transactions."""
+    return _RepairTables.build(derive(inst), inst.site_count, inst.cost_weight).order
+
+
 def test_order_transactions_by_load_ranks_read_weight():
     inst = random_instance(4)
     model = derive(inst)
-    order = order_transactions_by_load(model)
+    order = _load_order(inst)
     weights = model.coloc_load.sum(axis=0)
     assert sorted(order) == list(range(inst.transaction_count))
     ordered = [weights[t] for t in order]
@@ -162,4 +168,4 @@ def test_order_breaks_ties_by_id():
         transactions=(Transaction(0, "t0", (0,)), Transaction(1, "t1", (1,))),
         site_count=2,
     )
-    assert order_transactions_by_load(derive(inst)) == [0, 1]
+    assert _load_order(inst) == [0, 1]

@@ -32,13 +32,15 @@ from vpadvisor import (
     derive,
     evaluate,
     generate,
+)
+from vpadvisor.anneal import (
+    _RepairTables,
     perturb_replicas,
     perturb_transactions,
     solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
 )
-from vpadvisor.anneal import _RepairTables
-from vpadvisor.partitioning import _write_latency
+from vpadvisor.partitioning import _write_latency, _write_pairs
 from conftest import (
     folded_price, fractional_instance, oracle_best, oracle_cost, random_instance,
     random_partitioning,
@@ -61,6 +63,13 @@ def _model(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load):
         write_txn=np.zeros(0, np.int64),
         write_frequencies=np.zeros(0),
     )
+
+
+def _tables(model, n_sites, cost_weight, order=None):
+    """The repairs' per-run tables, placing transactions in ``order``
+    when one is given."""
+    tables = _RepairTables.build(model, n_sites, cost_weight)
+    return tables if order is None else replace(tables, order=np.asarray(order).tolist())
 
 
 def _stuck_messages(x):
@@ -94,7 +103,7 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         got, objective, max_load = solve_subproblem_fix_transactions(
-            model, txn_site, inst.site_count, inst.cost_weight)
+            model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
         # feasibility: coverage and per-reader co-location
         assert got.any(axis=1).all()
         for t in range(inst.transaction_count):
@@ -111,7 +120,8 @@ def test_assign_transactions_paths_agree(seed):
     rng = np.random.default_rng(seed + 7)
     part = random_partitioning(inst, rng)
     out, objective, max_load = solve_subproblem_fix_replicas(
-        model, part.replica, inst.cost_weight, np.arange(inst.transaction_count)
+        model, part.replica,
+        _tables(model, inst.site_count, inst.cost_weight, np.arange(inst.transaction_count)),
     )
     # the layout random_partitioning built places every reader, so every
     # transaction fits somewhere, and each lands with all it reads
@@ -130,12 +140,13 @@ def _repair_prices(inst, seed):
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         replicas, *price = solve_subproblem_fix_transactions(
-            model, txn_site, inst.site_count, inst.cost_weight)
+            model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
         full = evaluate(inst, model, Partitioning(txn_site, replicas))
         yield tuple(price), (full.objective, full.max_load)
         replicas = random_partitioning(inst, rng).replica
         order = rng.permutation(inst.transaction_count)
-        txn_site, *price = solve_subproblem_fix_replicas(model, replicas, inst.cost_weight, order)
+        txn_site, *price = solve_subproblem_fix_replicas(
+            model, replicas, _tables(model, inst.site_count, inst.cost_weight, order))
         full = evaluate(inst, model, Partitioning(txn_site, replicas))
         yield tuple(price), (full.objective, full.max_load)
 
@@ -166,7 +177,8 @@ def test_assign_transactions_raises_when_stuck():
     order = np.arange(inst.transaction_count)
     assert model.txn_reads.any()
     with pytest.raises(InfeasibleLayoutError):
-        solve_subproblem_fix_replicas(model, replicas, inst.cost_weight, order)
+        solve_subproblem_fix_replicas(
+            model, replicas, _tables(model, inst.site_count, inst.cost_weight, order))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -298,7 +310,8 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
         args = (txn_site, reads, coloc_cost, replica_cost, coloc_load, replica_load,
                 cost_weight, n_sites)
         want = _ref_greedy_replicas(*args)
-        got, _, _ = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
+        got, _, _ = solve_subproblem_fix_transactions(
+            model, txn_site, _tables(model, n_sites, cost_weight))
         assert np.array_equal(got, want)
 
         order = rng.permutation(n_txns)
@@ -309,10 +322,12 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
             if (want_x < 0).any():
                 stuck += 1
                 with pytest.raises(InfeasibleLayoutError) as err:
-                    solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+                    solve_subproblem_fix_replicas(
+                        model, replicas, _tables(model, n_sites, cost_weight, order))
                 assert err.value.violations == _stuck_messages(want_x)
             else:
-                got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+                got_x, _, _ = solve_subproblem_fix_replicas(
+                    model, replicas, _tables(model, n_sites, cost_weight, order))
                 assert np.array_equal(got_x, want_x)
     assert stuck > 0  # some sparse placement left a transaction with no site
 
@@ -347,7 +362,8 @@ def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight
         model.replica_load)
     want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                 replica_load, cost_weight, n_sites)
-    got, _, max_load = solve_subproblem_fix_transactions(model, txn_site, n_sites, cost_weight)
+    got, _, max_load = solve_subproblem_fix_transactions(
+        model, txn_site, _tables(model, n_sites, cost_weight))
     assert np.array_equal(got, want)
     if cost_weight == 1.0:
         # no load term: each unread attribute stays on the cheapest site
@@ -358,7 +374,8 @@ def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight
     order = np.array([2, 0, 1])
     want_x = _ref_assign_transactions(replicas, reads, coloc_cost, coloc_load, replica_load,
                                       cost_weight, order)
-    got_x, _, _ = solve_subproblem_fix_replicas(model, replicas, cost_weight, order)
+    got_x, _, _ = solve_subproblem_fix_replicas(
+        model, replicas, _tables(model, n_sites, cost_weight, order))
     assert np.array_equal(got_x, want_x)
     assert (want_x == 0).all() == (cost_weight == 1.0)
 
@@ -372,20 +389,21 @@ def test_repairs_on_one_site_match_reference(cost_weight):
         txn_site = np.zeros(coloc_cost.shape[1], np.int64)
         want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                     replica_load, cost_weight, 1)
-        got, _, _ = solve_subproblem_fix_transactions(model, txn_site, 1, cost_weight)
+        got, _, _ = solve_subproblem_fix_transactions(
+            model, txn_site, _tables(model, 1, cost_weight))
         assert np.array_equal(got, want) and want.all()
         order = np.arange(coloc_cost.shape[1])[::-1]
-        got_x, _, _ = solve_subproblem_fix_replicas(model, got, cost_weight, order)
+        got_x, _, _ = solve_subproblem_fix_replicas(
+            model, got, _tables(model, 1, cost_weight, order))
         assert np.array_equal(got_x, txn_site)
 
 
 @pytest.mark.parametrize("cost_weight", [-0.1, 1.5, math.nan])
 def test_repairs_reject_weights_outside_unit_interval(cost_weight):
-    model, txn_site, replicas = _peak_site_cheapest(2)
+    # the repairs' tables check the weight once per run, for both repairs
+    model, _, _ = _peak_site_cheapest(2)
     with pytest.raises(ValueError, match="cost_weight"):
-        solve_subproblem_fix_transactions(model, txn_site, 2, cost_weight)
-    with pytest.raises(ValueError, match="cost_weight"):
-        solve_subproblem_fix_replicas(model, replicas, cost_weight)
+        _RepairTables.build(model, 2, cost_weight)
 
 
 def test_stuck_assignment_names_every_unplaced_transaction():
@@ -401,7 +419,7 @@ def test_stuck_assignment_names_every_unplaced_transaction():
                                       model.replica_load, 0.5, order)
     assert want_x.tolist() == [-1, -1, 1]
     with pytest.raises(InfeasibleLayoutError) as err:
-        solve_subproblem_fix_replicas(model, replicas, 0.5, order)
+        solve_subproblem_fix_replicas(model, replicas, _tables(model, 2, 0.5, order))
     assert err.value.violations == _stuck_messages(want_x) == [
         "transaction 0 reads attributes that no single site holds together",
         "transaction 1 reads attributes that no single site holds together",
@@ -424,7 +442,6 @@ def test_write_latency_matches_dense_reference(n_sites):
         inst = random_instance(seed, site_count=n_sites, latency_penalty=5.0,
                                update_percent=60.0)
         model = derive(inst)
-        tables = _RepairTables.build(model)
         rng = np.random.default_rng(seed)
         for _ in range(6):
             part = random_partitioning(inst, rng)
@@ -438,10 +455,9 @@ def test_write_latency_matches_dense_reference(n_sites):
                 replica[home] = False
                 replica[home, x[model.write_txn[w_home]]] = True
             want = _ref_write_latency(inst, model, x, replica)
-            assert _write_latency(inst, model, x, replica) == want
-            assert _write_latency(inst, model, x, replica, tables=tables) == want
+            assert _write_latency(inst, model, x, replica, _write_pairs(model)) == want
     unpriced = replace(inst, latency_penalty=None)
-    assert _write_latency(unpriced, model, x, replica) is None
+    assert _write_latency(unpriced, model, x, replica, _write_pairs(model)) is None
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
@@ -532,7 +548,8 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     model = derive(inst)
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
-    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    got, _, _ = solve_subproblem_fix_transactions(
+        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
     assert np.array_equal(got, _ref_greedy_replicas(*args))
 
 
@@ -543,7 +560,8 @@ def test_replica_repair_adds_one_site_per_unread_attribute(case):
     # transaction reads: no more, at any penalty
     inst, txn_site = case
     model = derive(inst)
-    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    got, _, _ = solve_subproblem_fix_transactions(
+        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
     forced = np.zeros_like(got)
     for t, s in enumerate(txn_site):
         forced[model.txn_reads[:, t], s] = True
@@ -600,7 +618,8 @@ def test_replica_repair_adds_no_replica_at_huge_penalties():
     model = derive(inst)
     assert model.replica_cost[0] + np.minimum(model.coloc_cost[0], 0.0).sum() < 0.0
     txn_site = np.array([0, 0, 1])
-    got, _, _ = solve_subproblem_fix_transactions(model, txn_site, inst.site_count, inst.cost_weight)
+    got, _, _ = solve_subproblem_fix_transactions(
+        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
     assert got.tolist() == [[False, True]]
     alone, both = (evaluate(inst, model, Partitioning(txn_site, replica)).score
                    for replica in (got, np.ones_like(got)))
