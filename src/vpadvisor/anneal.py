@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,30 +155,6 @@ def perturb_replicas(
     return grown
 
 
-# Each repair picks, item by item (an attribute that no transaction
-# reads, or a transaction), the site with the lowest increase of the
-# weighted score, ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)``
-# with ``m`` the current peak load, the lowest site winning ties.  One
-# vectorised ``argmin`` first finds each item's first cheapest site by
-# ``lam * cost`` alone (over its feasible sites, in the assignment
-# repair).  When adding the item there keeps that site's load at or below
-# ``m``, the item goes there without a scan: its increase is its weighted
-# cost, every other site's increase is at least that site's weighted cost
-# (``1 - lam >= 0`` for ``lam`` in [0, 1], and rounding a sum with a
-# nonnegative term never lowers it), and the first minimum wins ties as
-# in the scan.  Loads only grow (every increment is work, never
-# negative), so ``m`` is the running maximum.
-# Otherwise the item takes the scan, which loops over the handful of
-# sites in plain Python on lists: numpy's per-call overhead on 4-element
-# arrays costs far more than the arithmetic.  Everything the repairs and
-# the latency charge read beyond the ``CostModel``'s arrays (the checked
-# weight, the site count, pairs, index sets, casts, the load order) is
-# built once per run in a :class:`_RepairTables`, which every call takes.
-# Each repair returns, beside its layout, the
-# layout's objective and peak site load from the costs and loads it
-# already holds, so the annealer prices a move without a second pass.
-
-
 @dataclass(frozen=True)
 class _RepairTables:
     """Per-run constants of the repairs and the latency charge, built
@@ -226,6 +202,68 @@ class _RepairTables:
         )
 
 
+def _place(
+    order: Sequence[int],
+    first: List[int],
+    cost: List[float],
+    inc: List[float],
+    loads: List[float],
+    lam: float,
+    objective: float,
+) -> float:
+    """The greedy rule of both repairs: put each item, in ``order``, on
+    the site with the lowest rise in the weighted score,
+    ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)`` with ``m``
+    the peak load, the lowest site winning ties.
+
+    Item ``i``'s cost and load at site ``k`` sit at ``i * S + k`` of the
+    flat lists ``cost`` and ``inc``; an ``inf`` cost marks a site the item
+    cannot use.  ``first`` holds each item's first cheapest usable site by
+    ``lam * cost``, or any site when it has none; it ends as the chosen
+    sites, and ``loads`` as the site loads.  Returns ``objective`` plus
+    the chosen costs, added one item at a time in ``order``: ``inf`` when
+    some item can use no site.
+
+    An item whose first cheapest site stays at or below ``m`` goes there
+    without a scan, and that is exact: its rise is its weighted cost, and
+    every other site's rise is at least that site's weighted cost, as
+    ``1 - lam >= 0`` for ``lam`` in [0, 1] and rounding a sum with a
+    nonnegative term never lowers it; loads only grow (every increment is
+    work), so ``m`` is a running maximum; and the first minimum wins ties.
+    By the same bound the scan skips each site whose weighted cost alone
+    is no lower than the best rise so far, so it never chooses a site
+    priced ``inf`` (NaN at ``lam = 0``).  The scan loops over the handful
+    of sites in plain Python on lists, as numpy's per-call overhead on
+    4-element arrays costs far more than the arithmetic.
+    """
+    rest = 1.0 - lam
+    n_sites = len(loads)
+    m = max(loads)
+    for i in order:
+        s = first[i]
+        j = i * n_sites + s
+        grown = loads[s] + inc[j]
+        if grown > m:
+            row = j - s
+            best = math.inf
+            for k in range(n_sites):
+                w = lam * cost[row + k]
+                if w < best:
+                    over = loads[k] + inc[row + k] - m
+                    if over > 0.0:
+                        w += rest * over
+                    if w < best:
+                        s, best = k, w
+            first[i] = s
+            j = row + s
+            grown = loads[s] + inc[j]
+            if grown > m:
+                m = grown
+        loads[s] = grown
+        objective += cost[j]
+    return objective
+
+
 def solve_subproblem_fix_transactions(
     model: CostModel, txn_site: np.ndarray, tables: _RepairTables,
 ) -> Tuple[np.ndarray, float, float]:
@@ -241,7 +279,6 @@ def solve_subproblem_fix_transactions(
     :func:`evaluate` do.  ``tables`` are ``model``'s.
     """
     lam, site_count = tables.lam, tables.site_count
-    rest = 1.0 - lam
     onehot = np.zeros((tables.txn_ids.size, site_count), np.float64)
     onehot[tables.txn_ids, txn_site] = 1.0
     csum = model.coloc_cost @ onehot
@@ -250,35 +287,15 @@ def solve_subproblem_fix_transactions(
     replicas[tables.read_attr, txn_site[tables.read_txn]] = True
     inc_all = lsum + model.replica_load[:, None]
     loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
-    m = float(loads.max())
     base_all = csum + model.replica_cost[:, None]
 
-    # every attribute that no transaction reads still needs one site;
-    # its row of the (item, site) costs and loads starts at ``row`` in
-    # the flat lists
+    # every attribute that no transaction reads still needs one site
     unread = tables.unread
-    weighted = lam * base_all[unread]
-    first = weighted.argmin(axis=1)
-    weighted = weighted.ravel().tolist()
-    inc_all = inc_all[unread].ravel().tolist()
+    cost = base_all[unread]
+    first = (lam * cost).argmin(axis=1).tolist()
     loads = loads.tolist()
-    for i, s in enumerate(first.tolist()):
-        row = i * site_count
-        grown = loads[s] + inc_all[row + s]
-        if grown <= m:
-            loads[s] = grown
-            continue
-        s, best = -1, 0.0
-        for k in range(site_count):
-            over = loads[k] + inc_all[row + k] - m
-            w = weighted[row + k]
-            delta = w + rest * over if over > 0.0 else w
-            if s < 0 or delta < best:
-                s, best = k, delta
-        first[i] = s
-        loads[s] += inc_all[row + s]
-        if loads[s] > m:
-            m = loads[s]
+    _place(range(unread.size), first, cost.ravel().tolist(),
+           inc_all[unread].ravel().tolist(), loads, lam, 0.0)
     replicas[unread, first] = True
     return replicas, float(base_all[replicas].sum()), max(loads)
 
@@ -298,51 +315,26 @@ def solve_subproblem_fix_replicas(
     naming it and every transaction after it in that order.  ``tables``
     are ``model``'s.
     """
-    lam, n_sites = tables.lam, tables.site_count
-    rest = 1.0 - lam
+    lam, n_sites, order = tables.lam, tables.site_count, tables.order
     rep_f = replicas.astype(np.float64)
-    x = [-1] * tables.txn_ids.size
     # replica counts per attribute: 0/1 sums, exact in a float product
     objective = float(model.replica_cost @ (rep_f @ np.ones(n_sites)))
     loads = (rep_f.T @ model.replica_load).tolist()
-    m = max(loads)
     cval = model.coloc_cost.T @ rep_f  # (T, S)
-    inc_all = model.coloc_load.T @ rep_f
-    # missing reads per site: small integer counts, exact in a float product
+    # missing reads per site: small integer counts, exact in a float
+    # product; a site that lacks one costs ``inf``
     feasible = (tables.reads_f @ (1.0 - rep_f)) == 0.0
-    # each transaction's first cheapest feasible site (an infeasible one
-    # when it has none); its row of the (T, S) figures starts at ``row``
-    # in the flat lists
-    first = np.where(feasible, lam * cval, np.inf).argmin(axis=1).tolist()
-    cval = cval.ravel().tolist()
-    inc_all = inc_all.ravel().tolist()
-    feasible = feasible.ravel().tolist()
-    for t in tables.order:
-        s = first[t]
-        row = t * n_sites
-        j = row + s
-        grown = loads[s] + inc_all[j]
-        if grown > m or not feasible[j]:
-            s, best = -1, 0.0
-            for k in range(n_sites):
-                if feasible[row + k]:
-                    over = loads[k] + inc_all[row + k] - m
-                    w = lam * cval[row + k]
-                    delta = w + rest * over if over > 0.0 else w
-                    if s < 0 or delta < best:
-                        s, best = k, delta
-            if s < 0:
-                raise InfeasibleLayoutError([
-                    f"transaction {t} reads attributes that no single site holds together"
-                    for t, site in enumerate(x) if site < 0
-                ])
-            j = row + s
-            grown = loads[s] + inc_all[j]
-            if grown > m:
-                m = grown
-        x[t] = s
-        objective += cval[j]
-        loads[s] = grown
+    # masked after the product: ``lam * inf`` is NaN at lam = 0, and
+    # ``argmin`` takes the first NaN
+    x = np.where(feasible, lam * cval, np.inf).argmin(axis=1).tolist()
+    objective = _place(order, x, np.where(feasible, cval, np.inf).ravel().tolist(),
+                       (model.coloc_load.T @ rep_f).ravel().tolist(), loads, lam, objective)
+    if objective == math.inf:  # ``derive`` keeps every real cost finite
+        stuck = np.flatnonzero(~feasible.any(axis=1)).tolist()
+        raise InfeasibleLayoutError([
+            f"transaction {t} reads attributes that no single site holds together"
+            for t in sorted(order[min(map(order.index, stuck)):])
+        ])
     return np.array(x, np.int64), objective, max(loads)
 
 

@@ -228,7 +228,7 @@ def _parse_pins(instance: Instance, pin_args: List[str]) -> Tuple[Tuple[int, int
     }
     pins = []
     for text in pin_args:
-        name, eq, site_text = text.partition("=")
+        name, eq, site_text = text.rpartition("=")  # a column name may hold "="
         if not eq or name not in by_name:
             raise _UsageError(f"--pin expects Table.col=SITE with a known attribute, got '{text}'")
         try:

@@ -135,7 +135,11 @@ class CostModel:
     write upkeep and the transfer of other sites' writes, so it is never
     negative but for rounding (an ulp of the penalty-scaled terms, from
     network penalties of about ``2**52``).  A replica that no read forces
-    never lowers the score.
+    never lowers the score.  The folding cancels penalty-scaled transfer
+    savings against penalty-scaled charges, so at penalties near ``1e16``
+    a layout's folded objective, the price the annealer's repairs steer
+    by, can be off from :func:`evaluate`'s sums by its own size on
+    non-integral inputs; reported scores are re-priced by ``evaluate``.
 
     Flags (boolean):
 

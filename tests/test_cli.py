@@ -340,6 +340,71 @@ def test_invalid_requests_on_tpcc_exit_1(tmp_path, capsys, argv):
     assert "invalid request" in capsys.readouterr().err
 
 
+def test_pin_names_a_column_whose_name_holds_an_equals_sign(tmp_path):
+    # the instance format accepts any non-empty name; SITE is an integer,
+    # so it follows the last "="
+    inst = t1_instance()
+    inst = replace(inst, attributes=(replace(inst.attributes[0], name="k=v"), inst.attributes[1]))
+    path, layout = tmp_path / "eq.json", tmp_path / "layout.json"
+    save_instance(inst, str(path))
+    argv = ["solve", str(path), "--algo", "exact", "--pin", "R.k=v=1", "--out", str(layout)]
+    assert main(argv) == 0
+    assert 1 in json.loads(layout.read_text())["y"]["R.k=v"]
+
+
+# Each exit path that README documents: (argv, exit code, stream, text the
+# stream holds); "{small}", "{t1}", "{layout}" and "{missing}" name files.
+EXIT_PATHS = {
+    "pin-site-not-integer": (
+        ["solve", "{small}", "--algo", "exact", "--pin", "tab0.c0=x"], 1, "err",
+        "--pin site must be an integer, got 'tab0.c0=x'\n"),
+    "pin-site-out-of-range": (
+        ["solve", "{small}", "--algo", "exact", "--pin", "tab0.c0=2"], 1, "err",
+        "--pin site out of range [0, 2): 'tab0.c0=2'\n"),
+    "pin-with-group": (
+        ["solve", "{small}", "--algo", "exact", "--group", "--pin", "tab0.c0=0"], 1, "err",
+        "--pin cannot be combined with --group\n"),
+    "disjoint-with-sa": (
+        ["solve", "{small}", "--algo", "sa", "--disjoint"], 1, "err",
+        "--disjoint is only supported with --algo exact or brute\n"),
+    "pin-with-brute": (
+        ["solve", "{small}", "--algo", "brute", "--pin", "tab0.c0=0"], 1, "err",
+        "--pin is only supported with --algo exact\n"),
+    "zero-runs": (
+        ["solve", "{small}", "--runs", "0"], 1, "err",
+        "invalid request: runs must be at least 1\n"),
+    "eval-structured": (
+        ["eval", "{t1}", "{layout}", "--format", "structured"], 0, "out",
+        '"command": "eval"'),
+    "brute-over-budget": (
+        ["solve", "{small}", "--algo", "brute", "--budget", "1"], 1, "err",
+        "refused: enumeration would visit "),
+    "missing-file": (
+        ["solve", "{missing}"], 1, "err", "i/o error: "),
+    "latency-charge-line": (
+        ["solve", "{small}", "--p-latency", "5"], 0, "out", "\n  latency charge      "),
+}
+
+
+@pytest.mark.parametrize("case", list(EXIT_PATHS))
+def test_documented_exit_paths(case, small_path, t1_path, tmp_path, capsys):
+    argv, code, stream, text = EXIT_PATHS[case]
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps({"x": {"t1": 0}, "y": {"R.a1": [0], "R.a2": [1]}}))
+    files = {"{small}": small_path, "{t1}": t1_path, "{layout}": str(layout),
+             "{missing}": str(tmp_path / "absent.json")}
+    assert main([files.get(arg, arg) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert text in (captured.err if stream == "err" else captured.out)
+    if stream == "out":
+        assert captured.err == ""
+    else:
+        assert captured.out == "" and captured.err.startswith(text.splitlines()[0])
+    if case == "eval-structured":
+        record = json.loads(captured.out)
+        assert record["breakdown"]["score"] > 0.0 and record["solver"] == "eval"
+
+
 # ---------------------------------------------------------------------------
 # eval
 

@@ -156,6 +156,19 @@ def test_export_rejects_unknown_format(t1):
         assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("pin,message", [
+    ((2, 0), "pinned replica names unknown attribute 2"),
+    ((-1, 0), "pinned replica names unknown attribute -1"),
+    ((0, 2), "pinned replica names unknown site 2"),
+    ((1, -1), "pinned replica names unknown site -1"),
+])
+def test_pins_naming_unknown_ids_are_rejected(t1, pin, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_mip(t1, fixed_replicas=(pin,))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_exact(t1, ExactConfig(fixed_replicas=((0, 0), pin)))
+
+
 def test_exported_mps_matches_lp_variable_sets(t1):
     mip = build_mip(t1)
     mps = _export_text(mip, "free-mps")

@@ -224,6 +224,19 @@ def test_check_feasible_rejects_out_of_range_site(t1):
     assert check_feasible(t1, model, part)
 
 
+@pytest.mark.parametrize("txn_site,replica,message", [
+    pytest.param(np.array([0, 0]), np.ones((2, 2), bool),
+                 "transaction assignment covers 2 transactions, instance has 1", id="txn-count"),
+    pytest.param(np.array([0]), np.ones((2, 3), bool),
+                 "replica matrix has shape (2, 3), expected (2, 2)", id="replica-sites"),
+    pytest.param(np.array([0]), np.ones((3, 2), bool),
+                 "replica matrix has shape (3, 2), expected (2, 2)", id="replica-attributes"),
+])
+def test_check_feasible_reports_a_shape_mismatch_alone(t1, txn_site, replica, message):
+    part = Partitioning(txn_site=txn_site, replica=replica)
+    assert check_feasible(t1, derive(t1), part) == [message]
+
+
 def _reference_violations(instance, model, partitioning):
     """The per-transaction loops check_feasible ran before it built its
     messages from masks (shape checks left out: the layouts below fit)."""

@@ -96,6 +96,75 @@ def test_query_without_transaction_is_flagged():
     assert validate(inst)
 
 
+def _two_table_instance() -> Instance:
+    """A valid instance that the structural cases below break one way each."""
+    return Instance(
+        tables=(Table(0, "R", (0, 1)), Table(1, "S", (2,))),
+        attributes=(Attribute(0, 0, "a", 4), Attribute(1, 0, "b", 4), Attribute(2, 1, "c", 8)),
+        queries=(Query(0, "q0", "read", 1.0, (0, 2), {0: 1, 1: 2}),
+                 Query(1, "q1", "write", 1.0, (1,), {0: 1})),
+        transactions=(Transaction(0, "t0", (0,)), Transaction(1, "t1", (1,))),
+        site_count=2,
+    )
+
+
+def _with(field, index, **changes):
+    """Replace one entity of the instance's ``field`` tuple."""
+    def apply(inst):
+        items = list(getattr(inst, field))
+        items[index] = replace(items[index], **changes)
+        return replace(inst, **{field: tuple(items)})
+    return apply
+
+
+# (how the instance is broken, the message ``validate`` reports)
+_STRUCTURAL = {
+    "table-id": (_with("tables", 1, id=5),
+                 "table 'S': id 5 is not dense (expected 1)"),
+    "attribute-id": (_with("attributes", 2, id=7),
+                     "attribute 'c': id 7 is not dense (expected 2)"),
+    "query-id": (_with("queries", 1, id=3), "query 'q1': id 3 is not dense (expected 1)"),
+    "transaction-id": (_with("transactions", 0, id=2),
+                       "transaction 't0': id 2 is not dense (expected 0)"),
+    "empty-table": (lambda inst: replace(inst, tables=inst.tables + (Table(2, "E", ()),)),
+                    "table 'E' has no attributes"),
+    "table-unknown-attribute": (_with("tables", 1, attribute_ids=(2, 9)),
+                                "table 'S' references unknown attribute id 9"),
+    "attribute-in-two-tables": (_with("tables", 1, attribute_ids=(2, 1)),
+                                "attribute id 1 listed by both table 'R' and 'S'"),
+    "attribute-unknown-table": (_with("attributes", 2, table_id=4),
+                                "attribute 'c' references unknown table id 4"),
+    "attribute-claims-table": (_with("attributes", 1, table_id=1),
+                               "attribute 'b' claims table 'S' but the table does not list it"),
+    "query-kind": (_with("queries", 0, kind="scan"), "query 'q0': unknown kind 'scan'"),
+    "query-no-attributes": (_with("queries", 1, accessed_attributes=(), rows_per_table={}),
+                            "query 'q1' accesses no attributes"),
+    "query-unknown-attribute": (_with("queries", 1, accessed_attributes=(1, 6)),
+                                "query 'q1' references unknown attribute id 6"),
+    "rows-unknown-table": (_with("queries", 1, rows_per_table={0: 1, 8: 1}),
+                           "query 'q1': row count for unknown table id 8"),
+    "transaction-no-queries": (
+        lambda inst: replace(inst, queries=inst.queries[:1],
+                             transactions=(inst.transactions[0], Transaction(1, "t1", ()))),
+        "transaction 't1' has no queries"),
+    "transaction-unknown-query": (_with("transactions", 1, query_ids=(1, 4)),
+                                  "transaction 't1' references unknown query id 4"),
+    "query-in-two-transactions": (_with("transactions", 1, query_ids=(1, 0)),
+                                  "query id 0 belongs to both transaction 't0' and 't1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRUCTURAL))
+def test_validate_reports_each_structural_fault(case):
+    breaks, message = _STRUCTURAL[case]
+    assert validate(_two_table_instance()) == []
+    problems = validate(breaks(_two_table_instance()))
+    assert message in problems
+    with pytest.raises(ValidationError) as err:
+        derive(breaks(_two_table_instance()))
+    assert message in err.value.violations
+
+
 def test_t1_weights_and_flags(t1):
     model = derive(t1)
     alpha, beta, gamma, delta, weight = oracle_flags(t1)
