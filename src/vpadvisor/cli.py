@@ -26,12 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from . import __version__
 from .anneal import SaConfig, solve_sa_best_of
-from .errors import (
-    BudgetExceededError,
-    FormatError,
-    InfeasibleLayoutError,
-    ValidationError,
-)
+from .errors import BudgetExceededError, FormatError, _ViolationsError
 from .fileio import (
     fingerprint_instance,
     load_instance,
@@ -64,16 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _ENV_CONFIG = "VPADVISOR_CONFIG"
-_ENV_KEYS = {
-    "sites": "sites",
-    "p": "p",
-    "lambda": "lam",
-    "p_latency": "p_latency",
-    "time_limit": "time_limit",
-    "gap": "gap",
-    "seed": "seed",
-    "runs": "runs",
-}
+_ENV_KEYS = ("sites", "p", "lambda", "p_latency", "time_limit", "gap", "seed", "runs")
 _ENV_INTEGER_KEYS = ("sites", "seed", "runs")
 
 
@@ -93,14 +79,14 @@ def _env_defaults() -> Dict[str, Any]:
     unknown = sorted(set(obj) - set(_ENV_KEYS))
     if unknown:
         raise FormatError(f"{_ENV_CONFIG} file '{path}': unknown keys {unknown}")
-    # argparse converts only string defaults, so the types are checked here
+    # the values bypass argparse's conversion, so the types are checked here
     for key, value in obj.items():
         integral = key in _ENV_INTEGER_KEYS
         if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
             want = "an integer" if integral else "a number"
             raise FormatError(f"{_ENV_CONFIG} file '{path}': '{key}' must be {want}, "
                               f"got {json.dumps(value)}")
-    return {_ENV_KEYS[k]: v for k, v in obj.items()}
+    return {"lam" if k == "lambda" else k: v for k, v in obj.items()}
 
 
 def _given(args: argparse.Namespace, **fields: str) -> Dict[str, Any]:
@@ -241,6 +227,32 @@ def _parse_pins(instance: Instance, pin_args: List[str]) -> Tuple[Tuple[int, int
     return tuple(pins)
 
 
+# The flags each solver applies; the others are left out of its record,
+# and a --disjoint or --pin that the solver lacks is refused.
+_ECHOED = {
+    "sa": ("seed", "runs", "time_limit"),
+    "exact": ("time_limit", "gap", "disjoint", "pin"),
+    "brute": ("budget", "disjoint"),
+}
+
+
+def _run_solver(
+    instance: Instance, args: argparse.Namespace, forbid: bool, **fields: Any
+) -> SolveReport:
+    """The one call into the solvers: ``args.algo`` on ``instance`` with
+    the flags it reads, replication forbidden when ``forbid``; ``fields``
+    override the exact solver's settings and are ignored by the others."""
+    if args.algo == "sa":
+        cfg = SaConfig(**_given(args, seed="seed", time_limit="time_limit"))
+        report, _ = solve_sa_best_of(instance, args.runs if args.runs is not None else 1, cfg)
+        return report
+    if args.algo == "brute":
+        return brute_force(instance, budget=args.budget, forbid_replication=forbid)
+    from . import mip
+
+    return mip.solve_exact(instance, _exact_config(args, forbid_replication=forbid, **fields))
+
+
 def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport:
     """Run the chosen solver.  A grouped solve is expanded back to the
     original attributes and re-priced on ``instance``; below ``lambda =
@@ -252,25 +264,11 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport
             raise _UsageError("--pin cannot be combined with --group")
         model = derive(instance)
         solved, grouping = group_attributes(instance, model)
-    if args.algo == "sa":
-        if args.disjoint:
-            raise _UsageError("--disjoint is only supported with --algo exact or brute")
-        if args.pin:
-            raise _UsageError("--pin is only supported with --algo exact")
-        runs = args.runs if args.runs is not None else 1
-        cfg = SaConfig(**_given(args, seed="seed", time_limit="time_limit"))
-        report, _ = solve_sa_best_of(solved, runs, cfg)
-    elif args.algo == "exact":
-        from . import mip
-
-        cfg = _exact_config(
-            args, forbid_replication=args.disjoint, fixed_replicas=_parse_pins(solved, args.pin)
-        )
-        report = mip.solve_exact(solved, cfg)
-    else:
-        if args.pin:
-            raise _UsageError("--pin is only supported with --algo exact")
-        report = brute_force(solved, budget=args.budget, forbid_replication=args.disjoint)
+    for flag in ("disjoint", "pin"):
+        if getattr(args, flag) and flag not in _ECHOED[args.algo]:
+            algos = " or ".join(algo for algo, flags in _ECHOED.items() if flag in flags)
+            raise _UsageError(f"--{flag} is only supported with --algo {algos}")
+    report = _run_solver(solved, args, args.disjoint, fixed_replicas=_parse_pins(solved, args.pin))
     if grouping is None or report.partitioning is None:
         return report
     part = expand_solution(report.partitioning, grouping)
@@ -278,14 +276,6 @@ def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport
     if instance.cost_weight < 1.0 and grouping.group_count < instance.attribute_count:
         report = replace(report, status=STATUS_FEASIBLE_TIME_LIMIT, bound_gap=math.inf)
     return report
-
-
-# The flags each solver applies; the others are left out of its record.
-_ECHOED = {
-    "sa": ("seed", "runs", "time_limit"),
-    "exact": ("time_limit", "gap", "disjoint", "pin"),
-    "brute": ("budget", "disjoint"),
-}
 
 
 def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
@@ -355,10 +345,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     """Solve both sides within one ``--time-limit``: the left side gets
     half of it, the right side what is left.  Brute force reads neither
     ``--time-limit`` nor ``--gap``, and loads no scipy."""
+    limit = math.inf  # brute force keeps no clock
     if args.algo == "exact":
-        from . import mip  # before the clock starts
-
-        config = _exact_config(args)
+        limit = _exact_config(args).time_limit  # imports scipy before the clock starts
     started = time.perf_counter()
     instance = _apply_overrides(load_instance(args.instance), args)
     if args.mode == "replication":
@@ -373,12 +362,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         (left_label, left_instance, False),
         (right_label, right_instance, args.mode == "replication"),
     ):
-        if args.algo == "brute":
-            rep = brute_force(side, budget=args.budget, forbid_replication=forbid)
-        else:
-            elapsed = time.perf_counter() - started
-            limit = max(0.0, config.time_limit - elapsed) if reports else config.time_limit / 2
-            rep = mip.solve_exact(side, replace(config, time_limit=limit, forbid_replication=forbid))
+        elapsed = time.perf_counter() - started
+        share = max(0.0, limit - elapsed) if reports else limit / 2
+        rep = _run_solver(side, args, forbid, time_limit=share)
         if rep.partitioning is None:
             print(f"no solution for the {label} side within the time limit", file=sys.stderr)
             return 3
@@ -450,11 +436,10 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vpadvisor", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vpadvisor {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    subcommands: List[argparse.ArgumentParser] = []
 
     gen = subs.add_parser("gen", help="write a benchmark instance file")
     gen.add_argument("output", help="path of the instance file to write")
@@ -524,20 +509,17 @@ def build_parser(defaults: Optional[Dict[str, Any]] = None) -> argparse.Argument
     _add_config_flags(exp)
     exp.set_defaults(func=cmd_export)
 
-    subcommands.extend([gen, solve, ev, comp, exp])
-    if defaults:
-        # subparsers parse into a fresh namespace, so defaults set on the
-        # root parser never reach them; set them on every subcommand
-        for sub in subcommands:
-            known = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        parser = build_parser(_env_defaults())
-        args = parser.parse_args(argv)
+        defaults = _env_defaults()  # a bad file fails before any argument does
+        args = build_parser().parse_args(argv)
+        for flag, value in defaults.items():
+            # each such flag defaults to None, which marks it as not given
+            if hasattr(args, flag) and getattr(args, flag) is None:
+                setattr(args, flag, value)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
@@ -548,7 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, InfeasibleLayoutError) as exc:
+    except _ViolationsError as exc:
         print("invalid input:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  - {violation}", file=sys.stderr)

@@ -342,17 +342,24 @@ def derive(instance: Instance) -> CostModel:
             members = np.asarray(instance.tables[table_id].attribute_ids, dtype=np.int64)
             rows[members, q.id] = count
 
-    q_txn_f = np.zeros((n_q, n_t), dtype=np.float64)
     txn_of_query = np.zeros(n_q, dtype=np.int64)
     for txn in instance.transactions:
         for qid in txn.query_ids:
-            q_txn_f[qid, txn.id] = 1.0
             txn_of_query[qid] = txn.id
 
-    # txn_reads[a, t]: some read query of t touches a directly; the read
-    # counts are small integers, which a float product sums exactly.
+    def by_txn(per_query: np.ndarray) -> np.ndarray:
+        """Fold (A, Q) over each transaction's queries, added in ascending
+        query id, into a C-ordered (A, T) array: ``mip._compact_model``'s
+        sums over it follow that order.  A product with a one-hot (Q, T)
+        matrix sums the same, but through a threaded BLAS kernel that made
+        ``derive`` several times slower in repeated commands."""
+        out = np.zeros((n_a, n_t), dtype=np.float64)
+        np.add.at(out.T, txn_of_query, per_query.T)
+        return out
+
+    # txn_reads[a, t]: some read query of t touches a directly
     read_access = attr_access & ~is_write[None, :]
-    txn_reads = (read_access.astype(np.float64) @ q_txn_f) > 0.0
+    txn_reads = by_txn(read_access.astype(np.float64)) > 0.0
 
     access_weight = widths[:, None] * freqs[None, :] * rows
 
@@ -364,12 +371,12 @@ def derive(instance: Instance) -> CostModel:
     # Per-(attribute, query) objective weights, then folded over queries.
     # access_weight is already 0 off the tables a query touches.
     coloc_q = access_weight * (read_f[None, :] - penalty * attr_f * write_f[None, :])
-    coloc_cost = coloc_q @ q_txn_f
+    coloc_cost = by_txn(coloc_q)
     replica_cost = (access_weight * write_f[None, :] * (1.0 + penalty * attr_f)).sum(axis=1)
 
-    coloc_load = (access_weight * read_f[None, :]) @ q_txn_f
+    coloc_load = by_txn(access_weight * read_f[None, :])
     replica_load = (access_weight * write_f[None, :]).sum(axis=1)
-    coloc_transfer = (access_weight * attr_f * write_f[None, :]) @ q_txn_f
+    coloc_transfer = by_txn(access_weight * attr_f * write_f[None, :])
 
     # No layout's score exceeds this bound in magnitude; NaN fails too.
     sites = instance.site_count

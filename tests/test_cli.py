@@ -367,6 +367,12 @@ EXIT_PATHS = {
     "disjoint-with-sa": (
         ["solve", "{small}", "--algo", "sa", "--disjoint"], 1, "err",
         "--disjoint is only supported with --algo exact or brute\n"),
+    "pin-with-sa": (
+        ["solve", "{small}", "--algo", "sa", "--pin", "tab0.c0=0"], 1, "err",
+        "--pin is only supported with --algo exact\n"),
+    "disjoint-and-pin-with-sa": (
+        ["solve", "{small}", "--algo", "sa", "--disjoint", "--pin", "tab0.c0=0"], 1, "err",
+        "--disjoint is only supported with --algo exact or brute\n"),
     "pin-with-brute": (
         ["solve", "{small}", "--algo", "brute", "--pin", "tab0.c0=0"], 1, "err",
         "--pin is only supported with --algo exact\n"),
@@ -602,6 +608,33 @@ def test_env_config_supplies_defaults(small_path, tmp_path, capsys, monkeypatch)
     ) == 0
     explicit = json.loads(capsys.readouterr().out)
     assert with_env["breakdown"]["score"] == explicit["breakdown"]["score"]
+
+
+def test_env_config_reaches_each_command_that_has_the_flag(small_path, tmp_path, capsys,
+                                                         monkeypatch):
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({"seed": 5, "sites": 3, "runs": 2, "time_limit": 7, "gap": 0.01}))
+    plain, with_env = tmp_path / "plain.json", tmp_path / "env.json"
+    assert main(["gen", str(plain), "--seed", "5", "--sites", "3"]) == 0
+    capsys.readouterr()
+    assert main(["export", small_path, "--sites", "3"]) == 0
+    three_sites = capsys.readouterr().out
+    monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
+    assert main(["gen", str(with_env)]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+
+    def record(*argv):
+        assert main([*argv, "--format", "structured"]) == 0
+        return json.loads(capsys.readouterr().out)["config"]
+
+    assert record("solve", small_path) == {"algo": "sa", "seed": 5, "runs": 2, "time_limit": 7}
+    assert record("solve", small_path, "--seed", "1")["seed"] == 1
+    assert record("compare", small_path, "--mode", "replication") == {
+        "algo": "exact", "time_limit": 7, "gap": 0.01}
+    # export has no --seed, --runs, --time-limit or --gap
+    assert main(["export", small_path]) == 0
+    assert capsys.readouterr().out == three_sites
 
 
 def test_env_config_rejects_unknown_keys(small_path, tmp_path, capsys, monkeypatch):
