@@ -312,8 +312,7 @@ def solve_subproblem_fix_replicas(
     write-latency charge; the annealer's Metropolis score and the final
     :func:`evaluate` do.  Raises :class:`InfeasibleLayoutError` when some
     transaction cannot read all of its attributes on any single site,
-    naming it and every transaction after it in that order.  ``tables``
-    are ``model``'s.
+    naming each such transaction.  ``tables`` are ``model``'s.
     """
     lam, n_sites, order = tables.lam, tables.site_count, tables.order
     rep_f = replicas.astype(np.float64)
@@ -330,10 +329,9 @@ def solve_subproblem_fix_replicas(
     objective = _place(order, x, np.where(feasible, cval, np.inf).ravel().tolist(),
                        (model.coloc_load.T @ rep_f).ravel().tolist(), loads, lam, objective)
     if objective == math.inf:  # ``derive`` keeps every real cost finite
-        stuck = np.flatnonzero(~feasible.any(axis=1)).tolist()
         raise InfeasibleLayoutError([
             f"transaction {t} reads attributes that no single site holds together"
-            for t in sorted(order[min(map(order.index, stuck)):])
+            for t in np.flatnonzero(~feasible.any(axis=1)).tolist()
         ])
     return np.array(x, np.int64), objective, max(loads)
 

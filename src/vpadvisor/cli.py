@@ -143,9 +143,7 @@ def _report_obj(report: SolveReport, instance: Instance) -> Dict[str, Any]:
         "bound_gap": None if math.isinf(report.bound_gap) else report.bound_gap,
         "wall_time": report.wall_time,
         "node_count": report.node_count,
-        "partitioning": None
-        if report.partitioning is None
-        else partitioning_to_obj(instance, report.partitioning),
+        "partitioning": partitioning_to_obj(instance, report.partitioning),
     }
 
 
@@ -178,17 +176,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.preset == "tpcc":
         instance = tpcc()
     else:
-        params = GenParams(
-            transaction_count=args.transactions,
-            table_count=args.tables,
-            max_queries_per_transaction=args.max_queries,
-            update_percent=args.update_percent,
-            max_attributes_per_table=args.max_attrs,
-            max_table_refs_per_query=args.max_table_refs,
-            max_attribute_refs_per_query=args.max_attr_refs,
-            allowed_widths=args.widths,
-            **_given(args, seed="seed"),
-        )
+        params = GenParams(**_given(
+            args, transaction_count="transactions", table_count="tables",
+            max_queries_per_transaction="max_queries", update_percent="update_percent",
+            max_attributes_per_table="max_attrs", max_table_refs_per_query="max_table_refs",
+            max_attribute_refs_per_query="max_attr_refs", allowed_widths="widths", seed="seed",
+        ))
         instance = generate(params)
     instance = _apply_overrides(instance, args)
     derive(instance)  # rejects what solve would, overflowing costs included
@@ -444,17 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     gen = subs.add_parser("gen", help="write a benchmark instance file")
     gen.add_argument("output", help="path of the instance file to write")
     gen.add_argument("--preset", choices=["tpcc"], default=None, help="built-in instance")
+    # flags left out keep the GenParams defaults
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--transactions", type=int, default=20)
-    gen.add_argument("--tables", type=int, default=20)
-    gen.add_argument("--max-queries", type=int, default=3, help="queries per transaction bound")
-    gen.add_argument("--update-percent", type=float, default=10.0)
-    gen.add_argument("--max-attrs", type=int, default=15, help="attributes per table bound")
-    gen.add_argument("--max-table-refs", type=int, default=5)
-    gen.add_argument("--max-attr-refs", type=int, default=15)
-    gen.add_argument(
-        "--widths", type=_widths, default="4,8", help="comma-separated attribute widths"
-    )
+    gen.add_argument("--transactions", type=int)
+    gen.add_argument("--tables", type=int)
+    gen.add_argument("--max-queries", type=int, help="queries per transaction bound")
+    gen.add_argument("--update-percent", type=float)
+    gen.add_argument("--max-attrs", type=int, help="attributes per table bound")
+    gen.add_argument("--max-table-refs", type=int)
+    gen.add_argument("--max-attr-refs", type=int)
+    gen.add_argument("--widths", type=_widths, help="comma-separated attribute widths")
     _add_config_flags(gen)
     gen.set_defaults(func=cmd_generate)
 

@@ -49,7 +49,9 @@ from .workload import CostModel, Instance, derive
 class MipModel:
     """The program ``min c @ v`` subject to ``0 <= v <= upper``,
     ``row_lower <= matrix @ v <= row_upper`` and ``v[j]`` integral where
-    ``integrality[j]`` is 1 (those columns are binary).
+    ``integrality[j]`` is 1.  Those columns are binary; the others (the
+    auxiliaries ``u`` and ``m``) are unbounded above, so ``upper``
+    follows from ``integrality`` and is not stored.
 
     Column order: ``x[t,s]`` (site fastest), ``y[a,s]``, ``u[t,a,s]``,
     ``m``, then one indicator per write query when the latency term is
@@ -64,17 +66,20 @@ class MipModel:
 
     c: np.ndarray
     integrality: np.ndarray
-    upper: np.ndarray
     matrix: sp.csr_array
     row_lower: np.ndarray
     row_upper: np.ndarray
     n_txns: int
     n_attrs: int
     n_sites: int
-    has_latency: bool
     write_query_ids: Tuple[int, ...] = ()
     symmetry: bool = False
     pins: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def upper(self) -> np.ndarray:
+        """Column upper bounds: 1 on binary columns, ``inf`` elsewhere."""
+        return np.where(self.integrality == 1, 1.0, np.inf)
 
     @property
     def variable_count(self) -> int:
@@ -99,8 +104,8 @@ class MipModel:
         return (self.n_txns + self.n_attrs + self.n_txns * self.n_attrs) * self.n_sites
 
     def psi_index(self, write_pos: int) -> int:
-        if not self.has_latency:
-            raise ValueError("model has no latency indicators")
+        if not 0 <= write_pos < len(self.write_query_ids):
+            raise ValueError(f"model has no latency indicator {write_pos}")
         return self.m_index + 1 + write_pos
 
     def _column_labels(self) -> np.ndarray:
@@ -232,7 +237,6 @@ def _sorted_pins(
 
 def build_mip(
     instance: Instance,
-    model: Optional[CostModel] = None,
     *,
     use_symmetry: bool = False,
     forbid_replication: bool = False,
@@ -250,8 +254,7 @@ def build_mip(
     latency indicators and rows are there when the instance prices
     latency.
     """
-    if model is None:
-        model = derive(instance)
+    model = derive(instance)
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
@@ -324,14 +327,12 @@ def build_mip(
     return MipModel(
         c=c,
         integrality=integrality,
-        upper=np.where(integrality == 1, 1.0, np.inf),
         matrix=matrix,
         row_lower=row_lower,
         row_upper=row_upper,
         n_txns=n_txns,
         n_attrs=n_attrs,
         n_sites=n_sites,
-        has_latency=has_latency,
         write_query_ids=tuple(int(q) for q in write_ids),
         symmetry=symmetry,
         pins=tuple(pins),
@@ -449,7 +450,8 @@ def _mps_sections(model: MipModel) -> List[_Section]:
     relation, rhs = _relations(model)
     senses = np.array([b"E", b"L", b"G"])[relation]
     nonzero = np.flatnonzero(rhs)
-    finite = np.flatnonzero(np.isfinite(model.upper))
+    upper = model.upper
+    finite = np.flatnonzero(np.isfinite(upper))
 
     def rhs_lines(lo: int, hi: int) -> str:
         at = nonzero[lo:hi]
@@ -457,7 +459,7 @@ def _mps_sections(model: MipModel) -> List[_Section]:
 
     def bound_lines(lo: int, hi: int) -> str:
         at = finite[lo:hi]
-        return _lines(b" UP BND ", columns[at], b" ", _texts(model.upper[at]), b"\n")
+        return _lines(b" UP BND ", columns[at], b" ", _texts(upper[at]), b"\n")
 
     return [
         _fixed("NAME vpadvisor", "OBJSENSE", "    MIN", "ROWS", " N obj"),
@@ -527,20 +529,13 @@ def _lp_sections(model: MipModel) -> List[_Section]:
     costed = np.flatnonzero(model.c) if model.c.any() else np.array([model.c.size - 1])
     objective = sp.csr_array((model.c[costed], costed, [0, costed.size]), shape=(1, model.c.size))
     tails = np.strings.add(np.array([b" = ", b" <= ", b" >= "])[relation], _texts(rhs))
-    bounded = np.flatnonzero((model.integrality == 0) & np.isfinite(model.upper))
+    # Continuous columns keep the LP default bounds [0, inf): no Bounds section.
     binary = np.flatnonzero(model.integrality)
-
-    def bound_lines(lo: int, hi: int) -> str:
-        at = bounded[lo:hi]
-        return _lines(b" ", columns[at], b" <= ", _texts(model.upper[at]), b"\n")
-
     return [
         _fixed("\\ vpadvisor linearized placement model", "Minimize"),
         _expressions(np.array([b"obj"]), objective, columns, np.array([b""])),
         _fixed("Subject To"),
         _expressions(model._row_labels(), model.matrix, columns, tails),
-        _fixed(*["Bounds"][: bounded.size]),  # a header only above a nonempty list
-        (bounded.size, bound_lines),
         _fixed(*["Binary"][: binary.size]),
         (binary.size, lambda lo, hi: _lines(b" ", columns[binary[lo:hi]], b"\n")),
         _fixed("End"),
@@ -761,11 +756,7 @@ def _compact_model(
     }
 
 
-def solve_exact(
-    instance: Instance,
-    config: Optional[ExactConfig] = None,
-    model: Optional[CostModel] = None,
-) -> SolveReport:
+def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> SolveReport:
     """Solve the linearized program to a proven optimum of the weighted
     score.
 
@@ -783,8 +774,7 @@ def solve_exact(
     started = time.perf_counter()
     if config is None:
         config = ExactConfig()
-    if model is None:
-        model = derive(instance)
+    model = derive(instance)
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count

@@ -1,20 +1,19 @@
-"""Exhaustive-enumeration oracle: every layout of a small instance,
-scored in vectorized chunks.  It needs numpy only, so ``solve --algo
-brute`` loads no solver library.
+"""Exhaustive-enumeration oracle: every layout of a small instance that
+can be optimal, scored in vectorized chunks.  It needs numpy only, so
+``solve --algo brute`` loads no solver library.
 """
 from __future__ import annotations
 
 import math
 import time
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError
 from .partitioning import Partitioning, evaluate, weighted_score
 from .report import STATUS_OPTIMAL, SolveReport
-from .workload import CostModel, Instance, derive
+from .workload import Instance, derive
 
 #: Nominal layout count enumerated by :func:`brute_force` at most.
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -36,21 +35,25 @@ def brute_force(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
     forbid_replication: bool = False,
-    model: Optional[CostModel] = None,
 ) -> SolveReport:
-    """Enumerate every layout and report the lexicographically first
-    minimizer of the weighted score: status ``optimal``, a zero bound
-    gap, and the nominal layout count as ``node_count``.
+    """Enumerate every layout that can be optimal and report the
+    lexicographically first minimizer of the weighted score: status
+    ``optimal``, a zero bound gap, and the nominal layout count of
+    :func:`enumeration_size` as ``node_count``.
 
     Transaction assignments are walked in lexicographic order, the last
-    transaction fastest.  For each, an attribute's candidate replica sets
-    are the rows of one 0/1 site matrix (in ascending bitmask order, site
-    0 the low bit) that hold every site its readers run on, and the
-    choices of one set per attribute are scored in vectorized chunks, the
-    last attribute fastest.  When the instance prices latency, a write
-    query pays ``latency_penalty * frequency`` (weighted into the score
-    like the rest of the objective) whenever any updated attribute keeps
-    a replica off the transaction's site.
+    transaction fastest.  For each, an attribute's only candidate replica
+    set is the set of sites its readers run on; an attribute nobody
+    reads has each single site as a candidate, in site order.  A replica
+    beyond those never lowers the score but for rounding (the bound
+    stated on :class:`CostModel`), so larger sets are not priced.  When
+    replication is forbidden, an assignment that reads some attribute on
+    two sites is skipped.  The choices of one set per attribute are
+    scored in vectorized chunks, the last attribute fastest.  When the
+    instance prices latency, a write query pays ``latency_penalty *
+    frequency`` (weighted into the score like the rest of the objective)
+    whenever any updated attribute keeps a replica off the transaction's
+    site.
 
     Refuses instances whose nominal search space exceeds ``budget``.
     """
@@ -60,8 +63,7 @@ def brute_force(
         raise BudgetExceededError(
             f"enumeration would visit {size} layouts, over the budget of {budget}"
         )
-    if model is None:
-        model = derive(instance)
+    model = derive(instance)
     n_sites = instance.site_count
     priced = slice(0) if instance.latency_penalty is None else slice(None)
     write_attr, write_txn = model.write_attr_access[:, priced], model.write_txn[priced]
@@ -69,24 +71,26 @@ def brute_force(
     latency_penalty = float(instance.latency_penalty or 0.0)
     lam = float(instance.cost_weight)
     reads_f = model.txn_reads.astype(np.float64)
-    # Candidate site sets as 0/1 rows in ascending bitmask order, site 0 the low bit.
-    site_sets = np.eye(n_sites) if forbid_replication else (
-        np.array(list(product((0.0, 1.0), repeat=n_sites)))[1:, ::-1])
-    set_sizes = site_sets.sum(axis=1)
+    eye = np.eye(n_sites)
+    single = np.arange(n_sites)
 
     best_score = np.inf
     for homes in product(range(n_sites), repeat=instance.transaction_count):
         x = np.array(homes, dtype=np.int64)
-        onehot = np.eye(n_sites)[x]
+        onehot = eye[x]
         csum = model.coloc_cost @ onehot
         lsum = model.coloc_load @ onehot
         forced = (reads_f @ onehot) > 0.0
-        covers = (site_sets[None, :, :] >= forced[:, None, :]).all(axis=2)  # (A, sets)
-        if not covers.any(axis=1).all():
-            continue  # disjoint, and some attribute is read on two sites
-        # Per attribute, one row per candidate set: its objective, its load
-        # on each site and its replica count off each write query's site.
-        choices = [np.flatnonzero(row) for row in covers]
+        if forbid_replication and (forced.sum(axis=1) > 1).any():
+            continue  # some attribute is read on two sites
+        # Candidate sets as 0/1 rows of ``site_sets``: each single site,
+        # then each attribute's forced sites.  Per attribute, one row per
+        # candidate: its objective, its load on each site and its replica
+        # count off each write query's site.
+        site_sets = np.vstack((eye, forced))
+        choices = [np.array([n_sites + a]) if row.any() else single
+                   for a, row in enumerate(forced)]
+        set_sizes = site_sets.sum(axis=1)
         tables = [np.column_stack((
             site_sets[rows] @ csum[a] + set_sizes[rows] * model.replica_cost[a],
             site_sets[rows] * (lsum[a] + model.replica_load[a]),

@@ -306,21 +306,20 @@ def lifted_point(model, txn_site, replica) -> np.ndarray:
 def set_load_and_latency(model, instance, values, breakdown) -> np.ndarray:
     """Fill the load bound and, if present, the remote-write flags."""
     values[model.m_index] = breakdown.max_load
-    if model.has_latency:
-        for pos, qid in enumerate(model.write_query_ids):
-            q = instance.queries[qid]
-            home = values[
-                model.x_index(_txn_of_query(instance, qid), 0) :
-                model.x_index(_txn_of_query(instance, qid), 0) + model.n_sites
-            ]
-            home_site = int(np.argmax(home))
-            remote = any(
-                values[model.y_index(a, s)] > 0.5
-                for a in q.accessed_attributes
-                for s in range(model.n_sites)
-                if s != home_site
-            )
-            values[model.psi_index(pos)] = 1.0 if remote else 0.0
+    for pos, qid in enumerate(model.write_query_ids):
+        q = instance.queries[qid]
+        home = values[
+            model.x_index(_txn_of_query(instance, qid), 0) :
+            model.x_index(_txn_of_query(instance, qid), 0) + model.n_sites
+        ]
+        home_site = int(np.argmax(home))
+        remote = any(
+            values[model.y_index(a, s)] > 0.5
+            for a in q.accessed_attributes
+            for s in range(model.n_sites)
+            if s != home_site
+        )
+        values[model.psi_index(pos)] = 1.0 if remote else 0.0
     return values
 
 

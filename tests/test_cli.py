@@ -428,6 +428,23 @@ def test_eval_tampered_layout_reports_violations(small_path, tmp_path, capsys):
     assert "invalid input" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_partitioning_that_is_not_json(small_path, tmp_path, capsys):
+    part = tmp_path / "layout.json"
+    part.write_text("{not json")
+    assert main(["eval", small_path, str(part)]) == 2
+    assert "partitioning document is not valid JSON" in capsys.readouterr().err
+
+
+def test_instance_with_a_table_that_is_not_an_object_is_rejected(small_path, tmp_path, capsys):
+    with open(small_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["tables"][0] = [doc["tables"][0]["name"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["solve", str(bad)]) == 2
+    assert "tables[0]: expected an object, got list" in capsys.readouterr().err
+
+
 def test_eval_single_site_has_zero_transfer(t1_path, tmp_path, capsys):
     part = tmp_path / "single.json"
     assert main(["solve", t1_path, "--algo", "exact", "--sites", "1", "--out", str(part)]) == 0
@@ -643,6 +660,21 @@ def test_env_config_rejects_unknown_keys(small_path, tmp_path, capsys, monkeypat
     monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
     assert main(["solve", small_path, "--algo", "brute"]) == 2
     assert "unknown keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read VPADVISOR_CONFIG file"),
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a JSON object"),
+])
+def test_env_config_rejects_a_file_without_a_json_object(text, message, small_path, tmp_path,
+                                                         capsys, monkeypatch):
+    cfg = tmp_path / "defaults.json"
+    if text is not None:  # None leaves the named file missing
+        cfg.write_text(text)
+    monkeypatch.setenv("VPADVISOR_CONFIG", str(cfg))
+    assert main(["solve", small_path]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [

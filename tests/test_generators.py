@@ -118,6 +118,8 @@ def test_invalid_parameters_rejected():
         GenParams(update_percent=101.0)
     with pytest.raises(ValueError):
         GenParams(allowed_widths=())
+    with pytest.raises(ValueError, match="allowed_widths must be positive integers"):
+        GenParams(allowed_widths=(0,))
     with pytest.raises(ValueError, match="seed must be nonnegative"):
         GenParams(seed=-1)
     with pytest.raises(ValidationError, match="site count"):

@@ -44,6 +44,7 @@ commands = [
 record = {"numpy_only": [[argv[0], run(argv), scipy_loaded()] for argv in commands]}
 import vpadvisor
 record["listed"] = [name for name in vpadvisor._LAZY if name in dir(vpadvisor)]
+record["listed_loads"] = scipy_loaded()
 record["exact"] = [run(["solve", inst, "--algo", "exact", "--time-limit", "30"]),
                    bool(scipy_loaded())]
 record["missing"] = [name for name in vpadvisor.__all__ if not hasattr(vpadvisor, name)]
@@ -70,5 +71,6 @@ def test_only_the_exact_solver_loads_scipy(tmp_path):
     # the package serves the exact solver's names through its module __getattr__
     assert record["listed"] == ["ExactConfig", "MipModel", "build_mip", "export_model",
                                 "solve_exact"]
+    assert record["listed_loads"] == []  # listing the names does not load them
     assert record["missing"] == []
     assert record["same"] is True

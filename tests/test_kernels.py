@@ -72,11 +72,12 @@ def _tables(model, n_sites, cost_weight, order=None):
     return tables if order is None else replace(tables, order=np.asarray(order).tolist())
 
 
-def _stuck_messages(x):
-    """The repair's error for a reference assignment with unplaced (-1)
-    transactions."""
+def _stuck_messages(replicas, txn_reads):
+    """The repair's error under ``replicas``: one line per transaction
+    that no site can serve, a site lacking one of its reads."""
+    missing = txn_reads.T.astype(np.int64) @ (~replicas).astype(np.int64)  # (T, S)
     return [f"transaction {t} reads attributes that no single site holds together"
-            for t in np.flatnonzero(x < 0)]
+            for t in np.flatnonzero((missing > 0).all(axis=1))]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -324,7 +325,7 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
                 with pytest.raises(InfeasibleLayoutError) as err:
                     solve_subproblem_fix_replicas(
                         model, replicas, _tables(model, n_sites, cost_weight, order))
-                assert err.value.violations == _stuck_messages(want_x)
+                assert err.value.violations == _stuck_messages(replicas, reads)
             else:
                 got_x, _, _ = solve_subproblem_fix_replicas(
                     model, replicas, _tables(model, n_sites, cost_weight, order))
@@ -409,8 +410,8 @@ def test_repairs_reject_weights_outside_unit_interval(cost_weight):
 def test_stuck_assignment_names_every_unplaced_transaction():
     # transaction 2 reads attribute 0, which site 1 holds; transactions
     # 0 and 1 read attribute 1, which no site holds.  The repair places
-    # transaction 2 first and stops at transaction 0, naming it and
-    # transaction 1 after it.
+    # transaction 2 first, stops at transaction 0 and names both
+    # transactions that no site can serve.
     reads = np.array([[False, False, True], [True, True, False]])
     model = _model(reads, np.zeros((2, 3)), np.zeros(2), np.ones((2, 3)), np.zeros(2))
     replicas = np.array([[False, True], [False, False]])
@@ -420,9 +421,24 @@ def test_stuck_assignment_names_every_unplaced_transaction():
     assert want_x.tolist() == [-1, -1, 1]
     with pytest.raises(InfeasibleLayoutError) as err:
         solve_subproblem_fix_replicas(model, replicas, _tables(model, 2, 0.5, order))
-    assert err.value.violations == _stuck_messages(want_x) == [
+    assert err.value.violations == _stuck_messages(replicas, reads) == [
         "transaction 0 reads attributes that no single site holds together",
         "transaction 1 reads attributes that no single site holds together",
+    ]
+
+
+def test_stuck_assignment_names_only_transactions_that_no_site_serves():
+    # transaction 0 reads attribute 1, which no site holds; transaction 1
+    # reads attribute 0, which site 1 holds.  The repair stops at
+    # transaction 0 and names it alone: transaction 1, due after it, has
+    # a site.
+    reads = np.array([[False, True], [True, False]])
+    model = _model(reads, np.zeros((2, 2)), np.zeros(2), np.ones((2, 2)), np.zeros(2))
+    replicas = np.array([[False, True], [False, False]])
+    with pytest.raises(InfeasibleLayoutError) as err:
+        solve_subproblem_fix_replicas(model, replicas, _tables(model, 2, 0.5, [0, 1]))
+    assert err.value.violations == _stuck_messages(replicas, reads) == [
+        "transaction 0 reads attributes that no single site holds together",
     ]
 
 

@@ -276,6 +276,19 @@ def test_model_holds_no_names_and_formats_them_on_request():
     assert rows[-1] == f"remote_q{mip.write_query_ids[-1]}"
 
 
+def test_psi_index_rejects_positions_without_an_indicator():
+    inst = random_instance(2, site_count=3, latency_penalty=7.0, update_percent=60.0)
+    mip = build_mip(inst)
+    n_writes = len(mip.write_query_ids)
+    assert n_writes and mip.psi_index(n_writes - 1) == mip.variable_count - 1
+    for pos in (n_writes, -1):
+        with pytest.raises(ValueError, match="no latency indicator"):
+            mip.psi_index(pos)
+    unpriced = build_mip(dataclasses.replace(inst, latency_penalty=None))
+    with pytest.raises(ValueError, match="no latency indicator"):
+        unpriced.psi_index(0)
+
+
 def _reference_names(mip):
     """Column and row names as the earlier f-string builders formatted
     them, one Python string at a time."""
@@ -536,7 +549,7 @@ def test_lp_export_wraps_long_rows_and_writes_an_empty_objective(chunk):
     assert text == _reference_lp(wide)
     assert any(line.startswith("   ") for line in text.splitlines())  # continued lines
     empty = build_mip(_zero_objective_instance())
-    assert not empty.c.any() and empty.has_latency
+    assert not empty.c.any() and empty.write_query_ids
     text = _chunked_export(empty, "lp-text", chunk)
     assert text == _reference_lp(empty)
     assert text.splitlines()[2] == f" obj: 0 psi_q{empty.write_query_ids[-1]}"
@@ -643,7 +656,7 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
     )
     model = derive(inst)
     reference = _full_optimum(
-        build_mip(inst, model, forbid_replication=disjoint, fixed_replicas=pins)
+        build_mip(inst, forbid_replication=disjoint, fixed_replicas=pins)
     )
     compact = milp(**_compact_model(
         inst, model, forbid_replication=disjoint, fixed_replicas=pins,
@@ -774,7 +787,7 @@ def test_exact_keeps_its_deadline_on_a_large_instance(solver, limit):
     if solver == "sa":
         report, _ = solve_sa(inst, SaConfig(time_limit=limit), model=model)
     else:
-        report = solve_exact(inst, ExactConfig(time_limit=limit), model=model)
+        report = solve_exact(inst, ExactConfig(time_limit=limit))
     wall = time.perf_counter() - started
     assert report.wall_time <= wall
     assert wall <= limit + 1.5, f"took {wall:.2f} s against a {limit} s limit"
