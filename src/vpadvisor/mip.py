@@ -10,7 +10,9 @@ The exact solver hands HiGHS's branch-and-cut (``scipy.optimize.milp``)
 a compact form with the same optimum: auxiliaries only where a
 coefficient needs them, and only the McCormick rows each coefficient's
 sign needs.  Both forms are built block by block into sparse arrays by
-one row builder, :class:`_Rows`.
+one row builder, :class:`_Rows`.  Without pins or ``forbid_replication``
+a short annealing run seeds the incumbent; it runs on a worker thread
+beside HiGHS, which releases the GIL while it solves.
 
 :func:`export_model` writes the full form as free-MPS or LP text,
 byte-deterministically and at most :data:`EXPORT_CHUNK_LINES` lines per
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -609,7 +612,8 @@ class ExactConfig:
     Defaults: a 30-minute wall limit and a 0.1% relative gap.  The
     symmetry rows are used whenever no replicas are pinned (pins make
     sites distinguishable).  When nothing is pinned or disjoint, a quick
-    annealing run seeds the incumbent within the time limit.
+    annealing run beside HiGHS seeds the incumbent; both stop at
+    ``time_limit`` from the start of the solve.
     """
 
     time_limit: float = 1800.0
@@ -761,11 +765,15 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     score.
 
     HiGHS's branch-and-cut (``scipy.optimize.milp``) solves the compact
-    program of :func:`_compact_model` in whatever remains of
-    ``config.time_limit`` after the starting incumbents: the single-site
-    layouts and, when nothing is pinned or disjoint, a short annealing
-    run that shares the time limit.  These stay as the fallback when
-    HiGHS stops without a layout.
+    program of :func:`_compact_model` on the calling thread until
+    ``config.time_limit`` from the start.  The starting incumbents are
+    the single-site layouts and, when nothing is pinned or disjoint, a
+    short annealing run on one worker thread, started once the compact
+    program is built and stopped by the same deadline.  The worker is
+    joined before this returns or raises, and an exception of the
+    annealer is raised here.  Its layout is considered before HiGHS's,
+    so it wins a tie, and the starting incumbents stay as the fallback
+    when HiGHS stops without a layout.
     Every candidate is re-priced by the definitional evaluator, so
     reported objectives and scores never drift from ``evaluate``; the
     bound gap compares that score with HiGHS's dual bound.  Raises
@@ -810,23 +818,29 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     def time_left() -> float:
         return config.time_limit - (time.perf_counter() - started)
 
-    if not pins and not config.forbid_replication and time_left() > 0:
-        warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0, time_limit=time_left())
-        warm_report, _ = solve_sa(instance, warm_cfg, model=model)
-        consider(warm_report.partitioning.txn_site, warm_report.partitioning.replica)
-
     bound = -math.inf
     node_count = 0
     proven = False  # HiGHS proved the optimum and its layout is valid
-    if time_left() > 0:
-        arrays = _compact_model(
-            instance,
-            model,
-            forbid_replication=config.forbid_replication,
-            fixed_replicas=pins,
-        )
+    warm_start = not pins and not config.forbid_replication and time_left() > 0
+    warm = res = arrays = None
+    # The warm start runs on a worker thread while HiGHS, which releases
+    # the GIL, runs on this one; leaving the block joins the worker.  It
+    # starts once the compact program is built: built beside the
+    # annealer, the program waits for the GIL.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if time_left() > 0:
+            arrays = _compact_model(
+                instance,
+                model,
+                forbid_replication=config.forbid_replication,
+                fixed_replicas=pins,
+            )
+        if warm_start:
+            warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0,
+                                time_limit=max(time_left(), 0.0))
+            warm = pool.submit(solve_sa, instance, warm_cfg, model=model)
         limit = time_left()
-        if limit > 0:
+        if arrays is not None and limit > 0:
             # HiGHS writes some messages straight to file descriptor 1,
             # past sys.stdout; send them to standard error so the
             # standard output stays the program's own (a JSON record).
@@ -838,18 +852,23 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
             finally:
                 os.dup2(saved_stdout, 1)
                 os.close(saved_stdout)
-            node_count = int(res.mip_node_count or 0)
-            if res.x is not None:
-                nx = n_txns * n_sites
-                valid = consider(
-                    np.argmax(res.x[:nx].reshape(n_txns, n_sites), axis=1),
-                    res.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
-                )
-                proven = valid and res.status == 0
-            if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
-                bound = float(res.mip_dual_bound)
-            if res.status == 2 and incumbent is None:
-                raise ValueError(f"the pins {pins} admit no layout under forbid_replication")
+    # The warm start's layout is considered first, so it keeps a tie.
+    if warm is not None:
+        warm_part = warm.result()[0].partitioning
+        consider(warm_part.txn_site, warm_part.replica)
+    if res is not None:
+        node_count = int(res.mip_node_count or 0)
+        if res.x is not None:
+            nx = n_txns * n_sites
+            valid = consider(
+                np.argmax(res.x[:nx].reshape(n_txns, n_sites), axis=1),
+                res.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
+            )
+            proven = valid and res.status == 0
+        if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
+            bound = float(res.mip_dual_bound)
+        if res.status == 2 and incumbent is None:
+            raise ValueError(f"the pins {pins} admit no layout under forbid_replication")
 
     wall = time.perf_counter() - started
     if incumbent is None:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import threading
 import time
 
 import numpy as np
@@ -828,6 +829,107 @@ def test_exact_reports_optimal_when_highs_proves_it_at_huge_penalties(penalty):
     assert report.status == STATUS_OPTIMAL
     assert report.bound_gap <= ExactConfig().gap
     assert report.partitioning == brute_force(inst).partitioning
+
+
+_MID = dict(site_count=3, transaction_count=8, table_count=4, max_attributes_per_table=5)
+
+# name: (instance, pins) for EXACT_GOLDEN.
+EXACT_CASES = {
+    "tpcc-2": (lambda: tpcc(site_count=2), ()),
+    "tpcc-3": (lambda: tpcc(site_count=3), ()),
+    "tpcc-4": (lambda: tpcc(site_count=4), ()),
+    "random-plain": (lambda: random_instance(0, **_MID), ()),
+    "random-latency": (lambda: random_instance(4, latency_penalty=5.0, update_percent=60.0, **_MID),
+                       ()),
+    "random-pinned": (lambda: random_instance(1, **_MID), ((0, 2), (3, 1))),
+}
+
+# name: (score as float.hex, status, node count, sha256 prefixes of
+# txn_site and replica) that solve_exact returns with the default config,
+# recorded while the warm-start annealer still ran before HiGHS.
+EXACT_GOLDEN = {
+    "tpcc-2": ("0x1.0810000000000p+13", "optimal", 1, "19cda4a05c029f2a", "38d4cfa9c08f04fa"),
+    "tpcc-3": ("0x1.da96666666666p+12", "optimal", 1, "265c50809e27b950", "38f09b4a7f0490ec"),
+    "tpcc-4": ("0x1.d963333333334p+12", "optimal", 1, "7702179d750e600b", "1b340af7b133a911"),
+    "random-plain": ("0x1.6433333333334p+9", "optimal", 11, "982866a44435ad28", "c6410618452cc814"),
+    "random-latency": ("0x1.38e6666666667p+10", "optimal", 19, "d5018c803dbbe7c8",
+                       "6c740bdfe68c2573"),
+    "random-pinned": ("0x1.8200000000000p+9", "optimal", 9, "78c5d613c38434e7", "d3cc988c9c7ddaf7"),
+}
+
+
+@pytest.mark.parametrize("name", list(EXACT_GOLDEN))
+def test_exact_answers_are_pinned(name):
+    make, pins = EXACT_CASES[name]
+    report = solve_exact(make(), ExactConfig(fixed_replicas=pins))
+    part = report.partitioning
+    got = (report.score.hex(), report.status, report.node_count,
+           _sha(part.txn_site.tobytes()), _sha(part.replica.tobytes()))
+    assert got == EXACT_GOLDEN[name]
+
+
+def test_exact_runs_its_warm_start_beside_highs(monkeypatch):
+    # the annealer waits for HiGHS to start; run one after the other,
+    # the wait would time out
+    annealing, solving = threading.Event(), threading.Event()
+    waits = []
+    real_sa, real_milp = mip_module.solve_sa, mip_module.milp
+
+    def sa(*args, **kwargs):
+        annealing.set()
+        waits.append(solving.wait(10.0))
+        return real_sa(*args, **kwargs)
+
+    def milp(*args, **kwargs):
+        solving.set()
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(mip_module, "solve_sa", sa)
+    monkeypatch.setattr(mip_module, "milp", milp)
+    report = solve_exact(tpcc(site_count=2))
+    assert annealing.is_set()
+    assert waits == [True]
+    assert report.score.hex() == EXACT_GOLDEN["tpcc-2"][0]
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(ExactConfig(fixed_replicas=((0, 1),)), id="pinned"),
+    pytest.param(ExactConfig(forbid_replication=True), id="disjoint"),
+    pytest.param(ExactConfig(time_limit=0.0), id="no-time"),
+])
+def test_exact_runs_no_warm_start_when_pinned_disjoint_or_out_of_time(monkeypatch, config):
+    def sa(*args, **kwargs):
+        raise AssertionError("the warm start ran")
+
+    monkeypatch.setattr(mip_module, "solve_sa", sa)
+    report = solve_exact(random_instance(3, site_count=2), config)
+    assert report.partitioning is not None
+
+
+@pytest.mark.parametrize("failing", ["solve_sa", "milp"])
+def test_exact_surfaces_a_member_failure_and_joins_its_worker(monkeypatch, failing):
+    annealing = threading.Event()
+    real_sa, real_milp = mip_module.solve_sa, mip_module.milp
+
+    def sa(*args, **kwargs):
+        annealing.set()
+        if failing == "solve_sa":
+            raise RuntimeError("solve_sa failed")
+        return real_sa(*args, **kwargs)
+
+    def milp(*args, **kwargs):
+        if failing == "milp":
+            annealing.wait(10.0)  # fail while the worker runs
+            raise RuntimeError("milp failed")
+        return real_milp(*args, **kwargs)
+
+    monkeypatch.setattr(mip_module, "solve_sa", sa)
+    monkeypatch.setattr(mip_module, "milp", milp)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        solve_exact(tpcc(site_count=2))
+    assert annealing.is_set()
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------
