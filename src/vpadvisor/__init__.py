@@ -6,8 +6,8 @@ replicated) and transactions (exactly one home site each) across a set
 of sites, minimizing a weighted mix of storage-access cost, network
 transfer, and peak site load.  Two solvers are provided: an exact
 solver that hands a linearized integer program to HiGHS, and a simulated
-annealing heuristic that alternates between the two halves of the
-placement.
+annealing heuristic over the transaction homes, which rebuilds the
+replica sets greedily for each move.
 
 The exact solver's names (``ExactConfig``, ``MipModel``, ``build_mip``,
 ``export_model``, ``solve_exact``) are served on first access, because

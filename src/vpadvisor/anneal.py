@@ -1,23 +1,23 @@
 """Simulated-annealing heuristic for the partitioning problem.
 
-The annealer keeps one feasible layout and repeatedly perturbs it,
-alternating between two repair modes: with the transaction assignment
-held fixed the replica sets are rebuilt greedily, and with the replica
-sets held fixed the transactions are re-assigned greedily.  Moves are
-accepted with the Metropolis rule on the weighted score, the temperature
-follows a geometric schedule, and the search freezes when the
-temperature collapses or the best score stalls.
+The annealer's state is the transaction assignment alone.  A move
+re-homes a few transactions, and the replica sets are then rebuilt
+greedily for the new assignment, so every layout the search visits
+holds the replica sets that its assignment forces plus one site for
+each attribute that no transaction reads.  Moves are accepted with the
+Metropolis rule on the weighted score, the temperature follows a
+geometric schedule, and the search freezes when the temperature
+collapses or the best score stalls.
 """
 from __future__ import annotations
 
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InfeasibleLayoutError
 from .partitioning import (
     Partitioning, _write_latency, _write_pairs, evaluate, weighted_score,
 )
@@ -37,8 +37,8 @@ class SaConfig:
 
     ``inner_loops`` candidate moves are tried per temperature step, the
     temperature is multiplied by ``_COOLING`` after each step, and a move
-    perturbs ``_MOVE_FRACTION`` of the transactions and of the attributes
-    (rounded up).  The search stops when the temperature drops below
+    re-homes ``_MOVE_FRACTION`` of the transactions (rounded up).  The
+    search stops when the temperature drops below
     ``_FREEZE_TEMPERATURE_RATIO`` times the initial temperature, when
     ``freeze_stall_loops`` consecutive temperature steps pass without
     improving the best score, or when ``time_limit`` seconds of wall time
@@ -130,44 +130,17 @@ def perturb_transactions(
     return moved
 
 
-def perturb_replicas(
-    replicas: np.ndarray,
-    move_fraction: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Give a random ``move_fraction`` of the attributes (at least one,
-    rounded up) one more replica each.
-
-    The site index is a uniform draw below the number of sites the
-    attribute lacks: the move may land on a site the attribute already
-    holds (no change), and sites at or above that count are never drawn.
-    Attributes already present on every site are left
-    alone.  Only additions are made, so any layout feasible with the old
-    replica sets stays feasible with the new ones.
-    """
-    n_attrs, n_sites = replicas.shape
-    grown = replicas.copy()
-    count = min(n_attrs, math.ceil(move_fraction * n_attrs))
-    chosen = rng.choice(n_attrs, size=count, replace=False)
-    free = n_sites - replicas[chosen].sum(axis=1)
-    # one call draws what one call per attribute would, in the same order
-    grown[chosen[free > 0], rng.integers(0, free[free > 0])] = True
-    return grown
-
-
 @dataclass(frozen=True)
 class _RepairTables:
-    """Per-run constants of the repairs and the latency charge, built
-    once per :func:`solve_sa` run and passed to every call.
+    """Per-run constants of the replica repair and the latency charge,
+    built once per :func:`solve_sa` run and passed to every call.
 
     ``site_count`` and ``lam`` (the cost weight) are the instance's;
     ``read_attr``/``read_txn`` are the (attribute, transaction) pairs of
     ``txn_reads``, whose replicas every layout must hold; ``unread`` the
-    attributes that no transaction reads; ``reads_f`` the float (T, A)
-    read counts; ``write_pairs`` the (write query, attribute) pairs of the
-    latency charge (see :func:`_write_pairs`); ``order`` the transaction
-    ids by total read weight, heaviest first and ties toward the lower
-    id, the order in which the assignment repair places them.
+    attributes that no transaction reads; ``write_pairs`` the (write
+    query, attribute) pairs of the latency charge (see
+    :func:`_write_pairs`).
     """
 
     site_count: int
@@ -176,53 +149,43 @@ class _RepairTables:
     read_attr: np.ndarray
     read_txn: np.ndarray
     unread: np.ndarray
-    reads_f: np.ndarray
     write_pairs: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    order: List[int]
 
     @classmethod
     def build(cls, model: CostModel, site_count: int, cost_weight: float) -> "_RepairTables":
         """``model``'s tables; ``cost_weight`` must lie in [0, 1], as an
-        instance's must: only there are the repairs' fast paths exact."""
+        instance's must: only there is the repair's fast path exact."""
         lam = float(cost_weight)
         if not 0.0 <= lam <= 1.0:
             raise ValueError("cost_weight must lie in [0, 1]")
         read_attr, read_txn = np.nonzero(model.txn_reads)
-        txn_ids = np.arange(model.txn_reads.shape[1])
         return cls(
             site_count=site_count,
             lam=lam,
-            txn_ids=txn_ids,
+            txn_ids=np.arange(model.txn_reads.shape[1]),
             read_attr=read_attr,
             read_txn=read_txn,
             unread=np.flatnonzero(~model.txn_reads.any(axis=1)),
-            reads_f=model.txn_reads.T.astype(np.float64),
             write_pairs=_write_pairs(model),
-            order=np.lexsort((txn_ids, -model.coloc_load.sum(axis=0))).tolist(),
         )
 
 
 def _place(
-    order: Sequence[int],
     first: List[int],
     cost: List[float],
     inc: List[float],
     loads: List[float],
     lam: float,
-    objective: float,
-) -> float:
-    """The greedy rule of both repairs: put each item, in ``order``, on
-    the site with the lowest rise in the weighted score,
+) -> None:
+    """The greedy rule of the replica repair: put each item, in index
+    order, on the site with the lowest rise in the weighted score,
     ``lam * cost + (1 - lam) * max(loads[s] + inc - m, 0)`` with ``m``
     the peak load, the lowest site winning ties.
 
     Item ``i``'s cost and load at site ``k`` sit at ``i * S + k`` of the
-    flat lists ``cost`` and ``inc``; an ``inf`` cost marks a site the item
-    cannot use.  ``first`` holds each item's first cheapest usable site by
-    ``lam * cost``, or any site when it has none; it ends as the chosen
-    sites, and ``loads`` as the site loads.  Returns ``objective`` plus
-    the chosen costs, added one item at a time in ``order``: ``inf`` when
-    some item can use no site.
+    flat lists ``cost`` and ``inc``.  ``first`` holds each item's first
+    cheapest site by ``lam * cost``; it ends as the chosen sites, and
+    ``loads`` as the site loads.
 
     An item whose first cheapest site stays at or below ``m`` goes there
     without a scan, and that is exact: its rise is its weighted cost, and
@@ -231,16 +194,14 @@ def _place(
     nonnegative term never lowers it; loads only grow (every increment is
     work), so ``m`` is a running maximum; and the first minimum wins ties.
     By the same bound the scan skips each site whose weighted cost alone
-    is no lower than the best rise so far, so it never chooses a site
-    priced ``inf`` (NaN at ``lam = 0``).  The scan loops over the handful
-    of sites in plain Python on lists, as numpy's per-call overhead on
-    4-element arrays costs far more than the arithmetic.
+    is no lower than the best rise so far.  The scan loops over the
+    handful of sites in plain Python on lists, as numpy's per-call
+    overhead on 4-element arrays costs far more than the arithmetic.
     """
     rest = 1.0 - lam
     n_sites = len(loads)
     m = max(loads)
-    for i in order:
-        s = first[i]
+    for i, s in enumerate(first):
         j = i * n_sites + s
         grown = loads[s] + inc[j]
         if grown > m:
@@ -260,8 +221,6 @@ def _place(
             if grown > m:
                 m = grown
         loads[s] = grown
-        objective += cost[j]
-    return objective
 
 
 def solve_subproblem_fix_transactions(
@@ -294,46 +253,9 @@ def solve_subproblem_fix_transactions(
     cost = base_all[unread]
     first = (lam * cost).argmin(axis=1).tolist()
     loads = loads.tolist()
-    _place(range(unread.size), first, cost.ravel().tolist(),
-           inc_all[unread].ravel().tolist(), loads, lam, 0.0)
+    _place(first, cost.ravel().tolist(), inc_all[unread].ravel().tolist(), loads, lam)
     replicas[unread, first] = True
     return replicas, float(base_all[replicas].sum()), max(loads)
-
-
-def solve_subproblem_fix_replicas(
-    model: CostModel, replicas: np.ndarray, tables: _RepairTables,
-) -> Tuple[np.ndarray, float, float]:
-    """Best-effort transaction assignment for fixed replica sets, with
-    its objective and peak site load.
-
-    Transactions are placed one at a time in ``tables.order`` (heaviest
-    read weight first), each on the feasible site with the lowest
-    weighted-score increase.  These greedy choices do not price the
-    write-latency charge; the annealer's Metropolis score and the final
-    :func:`evaluate` do.  Raises :class:`InfeasibleLayoutError` when some
-    transaction cannot read all of its attributes on any single site,
-    naming each such transaction.  ``tables`` are ``model``'s.
-    """
-    lam, n_sites, order = tables.lam, tables.site_count, tables.order
-    rep_f = replicas.astype(np.float64)
-    # replica counts per attribute: 0/1 sums, exact in a float product
-    objective = float(model.replica_cost @ (rep_f @ np.ones(n_sites)))
-    loads = (rep_f.T @ model.replica_load).tolist()
-    cval = model.coloc_cost.T @ rep_f  # (T, S)
-    # missing reads per site: small integer counts, exact in a float
-    # product; a site that lacks one costs ``inf``
-    feasible = (tables.reads_f @ (1.0 - rep_f)) == 0.0
-    # masked after the product: ``lam * inf`` is NaN at lam = 0, and
-    # ``argmin`` takes the first NaN
-    x = np.where(feasible, lam * cval, np.inf).argmin(axis=1).tolist()
-    objective = _place(order, x, np.where(feasible, cval, np.inf).ravel().tolist(),
-                       (model.coloc_load.T @ rep_f).ravel().tolist(), loads, lam, objective)
-    if objective == math.inf:  # ``derive`` keeps every real cost finite
-        raise InfeasibleLayoutError([
-            f"transaction {t} reads attributes that no single site holds together"
-            for t in np.flatnonzero(~feasible.any(axis=1)).tolist()
-        ])
-    return np.array(x, np.int64), objective, max(loads)
 
 
 def solve_sa(
@@ -356,7 +278,6 @@ def solve_sa(
     deadline = started + config.time_limit
 
     n_txns = instance.transaction_count
-    n_attrs = instance.attribute_count
     n_sites = instance.site_count
     tables = _RepairTables.build(model, n_sites, instance.cost_weight)
 
@@ -365,12 +286,14 @@ def solve_sa(
         return weighted_score(objective, max_load, latency, tables.lam)
 
     # Initial solution: random transaction sites, repaired replica sets.
+    # The state is ``cur_x`` alone: every layout's replica sets are the
+    # repair of its assignment, so only the best layout keeps its own.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
-    cur_y, objective, max_load = solve_subproblem_fix_transactions(
+    best_y, objective, max_load = solve_subproblem_fix_transactions(
         model, cur_x, tables)
-    cur_score = score(cur_x, cur_y, objective, max_load)
+    cur_score = score(cur_x, best_y, objective, max_load)
 
-    best_x, best_y, best_score = cur_x, cur_y, cur_score
+    best_x, best_score = cur_x, cur_score
 
     if best_score > 0.0:
         tau0 = initial_temperature(best_score)
@@ -379,7 +302,6 @@ def solve_sa(
     tau = tau0
     freeze_at = _FREEZE_TEMPERATURE_RATIO * tau0
 
-    fix_transactions = True
     stall = 0
     evaluations = 0
     temperatures: List[float] = []
@@ -393,25 +315,17 @@ def solve_sa(
         for _ in range(config.inner_loops):
             if time.perf_counter() >= deadline:
                 break
-            pert_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
-            pert_y = perturb_replicas(cur_y, _MOVE_FRACTION, rng)
-            if fix_transactions:
-                cand_x = pert_x
-                cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                    model, cand_x, tables)
-            else:
-                cand_y = pert_y
-                cand_x, objective, max_load = solve_subproblem_fix_replicas(
-                    model, cand_y, tables)
-            fix_transactions = not fix_transactions
+            cand_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
+            cand_y, objective, max_load = solve_subproblem_fix_transactions(
+                model, cand_x, tables)
             evaluations += 1
             cand_score = score(cand_x, cand_y, objective, max_load)
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
-                cur_x, cur_y, cur_score = cand_x, cand_y, cand_score
+                cur_x, cur_score = cand_x, cand_score
                 accepted += 1
                 if cur_score < best_score:
-                    best_x, best_y, best_score = cur_x, cur_y, cur_score
+                    best_x, best_y, best_score = cand_x, cand_y, cand_score
         temperatures.append(tau)
         best_scores.append(best_score)
         current_scores.append(cur_score)

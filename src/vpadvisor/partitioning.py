@@ -6,10 +6,11 @@ replicated, transactions may not).  :func:`evaluate` is the one public
 price: it prices a layout from first principles — local read work, write
 upkeep on every replica, and network transfer for remote replicas of
 written attributes — reading the blocks :func:`derive` built once.  The
-annealer's repairs price their own output through the folded
-coefficients and add the latency charge of :func:`_write_latency`, which
-they share with :func:`evaluate`; on integral inputs the two agree
-exactly, and the test suite holds them to that.
+annealer's replica repair prices its own output through the folded
+coefficients, and the annealer adds the latency charge of
+:func:`_write_latency`, which it shares with :func:`evaluate`; on
+integral inputs the two agree exactly, and the test suite holds them to
+that.
 """
 from __future__ import annotations
 

@@ -137,7 +137,7 @@ class CostModel:
     network penalties of about ``2**52``).  A replica that no read forces
     never lowers the score.  The folding cancels penalty-scaled transfer
     savings against penalty-scaled charges, so at penalties near ``1e16``
-    a layout's folded objective, the price the annealer's repairs steer
+    a layout's folded objective, the price the annealer's repair steers
     by, can be off from :func:`evaluate`'s sums by its own size on
     non-integral inputs; reported scores are re-priced by ``evaluate``.
 

@@ -18,7 +18,6 @@ from vpadvisor import (
     group_attributes,
     validate,
 )
-from vpadvisor.anneal import _RepairTables
 
 from conftest import random_instance
 
@@ -139,33 +138,3 @@ def test_grouping_can_restrict_load_balancing_below_lambda_one():
     orig = brute_force(inst)
     grouped = brute_force(reduced)
     assert orig.score < grouped.score
-
-
-def _load_order(inst: Instance) -> list:
-    """The order in which the annealer's assignment repair places the
-    transactions."""
-    return _RepairTables.build(derive(inst), inst.site_count, inst.cost_weight).order
-
-
-def test_order_transactions_by_load_ranks_read_weight():
-    inst = random_instance(4)
-    model = derive(inst)
-    order = _load_order(inst)
-    weights = model.coloc_load.sum(axis=0)
-    assert sorted(order) == list(range(inst.transaction_count))
-    ordered = [weights[t] for t in order]
-    assert ordered == sorted(ordered, reverse=True)
-
-
-def test_order_breaks_ties_by_id():
-    inst = Instance(
-        tables=(Table(0, "R", (0,)),),
-        attributes=(Attribute(0, 0, "a", 4),),
-        queries=(
-            Query(0, "q0", "read", 2.0, (0,), {0: 1}),
-            Query(1, "q1", "read", 2.0, (0,), {0: 1}),
-        ),
-        transactions=(Transaction(0, "t0", (0,)), Transaction(1, "t1", (1,))),
-        site_count=2,
-    )
-    assert _load_order(inst) == [0, 1]

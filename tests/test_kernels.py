@@ -1,11 +1,11 @@
-"""Correctness of the hot loops: the greedy repairs and the price they
-report, the exhaustive enumeration and the annealer's perturbations.
+"""Correctness of the hot loops: the greedy replica repair and the price
+it reports, the exhaustive enumeration and the annealer's perturbation.
 
 Each answer is checked on two paths: the package's definitional
 pricing (:func:`evaluate`) of the layout a loop returns must agree with
 the figure it reports, and the independent oracles from conftest must
-agree with both where they are cheap enough to run.  The repairs and the
-perturbations must also return exactly what the per-element versions
+agree with both where they are cheap enough to run.  The repair and the
+perturbation must also return exactly what the per-element versions
 they replaced return.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ from vpadvisor import (
     Attribute,
     CostModel,
     GenParams,
-    InfeasibleLayoutError,
     Instance,
     Partitioning,
     Query,
@@ -35,9 +34,7 @@ from vpadvisor import (
 )
 from vpadvisor.anneal import (
     _RepairTables,
-    perturb_replicas,
     perturb_transactions,
-    solve_subproblem_fix_replicas,
     solve_subproblem_fix_transactions,
 )
 from vpadvisor.partitioning import _write_latency, _write_pairs
@@ -65,21 +62,6 @@ def _model(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load):
     )
 
 
-def _tables(model, n_sites, cost_weight, order=None):
-    """The repairs' per-run tables, placing transactions in ``order``
-    when one is given."""
-    tables = _RepairTables.build(model, n_sites, cost_weight)
-    return tables if order is None else replace(tables, order=np.asarray(order).tolist())
-
-
-def _stuck_messages(replicas, txn_reads):
-    """The repair's error under ``replicas``: one line per transaction
-    that no site can serve, a site lacking one of its reads."""
-    missing = txn_reads.T.astype(np.int64) @ (~replicas).astype(np.int64)  # (T, S)
-    return [f"transaction {t} reads attributes that no single site holds together"
-            for t in np.flatnonzero((missing > 0).all(axis=1))]
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_folded_cost_paths_agree_and_match_oracle(seed):
     inst = random_instance(seed, site_count=2 + seed % 2)
@@ -104,7 +86,7 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         got, objective, max_load = solve_subproblem_fix_transactions(
-            model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
+            model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
         # feasibility: coverage and per-reader co-location
         assert got.any(axis=1).all()
         for t in range(inst.transaction_count):
@@ -114,40 +96,16 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
         assert (objective, max_load) == (full.objective, full.max_load)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_assign_transactions_paths_agree(seed):
-    inst = random_instance(seed, site_count=3)
-    model = derive(inst)
-    rng = np.random.default_rng(seed + 7)
-    part = random_partitioning(inst, rng)
-    out, objective, max_load = solve_subproblem_fix_replicas(
-        model, part.replica,
-        _tables(model, inst.site_count, inst.cost_weight, np.arange(inst.transaction_count)),
-    )
-    # the layout random_partitioning built places every reader, so every
-    # transaction fits somewhere, and each lands with all it reads
-    assert (out >= 0).all()
-    for t in range(inst.transaction_count):
-        assert part.replica[model.txn_reads[:, t], out[t]].all()
-    full = evaluate(inst, model, Partitioning(txn_site=out, replica=part.replica))
-    assert (objective, max_load) == (full.objective, full.max_load)
-
-
 def _repair_prices(inst, seed):
-    """Each repair's reported (objective, max_load) beside evaluate's
-    figures for the layout it returned, on a few random starting points."""
+    """The replica repair's reported (objective, max_load) beside
+    evaluate's figures for the layout it returned, on a few random
+    starting points."""
     model = derive(inst)
     rng = np.random.default_rng(seed)
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         replicas, *price = solve_subproblem_fix_transactions(
-            model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
-        full = evaluate(inst, model, Partitioning(txn_site, replicas))
-        yield tuple(price), (full.objective, full.max_load)
-        replicas = random_partitioning(inst, rng).replica
-        order = rng.permutation(inst.transaction_count)
-        txn_site, *price = solve_subproblem_fix_replicas(
-            model, replicas, _tables(model, inst.site_count, inst.cost_weight, order))
+            model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
         full = evaluate(inst, model, Partitioning(txn_site, replicas))
         yield tuple(price), (full.objective, full.max_load)
 
@@ -168,18 +126,6 @@ def test_repairs_price_fractional_layouts_to_rounding(seed):
     inst = fractional_instance(seed, network_penalty=3.3)
     for got, want in _repair_prices(inst, seed):
         assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_assign_transactions_raises_when_stuck():
-    inst = random_instance(0, site_count=2)
-    model = derive(inst)
-    # a replica matrix with an all-empty row can cover no reader of it
-    replicas = np.zeros((inst.attribute_count, inst.site_count), dtype=bool)
-    order = np.arange(inst.transaction_count)
-    assert model.txn_reads.any()
-    with pytest.raises(InfeasibleLayoutError):
-        solve_subproblem_fix_replicas(
-            model, replicas, _tables(model, inst.site_count, inst.cost_weight, order))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -224,30 +170,6 @@ def _ref_greedy_replicas(txn_site, txn_reads, coloc_cost, replica_cost,
     return replicas
 
 
-def _ref_assign_transactions(replicas, txn_reads, coloc_cost, coloc_load,
-                             replica_load, cost_weight, order):
-    n_attrs, n_txns = coloc_cost.shape
-    lam = cost_weight
-    rep_f = replicas.astype(np.float64)
-    x = np.full(n_txns, -1, np.int64)
-    loads = rep_f.T @ replica_load
-    cval_all = coloc_cost.T @ rep_f
-    inc_all = coloc_load.T @ rep_f
-    missing = txn_reads.astype(np.int64).T @ (~replicas).astype(np.int64)
-    for t in order:
-        feasible = missing[t] == 0
-        if not feasible.any():
-            return x
-        m = loads.max()
-        grow = np.maximum(loads + inc_all[t] - m, 0.0)
-        cost = lam * cval_all[t] + (1.0 - lam) * grow
-        cost = np.where(feasible, cost, np.inf)
-        s = int(np.argmin(cost))
-        x[t] = s
-        loads[s] += inc_all[t, s]
-    return x
-
-
 def _ref_perturb_transactions(txn_site, site_count, move_fraction, rng):
     n_txns = txn_site.shape[0]
     moved = txn_site.copy()
@@ -259,19 +181,6 @@ def _ref_perturb_transactions(txn_site, site_count, move_fraction, rng):
         draw = int(rng.integers(0, site_count - 1))
         moved[t] = draw if draw < moved[t] else draw + 1
     return moved
-
-
-def _ref_perturb_replicas(replicas, move_fraction, rng):
-    n_attrs, n_sites = replicas.shape
-    grown = replicas.copy()
-    count = min(n_attrs, math.ceil(move_fraction * n_attrs))
-    chosen = rng.choice(n_attrs, size=count, replace=False)
-    for a in chosen:
-        missing = np.flatnonzero(~grown[a])
-        if missing.size == 0:
-            continue
-        grown[a, int(rng.integers(0, missing.size))] = True
-    return grown
 
 
 def _coefficients(kind, seed, n_sites, cost_weight):
@@ -299,72 +208,50 @@ def _coefficients(kind, seed, n_sites, cost_weight):
 @pytest.mark.parametrize("cost_weight", [0.0, 0.1, 0.5, 1.0])
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
-    stuck = 0
     for seed in range(12):
         reads, coloc_cost, replica_cost, coloc_load, replica_load = _coefficients(
             kind, seed, n_sites, cost_weight
         )
-        n_attrs, n_txns = coloc_cost.shape
         rng = np.random.default_rng(seed)
-        txn_site = rng.integers(0, n_sites, n_txns)
+        txn_site = rng.integers(0, n_sites, coloc_cost.shape[1])
         model = _model(reads, coloc_cost, replica_cost, coloc_load, replica_load)
         args = (txn_site, reads, coloc_cost, replica_cost, coloc_load, replica_load,
                 cost_weight, n_sites)
         want = _ref_greedy_replicas(*args)
         got, _, _ = solve_subproblem_fix_transactions(
-            model, txn_site, _tables(model, n_sites, cost_weight))
+            model, txn_site, _RepairTables.build(model, n_sites, cost_weight))
         assert np.array_equal(got, want)
-
-        order = rng.permutation(n_txns)
-        sparse = rng.random((n_attrs, n_sites)) < 0.4
-        for replicas in (want, sparse):
-            args = (replicas, reads, coloc_cost, coloc_load, replica_load, cost_weight, order)
-            want_x = _ref_assign_transactions(*args)
-            if (want_x < 0).any():
-                stuck += 1
-                with pytest.raises(InfeasibleLayoutError) as err:
-                    solve_subproblem_fix_replicas(
-                        model, replicas, _tables(model, n_sites, cost_weight, order))
-                assert err.value.violations == _stuck_messages(replicas, reads)
-            else:
-                got_x, _, _ = solve_subproblem_fix_replicas(
-                    model, replicas, _tables(model, n_sites, cost_weight, order))
-                assert np.array_equal(got_x, want_x)
-    assert stuck > 0  # some sparse placement left a transaction with no site
 
 
 def _peak_site_cheapest(n_sites):
-    """A model on which each repair's first cheapest site for every item
-    is the peak-load site and the item's load there lifts the peak, so
-    neither repair can take its fast path; with its inputs.
+    """A model on which the replica repair's first cheapest site for
+    every item is the peak-load site and the item's load there lifts the
+    peak, so the repair cannot take its fast path; with its transaction
+    sites.
 
     Attributes 0 and 1 are read (by transaction 0, and by 1 and 2),
     attributes 2-4 by nobody.  Every transaction sits on site 0, and an
     unread attribute costs less beside transactions, so site 0 is the
-    cheapest for each of them and already the peak.  For the assignment
-    the read attributes are everywhere and the unread ones only on
-    site 0, which makes site 0 the cheapest and the peak again.
+    cheapest for each of them and already the peak.
     """
     reads = np.zeros((5, 3), bool)
     reads[0, 0] = reads[1, 1] = reads[1, 2] = True
     coloc_cost = np.where(reads.any(axis=1)[:, None], 2.0, -1.0) * np.ones((5, 3))
     model = _model(reads, coloc_cost, np.ones(5), np.ones((5, 3)), np.ones(5))
-    replicas = np.zeros((5, n_sites), bool)
-    replicas[:2] = replicas[2:, 0] = True
-    return model, np.zeros(3, np.int64), replicas
+    return model, np.zeros(3, np.int64)
 
 
 @pytest.mark.parametrize("cost_weight", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("n_sites", [2, 3])
 def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight):
-    model, txn_site, replicas = _peak_site_cheapest(n_sites)
+    model, txn_site = _peak_site_cheapest(n_sites)
     reads, coloc_cost, replica_cost, coloc_load, replica_load = (
         model.txn_reads, model.coloc_cost, model.replica_cost, model.coloc_load,
         model.replica_load)
     want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                 replica_load, cost_weight, n_sites)
     got, _, max_load = solve_subproblem_fix_transactions(
-        model, txn_site, _tables(model, n_sites, cost_weight))
+        model, txn_site, _RepairTables.build(model, n_sites, cost_weight))
     assert np.array_equal(got, want)
     if cost_weight == 1.0:
         # no load term: each unread attribute stays on the cheapest site
@@ -372,13 +259,6 @@ def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight
         assert want[2:, 0].all() and max_load == 8.0 + 3 * 4.0
     else:
         assert not want[2:, 0].all()  # the scan moved some off their cheapest site
-    order = np.array([2, 0, 1])
-    want_x = _ref_assign_transactions(replicas, reads, coloc_cost, coloc_load, replica_load,
-                                      cost_weight, order)
-    got_x, _, _ = solve_subproblem_fix_replicas(
-        model, replicas, _tables(model, n_sites, cost_weight, order))
-    assert np.array_equal(got_x, want_x)
-    assert (want_x == 0).all() == (cost_weight == 1.0)
 
 
 @pytest.mark.parametrize("cost_weight", [0.0, 0.1, 1.0])
@@ -391,55 +271,16 @@ def test_repairs_on_one_site_match_reference(cost_weight):
         want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                     replica_load, cost_weight, 1)
         got, _, _ = solve_subproblem_fix_transactions(
-            model, txn_site, _tables(model, 1, cost_weight))
+            model, txn_site, _RepairTables.build(model, 1, cost_weight))
         assert np.array_equal(got, want) and want.all()
-        order = np.arange(coloc_cost.shape[1])[::-1]
-        got_x, _, _ = solve_subproblem_fix_replicas(
-            model, got, _tables(model, 1, cost_weight, order))
-        assert np.array_equal(got_x, txn_site)
 
 
 @pytest.mark.parametrize("cost_weight", [-0.1, 1.5, math.nan])
 def test_repairs_reject_weights_outside_unit_interval(cost_weight):
-    # the repairs' tables check the weight once per run, for both repairs
-    model, _, _ = _peak_site_cheapest(2)
+    # the repair's tables check the weight once per run
+    model, _ = _peak_site_cheapest(2)
     with pytest.raises(ValueError, match="cost_weight"):
         _RepairTables.build(model, 2, cost_weight)
-
-
-def test_stuck_assignment_names_every_unplaced_transaction():
-    # transaction 2 reads attribute 0, which site 1 holds; transactions
-    # 0 and 1 read attribute 1, which no site holds.  The repair places
-    # transaction 2 first, stops at transaction 0 and names both
-    # transactions that no site can serve.
-    reads = np.array([[False, False, True], [True, True, False]])
-    model = _model(reads, np.zeros((2, 3)), np.zeros(2), np.ones((2, 3)), np.zeros(2))
-    replicas = np.array([[False, True], [False, False]])
-    order = np.array([2, 0, 1])
-    want_x = _ref_assign_transactions(replicas, reads, model.coloc_cost, model.coloc_load,
-                                      model.replica_load, 0.5, order)
-    assert want_x.tolist() == [-1, -1, 1]
-    with pytest.raises(InfeasibleLayoutError) as err:
-        solve_subproblem_fix_replicas(model, replicas, _tables(model, 2, 0.5, order))
-    assert err.value.violations == _stuck_messages(replicas, reads) == [
-        "transaction 0 reads attributes that no single site holds together",
-        "transaction 1 reads attributes that no single site holds together",
-    ]
-
-
-def test_stuck_assignment_names_only_transactions_that_no_site_serves():
-    # transaction 0 reads attribute 1, which no site holds; transaction 1
-    # reads attribute 0, which site 1 holds.  The repair stops at
-    # transaction 0 and names it alone: transaction 1, due after it, has
-    # a site.
-    reads = np.array([[False, True], [True, False]])
-    model = _model(reads, np.zeros((2, 2)), np.zeros(2), np.ones((2, 2)), np.zeros(2))
-    replicas = np.array([[False, True], [False, False]])
-    with pytest.raises(InfeasibleLayoutError) as err:
-        solve_subproblem_fix_replicas(model, replicas, _tables(model, 2, 0.5, [0, 1]))
-    assert err.value.violations == _stuck_messages(replicas, reads) == [
-        "transaction 0 reads attributes that no single site holds together",
-    ]
 
 
 def _ref_write_latency(instance, model, txn_site, replica):
@@ -481,19 +322,13 @@ def test_write_latency_matches_dense_reference(n_sites):
 def test_perturbations_match_reference_values_and_stream(n_sites, move_fraction):
     for seed in range(10):
         setup = np.random.default_rng(1000 + seed)
-        n = int(setup.integers(1, 12))
-        txn_site = setup.integers(0, n_sites, n)
-        replicas = setup.random((n, n_sites)) < 0.5
-        replicas[setup.random(n) < 0.2] = True  # some full rows
-        for ours, ref, args in (
-            (perturb_transactions, _ref_perturb_transactions, (txn_site, n_sites)),
-            (perturb_replicas, _ref_perturb_replicas, (replicas,)),
-        ):
-            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = ours(*args, move_fraction, got_rng)
-            assert np.array_equal(got, ref(*args, move_fraction, want_rng))
-            assert got.dtype == args[0].dtype
-            assert got_rng.random() == want_rng.random()  # same generator state
+        txn_site = setup.integers(0, n_sites, int(setup.integers(1, 12)))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = perturb_transactions(txn_site, n_sites, move_fraction, got_rng)
+        want = _ref_perturb_transactions(txn_site, n_sites, move_fraction, want_rng)
+        assert np.array_equal(got, want)
+        assert got.dtype == txn_site.dtype
+        assert got_rng.random() == want_rng.random()  # same generator state
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +400,7 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
+        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     assert np.array_equal(got, _ref_greedy_replicas(*args))
 
 
@@ -577,7 +412,7 @@ def test_replica_repair_adds_one_site_per_unread_attribute(case):
     inst, txn_site = case
     model = derive(inst)
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
+        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     forced = np.zeros_like(got)
     for t, s in enumerate(txn_site):
         forced[model.txn_reads[:, t], s] = True
@@ -635,7 +470,7 @@ def test_replica_repair_adds_no_replica_at_huge_penalties():
     assert model.replica_cost[0] + np.minimum(model.coloc_cost[0], 0.0).sum() < 0.0
     txn_site = np.array([0, 0, 1])
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _tables(model, inst.site_count, inst.cost_weight))
+        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     assert got.tolist() == [[False, True]]
     alone, both = (evaluate(inst, model, Partitioning(txn_site, replica)).score
                    for replica in (got, np.ones_like(got)))

@@ -846,14 +846,18 @@ EXACT_CASES = {
 
 # name: (score as float.hex, status, node count, sha256 prefixes of
 # txn_site and replica) that solve_exact returns with the default config,
-# recorded while the warm-start annealer still ran before HiGHS.
+# recorded while the warm-start annealer still ran before HiGHS.  On
+# tpcc-4 and random-latency the warm start itself reaches the optimal
+# score, and as it is considered first, ties keep its layout; their two
+# digests were re-pinned when the annealer's state became the assignment
+# alone, which led it to another layout of the same score.
 EXACT_GOLDEN = {
     "tpcc-2": ("0x1.0810000000000p+13", "optimal", 1, "19cda4a05c029f2a", "38d4cfa9c08f04fa"),
     "tpcc-3": ("0x1.da96666666666p+12", "optimal", 1, "265c50809e27b950", "38f09b4a7f0490ec"),
-    "tpcc-4": ("0x1.d963333333334p+12", "optimal", 1, "7702179d750e600b", "1b340af7b133a911"),
+    "tpcc-4": ("0x1.d963333333334p+12", "optimal", 1, "265c50809e27b950", "649c490a7ea5f4a0"),
     "random-plain": ("0x1.6433333333334p+9", "optimal", 11, "982866a44435ad28", "c6410618452cc814"),
-    "random-latency": ("0x1.38e6666666667p+10", "optimal", 19, "d5018c803dbbe7c8",
-                       "6c740bdfe68c2573"),
+    "random-latency": ("0x1.38e6666666667p+10", "optimal", 19, "6998e78c1a95cd59",
+                       "07df79a869ccd09a"),
     "random-pinned": ("0x1.8200000000000p+9", "optimal", 9, "78c5d613c38434e7", "d3cc988c9c7ddaf7"),
 }
 
