@@ -9,10 +9,11 @@ solver that hands a linearized integer program to HiGHS, and a simulated
 annealing heuristic over the transaction homes, which rebuilds the
 replica sets greedily for each move.
 
-The exact solver's names (``ExactConfig``, ``MipModel``, ``build_mip``,
-``export_model``, ``solve_exact``) are served on first access, because
-their module loads scipy, which the annealer and the enumerator do not
-need.
+The exact solver's names (``ExactConfig``, ``solve_exact``) and the
+full program's (``MipModel``, ``build_mip``, ``export_model``) are
+served on first access, because their modules load scipy, which the
+annealer and the enumerator do not need: ``mip`` loads
+``scipy.optimize``, ``program`` only ``scipy.sparse``.
 """
 from __future__ import annotations
 
@@ -129,15 +130,21 @@ __all__ = [
     "FormatError",
 ]
 
-# Names of the exact-solver module ``mip``, loaded on first access.
+# Names of the modules ``mip`` (the exact solver) and ``program`` (the
+# full program and its writers), loaded on first access.
 _LAZY = ("ExactConfig", "MipModel", "build_mip", "export_model", "solve_exact")
+_SOLVER = ("ExactConfig", "solve_exact")
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
+    if name in _SOLVER:
         from . import mip
 
         return getattr(mip, name)
+    if name in _LAZY:
+        from . import program
+
+        return getattr(program, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

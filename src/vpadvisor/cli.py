@@ -394,23 +394,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    from . import mip
+    from . import program  # loads scipy.sparse, not scipy's solvers
 
     instance = _apply_overrides(load_instance(args.instance), args)
-    model = mip.build_mip(
+    model = program.build_mip(
         instance,
         use_symmetry=args.symmetry,
         forbid_replication=args.disjoint,
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            mip.export_model(model, args.fmt, fh)
+            program.export_model(model, args.fmt, fh)
         print(
             f"wrote {args.out}: {model.variable_count} variables, "
             f"{model.constraint_count} constraints"
         )
     else:
-        mip.export_model(model, args.fmt, sys.stdout)
+        program.export_model(model, args.fmt, sys.stdout)
     return 0
 
 

@@ -34,8 +34,10 @@ from vpadvisor import (
     tpcc,
 )
 from vpadvisor import mip as mip_module
+from vpadvisor import program as program_module
 from vpadvisor.errors import FormatError
-from vpadvisor.mip import _compact_model, _num
+from vpadvisor.mip import _compact_model
+from vpadvisor.program import _num
 from vpadvisor.report import (
     STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
@@ -245,12 +247,12 @@ def test_export_streams_in_bounded_writes(fmt, monkeypatch):
     mip = build_mip(_pinned_instance("wide"), use_symmetry=True, fixed_replicas=((0, 1),))
     assert mip.constraint_count > 2000
     whole = _SpyFile()
-    monkeypatch.setattr(mip_module, "EXPORT_CHUNK_LINES", 10**9)
+    monkeypatch.setattr(program_module, "EXPORT_CHUNK_LINES", 10**9)
     export_model(mip, fmt, whole)
     assert len(whole.writes) == 1
     text = whole.writes[0]
     chunk = 200
-    monkeypatch.setattr(mip_module, "EXPORT_CHUNK_LINES", chunk)
+    monkeypatch.setattr(program_module, "EXPORT_CHUNK_LINES", chunk)
     spy = _SpyFile()
     export_model(mip, fmt, spy)
     assert "".join(spy.writes) == text
@@ -405,7 +407,7 @@ def _chunked_export(mip, fmt, chunk):
     checking that every write holds at most ``chunk`` whole lines."""
     spy = _SpyFile()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mip_module, "EXPORT_CHUNK_LINES", chunk)
+        patch.setattr(program_module, "EXPORT_CHUNK_LINES", chunk)
         export_model(mip, fmt, spy)
     assert all(part.count("\n") <= chunk and part.endswith("\n") for part in spy.writes)
     return "".join(spy.writes)
@@ -679,21 +681,22 @@ def _gen_instance(cost_weight):
 
 
 # (name, instance, forbid_replication, pins): sha256 prefixes of every
-# array _compact_model hands to milp, recorded with the builder that
-# filtered the load-row coefficients itself and added one latency row
-# per write query.
+# array _compact_model hands to milp, dtypes included, recorded with the
+# builder that filtered the load-row coefficients itself and added one
+# latency row per write query, and re-recorded when the matrix's indices
+# became int32 with every value unchanged.
 COMPACT_DIGESTS = [
-    ("tpcc-1", lambda: tpcc(site_count=1), False, (), "884873bc33752db5"),
-    ("tpcc-2", lambda: tpcc(site_count=2), False, (), "13c0f35800ffd02e"),
-    ("tpcc-3", lambda: tpcc(site_count=3), False, (), "16142d3a978c954c"),
-    ("tpcc-4", lambda: tpcc(site_count=4), False, (), "02bde8aebdbd9a8e"),
+    ("tpcc-1", lambda: tpcc(site_count=1), False, (), "6c819ad308f61b0e"),
+    ("tpcc-2", lambda: tpcc(site_count=2), False, (), "8af0b79ac15393dd"),
+    ("tpcc-3", lambda: tpcc(site_count=3), False, (), "dcf28102a1b308b8"),
+    ("tpcc-4", lambda: tpcc(site_count=4), False, (), "429211d102e34535"),
     ("tpcc-3-latency", lambda: tpcc(site_count=3, latency_penalty=5.0), False, (),
-     "cb580c71c796b6b0"),
-    ("gen-0", lambda: _gen_instance(0.0), False, (), "9ece7eef73cbad02"),
-    ("gen-0.5", lambda: _gen_instance(0.5), False, (), "f741b18c75387abf"),
-    ("gen-1", lambda: _gen_instance(1.0), False, (), "697206d809d4807a"),
+     "c36f5aa3f3d0a4db"),
+    ("gen-0", lambda: _gen_instance(0.0), False, (), "c6a265059f69a1c7"),
+    ("gen-0.5", lambda: _gen_instance(0.5), False, (), "e32cea13e977e765"),
+    ("gen-1", lambda: _gen_instance(1.0), False, (), "35a3340441e776e0"),
     ("gen-0.5-pinned-disjoint", lambda: _gen_instance(0.5), True, ((0, 1), (2, 0)),
-     "10696b5a66ea59dd"),
+     "eedd3e45fae9e2fe"),
 ]
 
 
