@@ -136,8 +136,13 @@ class _RepairTables:
     built once per :func:`solve_sa` run and passed to every call.
 
     ``site_count`` and ``lam`` (the cost weight) are the instance's;
-    ``read_attr``/``read_txn`` are the (attribute, transaction) pairs of
-    ``txn_reads``, whose replicas every layout must hold; ``unread`` the
+    ``rows[t]`` holds transaction ``t``'s columns of ``coloc_cost``,
+    ``coloc_load`` and ``txn_reads`` (as 0/1) end to end, and
+    ``offsets`` the ``replica_cost``, ``replica_load`` and zeros they
+    line up with: a layout's column sums (see :func:`_column_sums`) are
+    the offsets plus the rows of the transactions on each site.
+    ``steps[new, old]`` is the unit row of site ``new`` minus that of
+    site ``old``, which moves a row between the two.  ``unread`` are the
     attributes that no transaction reads; ``write_pairs`` the (write
     query, attribute) pairs of the latency charge (see
     :func:`_write_pairs`).
@@ -146,8 +151,9 @@ class _RepairTables:
     site_count: int
     lam: float
     txn_ids: np.ndarray
-    read_attr: np.ndarray
-    read_txn: np.ndarray
+    rows: np.ndarray
+    offsets: np.ndarray
+    steps: np.ndarray
     unread: np.ndarray
     write_pairs: Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -158,16 +164,53 @@ class _RepairTables:
         lam = float(cost_weight)
         if not 0.0 <= lam <= 1.0:
             raise ValueError("cost_weight must lie in [0, 1]")
-        read_attr, read_txn = np.nonzero(model.txn_reads)
+        columns = np.concatenate([model.coloc_cost, model.coloc_load, model.txn_reads])
+        sites = np.eye(site_count)
         return cls(
             site_count=site_count,
             lam=lam,
             txn_ids=np.arange(model.txn_reads.shape[1]),
-            read_attr=read_attr,
-            read_txn=read_txn,
+            rows=np.ascontiguousarray(columns.T),
+            offsets=np.concatenate([
+                model.replica_cost, model.replica_load, np.zeros(model.replica_cost.size)]),
+            steps=sites[:, None, :] - sites[None, :, :],
             unread=np.flatnonzero(~model.txn_reads.any(axis=1)),
             write_pairs=_write_pairs(model),
         )
+
+
+def _column_sums(txn_site: np.ndarray, tables: _RepairTables) -> np.ndarray:
+    """The column sums of the layout that puts transaction ``t`` on
+    ``txn_site[t]``, built from scratch.
+
+    They are one ``(3A, S)`` array: ``coloc_cost @ onehot +
+    replica_cost``, ``coloc_load @ onehot + replica_load`` and the read
+    counts ``txn_reads @ onehot``, stacked.  For each attribute and site
+    they hold what a replica there costs, the work it adds to the site,
+    and how many of the site's transactions read the attribute.
+    """
+    onehot = np.zeros((tables.txn_ids.size, tables.site_count), np.float64)
+    onehot[tables.txn_ids, txn_site] = 1.0
+    return tables.rows.T @ onehot + tables.offsets[:, None]
+
+
+def _shifted_sums(
+    sums: np.ndarray, txn_site: np.ndarray, moved_site: np.ndarray, tables: _RepairTables,
+) -> np.ndarray:
+    """The column sums of ``moved_site``, from ``sums``, those of
+    ``txn_site``: the row of each re-homed transaction leaves its old
+    site's column and joins its new one, in one ``(3A, k) @ (k, S)``
+    product over the ``k`` re-homed transactions.
+
+    On integral coefficients every sum is an exact integer in any order,
+    so the result equals :func:`_column_sums` of ``moved_site`` bit for
+    bit.  On other coefficients it may differ from it by rounding; the
+    read counts stay exact either way.
+    """
+    moved = np.flatnonzero(moved_site != txn_site)
+    shifted = tables.rows[moved].T @ tables.steps[moved_site[moved], txn_site[moved]]
+    shifted += sums
+    return shifted
 
 
 def _place(
@@ -225,6 +268,7 @@ def _place(
 
 def solve_subproblem_fix_transactions(
     model: CostModel, txn_site: np.ndarray, tables: _RepairTables,
+    sums: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort replica sets for a fixed transaction assignment,
     with their objective and peak site load.
@@ -235,18 +279,18 @@ def solve_subproblem_fix_transactions(
     replica is added, as an unforced one never lowers the score (see
     :class:`CostModel`).  These greedy choices do not price the
     write-latency charge; the annealer's Metropolis score and the final
-    :func:`evaluate` do.  ``tables`` are ``model``'s.
+    :func:`evaluate` do.  ``tables`` are ``model``'s, and ``sums`` the
+    assignment's column sums: the annealer shifts them from move to move
+    (:func:`_shifted_sums`), and by default they are built afresh
+    (:func:`_column_sums`).
     """
-    lam, site_count = tables.lam, tables.site_count
-    onehot = np.zeros((tables.txn_ids.size, site_count), np.float64)
-    onehot[tables.txn_ids, txn_site] = 1.0
-    csum = model.coloc_cost @ onehot
-    lsum = model.coloc_load @ onehot
-    replicas = np.zeros((model.coloc_cost.shape[0], site_count), bool)
-    replicas[tables.read_attr, txn_site[tables.read_txn]] = True
-    inc_all = lsum + model.replica_load[:, None]
+    if sums is None:
+        sums = _column_sums(txn_site, tables)
+    lam, n_attrs = tables.lam, model.replica_cost.size
+    base_all = sums[:n_attrs]
+    inc_all = sums[n_attrs:2 * n_attrs]
+    replicas = sums[2 * n_attrs:] > 0.0
     loads = np.where(replicas, inc_all, 0.0).sum(axis=0)
-    base_all = csum + model.replica_cost[:, None]
 
     # every attribute that no transaction reads still needs one site
     unread = tables.unread
@@ -287,11 +331,11 @@ def solve_sa(
 
     # Initial solution: random transaction sites, repaired replica sets.
     # The state is ``cur_x`` alone: every layout's replica sets are the
-    # repair of its assignment, so only the best layout keeps its own.
+    # repair of its assignment, so the returned layout's are built at the
+    # end.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
-    best_y, objective, max_load = solve_subproblem_fix_transactions(
-        model, cur_x, tables)
-    cur_score = score(cur_x, best_y, objective, max_load)
+    cur_y, objective, max_load = solve_subproblem_fix_transactions(model, cur_x, tables)
+    cur_score = score(cur_x, cur_y, objective, max_load)
 
     best_x, best_score = cur_x, cur_score
 
@@ -312,20 +356,24 @@ def solve_sa(
     while tau > freeze_at and stall < config.freeze_stall_loops and time.perf_counter() < deadline:
         accepted = 0
         best_before = best_score
+        # each move shifts the current sums; fresh ones every step keep
+        # rounding on non-integral coefficients from piling up
+        cur_sums = _column_sums(cur_x, tables)
         for _ in range(config.inner_loops):
             if time.perf_counter() >= deadline:
                 break
             cand_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
+            cand_sums = _shifted_sums(cur_sums, cur_x, cand_x, tables)
             cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                model, cand_x, tables)
+                model, cand_x, tables, cand_sums)
             evaluations += 1
             cand_score = score(cand_x, cand_y, objective, max_load)
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
-                cur_x, cur_score = cand_x, cand_score
+                cur_x, cur_sums, cur_score = cand_x, cand_sums, cand_score
                 accepted += 1
                 if cur_score < best_score:
-                    best_x, best_y, best_score = cand_x, cand_y, cand_score
+                    best_x, best_score = cand_x, cand_score
         temperatures.append(tau)
         best_scores.append(best_score)
         current_scores.append(cur_score)
@@ -333,6 +381,9 @@ def solve_sa(
         stall = stall + 1 if best_score >= best_before else 0
         tau *= _COOLING
 
+    # a fresh repair, so the replica sets returned are the repair of
+    # best_x even where the shifted sums rounded otherwise
+    best_y, _, _ = solve_subproblem_fix_transactions(model, best_x, tables)
     partitioning = Partitioning(txn_site=best_x, replica=best_y)
     report = SolveReport(
         partitioning=partitioning,

@@ -21,6 +21,7 @@ from vpadvisor import (
     solve_sa_best_of,
     tpcc,
 )
+import vpadvisor.anneal as anneal_module
 from vpadvisor.anneal import (
     _RepairTables,
     accept_move,
@@ -29,7 +30,7 @@ from vpadvisor.anneal import (
     solve_subproblem_fix_transactions,
 )
 
-from conftest import random_instance, t1_instance
+from conftest import fractional_instance, random_instance, t1_instance
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,39 @@ def test_solve_sa_returns_the_replica_repair_of_its_assignment(name):
         part = solve_sa(inst, SaConfig(seed=seed), model=model)[0].partitioning
         want, _, _ = solve_subproblem_fix_transactions(model, part.txn_site, tables)
         assert np.array_equal(part.replica, want), (name, seed)
+
+
+@pytest.mark.parametrize("penalty", [3.3, 1e16])
+def test_solve_sa_returns_the_fresh_repair_on_fractional_instances(penalty):
+    # each move shifts the column sums, which on non-integral
+    # coefficients can round otherwise than sums built afresh; the
+    # returned replica sets are still the fresh repair of the returned
+    # assignment
+    for seed in range(8):
+        inst = fractional_instance(seed, penalty)
+        model = derive(inst)
+        tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
+        for sa_seed in range(3):
+            part = solve_sa(inst, SaConfig(seed=sa_seed), model=model)[0].partitioning
+            want, _, _ = solve_subproblem_fix_transactions(model, part.txn_site, tables)
+            assert np.array_equal(part.replica, want), (seed, sa_seed)
+
+
+def test_solve_sa_shifts_column_sums_instead_of_rebuilding_them(monkeypatch):
+    # a move shifts the current column sums by the rows it re-homes: only
+    # the first layout, each temperature step and the returned layout's
+    # repair build them afresh
+    fresh = anneal_module._column_sums
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return fresh(*args)
+
+    monkeypatch.setattr(anneal_module, "_column_sums", counted)
+    report, trace = solve_sa(GOLDEN_INSTANCES["gen-sa-read"](), SaConfig(seed=0))
+    assert report.node_count == 2550
+    assert len(calls) <= len(trace) + 2
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -33,7 +33,9 @@ from vpadvisor import (
     generate,
 )
 from vpadvisor.anneal import (
+    _column_sums,
     _RepairTables,
+    _shifted_sums,
     perturb_transactions,
     solve_subproblem_fix_transactions,
 )
@@ -329,6 +331,57 @@ def test_perturbations_match_reference_values_and_stream(n_sites, move_fraction)
         assert np.array_equal(got, want)
         assert got.dtype == txn_site.dtype
         assert got_rng.random() == want_rng.random()  # same generator state
+
+
+# ---------------------------------------------------------------------------
+# the annealer's column sums, shifted move by move
+
+
+def _shifted_and_fresh(inst, seed, moves):
+    """After each of ``moves`` random moves from a random assignment,
+    the column sums shifted along the way and the ones built afresh."""
+    model = derive(inst)
+    tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
+    rng = np.random.default_rng(seed)
+    txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
+    sums = _column_sums(txn_site, tables)
+    for _ in range(moves):
+        moved = perturb_transactions(txn_site, inst.site_count,
+                                     float(rng.choice([0.1, 0.3, 1.0])), rng)
+        sums = _shifted_sums(sums, txn_site, moved, tables)
+        txn_site = moved
+        yield sums, _column_sums(txn_site, tables)
+
+
+_SHIFTS = settings(max_examples=60, deadline=None)
+
+
+@_SHIFTS
+@given(st.integers(0, 2**16), st.integers(1, 4), st.integers(1, 30))
+def test_shifted_column_sums_equal_fresh_ones_on_integral_coefficients(seed, n_sites, moves):
+    # integers sum exactly in any order, so the shift leaves no trace
+    inst = random_instance(seed, site_count=n_sites)
+    for shifted, fresh in _shifted_and_fresh(inst, seed, moves):
+        assert shifted.tobytes() == fresh.tobytes()
+
+
+@_SHIFTS
+@given(st.integers(0, 2**16), st.sampled_from([3.3, 1e16]), st.integers(1, 30))
+def test_shifted_column_sums_track_fresh_ones_on_fractional_coefficients(seed, penalty, moves):
+    # the read counts are small integers and stay exact; the cost and
+    # load sums may round differently, by a few ulps of the terms they
+    # add up.  Relative to the sums themselves the error is unbounded:
+    # at penalty 1e16 terms near 1e16 (ulp 2) cancel, and one move gave
+    # -1.9 where the fresh sum is 0.0
+    inst = fractional_instance(seed, penalty)
+    model = derive(inst)
+    terms = np.concatenate([model.coloc_cost, model.coloc_load])
+    offsets = np.concatenate([model.replica_cost, model.replica_load])
+    scale = (np.abs(terms).sum(axis=1) + np.abs(offsets))[:, None]
+    counts = 2 * inst.attribute_count
+    for shifted, fresh in _shifted_and_fresh(inst, seed, moves):
+        assert np.array_equal(shifted[counts:], fresh[counts:])
+        assert (np.abs(shifted[:counts] - fresh[:counts]) <= 1e-12 * scale).all()
 
 
 # ---------------------------------------------------------------------------
