@@ -2,14 +2,20 @@
 linearized integer program.
 
 :func:`build_mip` (in :mod:`vpadvisor.program`, served here too) keeps
-the paper's full form for export.  The exact solver hands HiGHS
-(``scipy.optimize.milp``) a compact form with the same optimum:
-auxiliaries only where a coefficient needs them, and only the McCormick
-rows each coefficient's sign needs.  Both forms are built block by block
-into sparse arrays by one row builder, ``program._Rows``.  Without pins
-or ``forbid_replication`` a short annealing run seeds the incumbent; it
-runs on a worker thread beside HiGHS, which releases the GIL while it
-solves.
+the paper's full form for export.  The exact solver hands HiGHS a
+compact form with the same optimum: auxiliaries only where a coefficient
+needs them, and only the McCormick rows each coefficient's sign needs.
+Both forms are built block by block into sparse arrays by one row
+builder, ``program._Rows``.
+
+HiGHS is driven through scipy's bundled binding
+(``scipy.optimize._highspy._core._Highs``), a private module, because
+``scipy.optimize.milp`` takes no starting solution.  :class:`_HighsModel`
+passes the compact form to it once; its runs change only column bounds
+and the time left.  Without pins or ``forbid_replication`` the solve
+runs in stages under one deadline: a short annealing run, a re-solve
+with the annealer's transaction homes fixed, and the full run started
+from the re-solve's solution.
 
 This module imports ``scipy.optimize`` when it loads, so a command that
 solves exactly pays for that import before its clock starts.
@@ -20,12 +26,21 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy import optimize
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize._highspy._core import (
+    HighsLp,
+    HighsModelStatus,
+    HighsSolution,
+    HighsStatus,
+    HighsVarType,
+    MatrixFormat,
+    _Highs,
+)
 
 from . import program
 from .anneal import SaConfig, solve_sa
@@ -43,6 +58,11 @@ from .workload import CostModel, Instance, derive
 # The full program's names, served here too: ``vpadvisor.mip.build_mip``
 # is ``vpadvisor.program.build_mip``.
 MipModel, build_mip, export_model = program.MipModel, program.build_mip, program.export_model
+# ``scipy.optimize.milp`` is served here too, though nothing here calls
+# it: the benchmark harness's tracer (``perfbench/tracing.py``) finds its
+# ``mip.lp`` layer through this name, and the harness changes only with
+# its own benchmark.  Until then that layer reads zero calls.
+milp = optimize.milp
 
 
 @dataclass(frozen=True)
@@ -52,8 +72,9 @@ class ExactConfig:
     Defaults: a 30-minute wall limit and a 0.1% relative gap.  The
     symmetry rows are used whenever no replicas are pinned (pins make
     sites distinguishable).  When nothing is pinned or disjoint, a quick
-    annealing run beside HiGHS seeds the incumbent; both stop at
-    ``time_limit`` from the start of the solve.
+    annealing run and a re-solve around its layout give HiGHS a starting
+    solution.  Every stage stops at ``time_limit`` from the start of the
+    solve, and ``gap`` is the relative gap of both HiGHS runs.
     """
 
     time_limit: float = 1800.0
@@ -75,7 +96,8 @@ def _compact_model(
     forbid_replication: bool,
     fixed_replicas: Sequence[Tuple[int, int]],
 ) -> Dict[str, object]:
-    """The solve-time program, as keyword arguments of ``milp``.
+    """The solve-time program, as keyword arguments of
+    ``scipy.optimize.milp``; :class:`_HighsModel` takes the same.
 
     It has the optimum of :func:`build_mip`'s program with fewer columns
     and rows:
@@ -200,24 +222,105 @@ def _compact_model(
     }
 
 
+@dataclass(frozen=True)
+class _HighsRun:
+    """What one HiGHS run ended with: its model status, its best column
+    vector (``None`` without one), its dual bound and its node count."""
+
+    status: HighsModelStatus
+    x: Optional[np.ndarray]
+    bound: float
+    nodes: int
+
+
+class _HighsModel:
+    """The compact program, passed once to scipy's bundled HiGHS binding
+    with its output off and ``gap`` as the relative gap.  Between runs
+    only column bounds and the time limit change; HiGHS keeps the rest.
+    """
+
+    def __init__(self, arrays: Dict[str, object], gap: float) -> None:
+        bounds, constraints = arrays["bounds"], arrays["constraints"]
+        matrix = constraints.A.tocsc()
+        n_rows, n_cols = matrix.shape
+        lp = HighsLp()
+        lp.num_col_, lp.num_row_ = n_cols, n_rows
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = arrays["c"], bounds.lb, bounds.ub
+        lp.row_lower_, lp.row_upper_ = constraints.lb, constraints.ub
+        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_cols, n_rows
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_ = matrix.indptr, matrix.indices
+        lp.a_matrix_.value_ = matrix.data.astype(np.float64)
+        kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
+        lp.integrality_ = [kinds[k] for k in arrays["integrality"].tolist()]
+        self._highs = _Highs()
+        # The binding picks a setter by the value's Python type, so the
+        # double options are passed as floats.
+        self._highs.setOptionValue("output_flag", False)
+        self._highs.setOptionValue("mip_rel_gap", float(gap))
+        if self._highs.passModel(lp) == HighsStatus.kError:
+            raise RuntimeError("HiGHS refused the compact program")
+
+    def bound_columns(self, count: int, lower: np.ndarray, upper: np.ndarray) -> None:
+        """Set the bounds of the first ``count`` columns."""
+        self._highs.changeColsBounds(count, np.arange(count, dtype=np.int32), lower, upper)
+
+    def run(self, time_limit: float, start: Optional[np.ndarray] = None) -> _HighsRun:
+        """Run HiGHS for at most ``time_limit`` seconds, from the complete
+        column vector ``start`` when one is given."""
+        highs = self._highs
+        if start is not None:
+            solution = HighsSolution()
+            solution.col_value = start
+            highs.setSolution(solution)
+        # HiGHS rejects a negative limit and keeps the last one.
+        highs.setOptionValue("time_limit", max(float(time_limit), 0.0))
+        # HiGHS writes some messages straight to file descriptor 1, past
+        # sys.stdout and whatever its output flag says; send them to
+        # standard error so the standard output stays the program's own
+        # (a JSON record).
+        sys.stdout.flush()
+        saved_stdout = os.dup(1)
+        os.dup2(2, 1)
+        try:
+            highs.run()
+        finally:
+            os.dup2(saved_stdout, 1)
+            os.close(saved_stdout)
+        info = highs.getInfo()
+        solution = highs.getSolution()
+        return _HighsRun(
+            status=highs.getModelStatus(),
+            x=np.asarray(solution.col_value) if solution.value_valid else None,
+            bound=float(info.mip_dual_bound),
+            nodes=max(int(info.mip_node_count), 0),
+        )
+
+
 def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> SolveReport:
     """Solve the linearized program to a proven optimum of the weighted
     score.
 
-    HiGHS's branch-and-cut (``scipy.optimize.milp``) solves the compact
-    program of :func:`_compact_model` on the calling thread until
-    ``config.time_limit`` from the start.  The starting incumbents are
-    the single-site layouts and, when nothing is pinned or disjoint, a
-    short annealing run on one worker thread, started once the compact
-    program is built and stopped by the same deadline.  The worker is
-    joined before this returns or raises, and an exception of the
-    annealer is raised here.  Its layout is considered before HiGHS's,
-    so it wins a tie, and the starting incumbents stay as the fallback
-    when HiGHS stops without a layout.
-    Every candidate is re-priced by the definitional evaluator, so
-    reported objectives and scores never drift from ``evaluate``; the
-    bound gap compares that score with HiGHS's dual bound.  Raises
-    ``ValueError`` when HiGHS proves that the pins admit no disjoint layout.
+    HiGHS's branch-and-cut solves the compact program of
+    :func:`_compact_model` through :class:`_HighsModel`.  Every stage
+    stops at the one deadline ``config.time_limit`` from the start, and
+    a stage starts only while time is left:
+
+    1. the single-site layouts, and, when nothing is pinned or disjoint,
+       a short annealing run;
+    2. after that run, a re-solve with the transaction homes (``x``)
+       fixed through their column bounds to the annealer's, its sites
+       relabelled in order of first use as the symmetry rows require;
+    3. the main run, with the bounds restored and started from the
+       re-solve's column vector when it has one.
+
+    Every layout is re-priced by the definitional evaluator and kept
+    only if it scores lower than those before it, so an earlier stage
+    wins a tie; reported objectives and scores never drift from
+    ``evaluate``.  The bound gap compares that score with the main run's
+    dual bound, and ``node_count`` adds up the nodes of both HiGHS runs.
+    An exception of any stage reaches the caller.  Raises ``ValueError``
+    when HiGHS proves that the pins admit no disjoint layout.
     """
     started = time.perf_counter()
     if config is None:
@@ -226,6 +329,7 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     n_txns = instance.transaction_count
     n_attrs = instance.attribute_count
     n_sites = instance.site_count
+    nx = n_txns * n_sites
     pins = _sorted_pins(config.fixed_replicas, n_attrs, n_sites)
 
     incumbent: Optional[Tuple[Partitioning, CostBreakdown]] = None
@@ -245,6 +349,15 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
             incumbent = (part, breakdown)
         return True
 
+    def consider_run(run: _HighsRun) -> bool:
+        """Consider the layout of a HiGHS run's column vector."""
+        if run.x is None:
+            return False
+        return consider(
+            np.argmax(run.x[:nx].reshape(n_txns, n_sites), axis=1),
+            run.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
+        )
+
     # Cheap starting incumbents: one site carries everything (plus pins).
     for k in range(n_sites):
         replica = np.zeros((n_attrs, n_sites), dtype=np.bool_)
@@ -261,54 +374,41 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     bound = -math.inf
     node_count = 0
     proven = False  # HiGHS proved the optimum and its layout is valid
-    warm_start = not pins and not config.forbid_replication and time_left() > 0
-    warm = res = arrays = None
-    # The warm start runs on a worker thread while HiGHS, which releases
-    # the GIL, runs on this one; leaving the block joins the worker.  It
-    # starts once the compact program is built: built beside the
-    # annealer, the program waits for the GIL.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        if time_left() > 0:
-            arrays = _compact_model(
+    warm: Optional[Partitioning] = None
+    if not pins and not config.forbid_replication and time_left() > 0:
+        warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0, time_limit=time_left())
+        warm = solve_sa(instance, warm_cfg, model=model)[0].partitioning
+        consider(warm.txn_site, warm.replica)
+    if time_left() > 0:
+        highs = _HighsModel(
+            _compact_model(
                 instance,
                 model,
                 forbid_replication=config.forbid_replication,
                 fixed_replicas=pins,
-            )
-        if warm_start:
-            warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0,
-                                time_limit=max(time_left(), 0.0))
-            warm = pool.submit(solve_sa, instance, warm_cfg, model=model)
-        limit = time_left()
-        if arrays is not None and limit > 0:
-            # HiGHS writes some messages straight to file descriptor 1,
-            # past sys.stdout; send them to standard error so the
-            # standard output stays the program's own (a JSON record).
-            sys.stdout.flush()
-            saved_stdout = os.dup(1)
-            os.dup2(2, 1)
-            try:
-                res = milp(**arrays, options={"time_limit": limit, "mip_rel_gap": config.gap})
-            finally:
-                os.dup2(saved_stdout, 1)
-                os.close(saved_stdout)
-    # The warm start's layout is considered first, so it keeps a tie.
-    if warm is not None:
-        warm_part = warm.result()[0].partitioning
-        consider(warm_part.txn_site, warm_part.replica)
-    if res is not None:
-        node_count = int(res.mip_node_count or 0)
-        if res.x is not None:
-            nx = n_txns * n_sites
-            valid = consider(
-                np.argmax(res.x[:nx].reshape(n_txns, n_sites), axis=1),
-                res.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
-            )
-            proven = valid and res.status == 0
-        if res.mip_dual_bound is not None and math.isfinite(res.mip_dual_bound):
-            bound = float(res.mip_dual_bound)
-        if res.status == 2 and incumbent is None:
-            raise ValueError(f"the pins {pins} admit no layout under forbid_replication")
+            ),
+            config.gap,
+        )
+        start = None
+        if warm is not None:
+            # Site labels in order of first use, as the symmetry rows ask.
+            _, first, homes = np.unique(warm.txn_site, return_index=True, return_inverse=True)
+            fixed = np.zeros((n_txns, n_sites))
+            fixed[np.arange(n_txns), np.argsort(np.argsort(first))[homes]] = 1.0
+            highs.bound_columns(nx, fixed.ravel(), fixed.ravel())
+            resolve = highs.run(time_left())
+            highs.bound_columns(nx, np.zeros(nx), np.ones(nx))
+            node_count += resolve.nodes
+            consider_run(resolve)
+            start = resolve.x
+        if time_left() > 0:
+            main = highs.run(time_left(), start)
+            node_count += main.nodes
+            proven = consider_run(main) and main.status == HighsModelStatus.kOptimal
+            if math.isfinite(main.bound):
+                bound = main.bound
+            if main.status == HighsModelStatus.kInfeasible and incumbent is None:
+                raise ValueError(f"the pins {pins} admit no layout under forbid_replication")
 
     wall = time.perf_counter() - started
     if incumbent is None:

@@ -26,8 +26,9 @@ class SolveReport:
     ``feasible-time-limit`` when a solution is returned without proof,
     and ``no-solution-time-limit`` when the solver stopped
     empty-handed.  ``node_count`` counts the branch-and-cut nodes HiGHS
-    explored for the exact solver (0 when no time was left to start
-    it), candidate evaluations for the annealer, and the nominal layout
+    explored for the exact solver, over its re-solve and its main run
+    (0 when no time was left to start either), candidate evaluations for
+    the annealer, and the nominal layout
     count for exhaustive enumeration.
     """
 
