@@ -37,7 +37,6 @@ from .fileio import (
     serialize_partitioning,
 )
 from .generators import GenParams, generate
-from .grouping import AttributeGrouping, expand_solution, group_attributes
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force, enumeration_size
 from .partitioning import (
     CostBreakdown,
@@ -85,10 +84,6 @@ __all__ = [
     "evaluate",
     "weighted_score",
     "check_feasible",
-    # grouping
-    "AttributeGrouping",
-    "group_attributes",
-    "expand_solution",
     # annealing
     "SaConfig",
     "SaTrace",

@@ -22,7 +22,7 @@ from .partitioning import (
     Partitioning, _write_latency, _write_pairs, evaluate, weighted_score,
 )
 from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
-from .workload import CostModel, Instance, derive
+from .workload import CostModel, Instance, _reader_classes, derive
 
 
 # The fixed schedule; see :class:`SaConfig`.
@@ -267,8 +267,7 @@ def _place(
 
 
 def solve_subproblem_fix_transactions(
-    model: CostModel, txn_site: np.ndarray, tables: _RepairTables,
-    sums: Optional[np.ndarray] = None,
+    txn_site: np.ndarray, tables: _RepairTables, sums: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, float, float]:
     """Best-effort replica sets for a fixed transaction assignment,
     with their objective and peak site load.
@@ -279,14 +278,15 @@ def solve_subproblem_fix_transactions(
     replica is added, as an unforced one never lowers the score (see
     :class:`CostModel`).  These greedy choices do not price the
     write-latency charge; the annealer's Metropolis score and the final
-    :func:`evaluate` do.  ``tables`` are ``model``'s, and ``sums`` the
-    assignment's column sums: the annealer shifts them from move to move
+    :func:`evaluate` do.  The attributes are those of the model
+    ``tables`` were built from, and ``sums`` the assignment's column
+    sums: the annealer shifts them from move to move
     (:func:`_shifted_sums`), and by default they are built afresh
     (:func:`_column_sums`).
     """
     if sums is None:
         sums = _column_sums(txn_site, tables)
-    lam, n_attrs = tables.lam, model.replica_cost.size
+    lam, n_attrs = tables.lam, tables.offsets.size // 3
     base_all = sums[:n_attrs]
     inc_all = sums[n_attrs:2 * n_attrs]
     replicas = sums[2 * n_attrs:] > 0.0
@@ -309,8 +309,12 @@ def solve_sa(
 ) -> Tuple[SolveReport, SaTrace]:
     """Run one simulated-annealing search and report the best layout.
 
-    The run is deterministic for a given instance and ``config.seed``.
-    The report's status is always ``feasible-time-limit``: the annealer
+    The search runs on the model of :func:`_reader_classes`, where the
+    read attributes that the same transactions read are one row; its
+    best layout is expanded to every attribute and priced by
+    :func:`evaluate` on ``model``, the instance's full model.  The run
+    is deterministic for a given instance and ``config.seed``.  The
+    report's status is always ``feasible-time-limit``: the annealer
     proves no bound, so ``bound_gap`` is ``inf``.
     """
     if config is None:
@@ -323,10 +327,11 @@ def solve_sa(
 
     n_txns = instance.transaction_count
     n_sites = instance.site_count
-    tables = _RepairTables.build(model, n_sites, instance.cost_weight)
+    merged, classes = _reader_classes(model)
+    tables = _RepairTables.build(merged, n_sites, instance.cost_weight)
 
     def score(x, y, objective, max_load):
-        latency = _write_latency(instance, model, x, y, tables.write_pairs)
+        latency = _write_latency(instance, merged, x, y, tables.write_pairs)
         return weighted_score(objective, max_load, latency, tables.lam)
 
     # Initial solution: random transaction sites, repaired replica sets.
@@ -334,7 +339,7 @@ def solve_sa(
     # repair of its assignment, so the returned layout's are built at the
     # end.
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
-    cur_y, objective, max_load = solve_subproblem_fix_transactions(model, cur_x, tables)
+    cur_y, objective, max_load = solve_subproblem_fix_transactions(cur_x, tables)
     cur_score = score(cur_x, cur_y, objective, max_load)
 
     best_x, best_score = cur_x, cur_score
@@ -365,7 +370,7 @@ def solve_sa(
             cand_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
             cand_sums = _shifted_sums(cur_sums, cur_x, cand_x, tables)
             cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                model, cand_x, tables, cand_sums)
+                cand_x, tables, cand_sums)
             evaluations += 1
             cand_score = score(cand_x, cand_y, objective, max_load)
             delta = cand_score - cur_score
@@ -383,8 +388,8 @@ def solve_sa(
 
     # a fresh repair, so the replica sets returned are the repair of
     # best_x even where the shifted sums rounded otherwise
-    best_y, _, _ = solve_subproblem_fix_transactions(model, best_x, tables)
-    partitioning = Partitioning(txn_site=best_x, replica=best_y)
+    best_y, _, _ = solve_subproblem_fix_transactions(best_x, tables)
+    partitioning = Partitioning(txn_site=best_x, replica=best_y[classes])
     report = SolveReport(
         partitioning=partitioning,
         breakdown=evaluate(instance, model, partitioning),

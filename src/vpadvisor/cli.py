@@ -36,10 +36,9 @@ from .fileio import (
     save_partitioning,
 )
 from .generators import GenParams, generate
-from .grouping import expand_solution, group_attributes
 from .oracle import DEFAULT_ENUMERATION_BUDGET, brute_force
 from .partitioning import CostBreakdown, evaluate
-from .report import STATUS_FEASIBLE_TIME_LIMIT, SolveReport
+from .report import SolveReport
 from .tpcc import tpcc
 from .workload import Instance, derive
 
@@ -247,35 +246,20 @@ def _run_solver(
 
 
 def _solve_instance(instance: Instance, args: argparse.Namespace) -> SolveReport:
-    """Run the chosen solver.  A grouped solve is expanded back to the
-    original attributes and re-priced on ``instance``; below ``lambda =
-    1``, where merging attributes can exclude the optimum, it claims no
-    bound."""
-    solved, grouping, model = instance, None, None
-    if args.group:
-        if args.pin:
-            raise _UsageError("--pin cannot be combined with --group")
-        model = derive(instance)
-        solved, grouping = group_attributes(instance, model)
+    """Run the chosen solver, refusing a --disjoint or --pin it lacks."""
     for flag in ("disjoint", "pin"):
         if getattr(args, flag) and flag not in _ECHOED[args.algo]:
             algos = " or ".join(algo for algo, flags in _ECHOED.items() if flag in flags)
             raise _UsageError(f"--{flag} is only supported with --algo {algos}")
-    report = _run_solver(solved, args, args.disjoint, fixed_replicas=_parse_pins(solved, args.pin))
-    if grouping is None or report.partitioning is None:
-        return report
-    part = expand_solution(report.partitioning, grouping)
-    report = replace(report, partitioning=part, breakdown=evaluate(instance, model, part))
-    if instance.cost_weight < 1.0 and grouping.group_count < instance.attribute_count:
-        report = replace(report, status=STATUS_FEASIBLE_TIME_LIMIT, bound_gap=math.inf)
-    return report
+    pins = _parse_pins(instance, args.pin)
+    return _run_solver(instance, args, args.disjoint, fixed_replicas=pins)
 
 
 def _solver_config_echo(args: argparse.Namespace) -> Dict[str, Any]:
     """The settings the chosen solver applied, as given; a non-finite
     number is ``None``, as JSON has no token for it."""
     echo: Dict[str, Any] = {"algo": args.algo}
-    for key in _ECHOED[args.algo] + ("group",):
+    for key in _ECHOED[args.algo]:
         value = getattr(args, key, None)
         if value is None or value is False or value == []:
             continue  # not given
@@ -458,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     solve.add_argument("--gap", type=float, default=None)
     solve.add_argument("--budget", type=int, default=DEFAULT_ENUMERATION_BUDGET)
-    solve.add_argument("--group", action="store_true", help="merge indistinguishable attributes")
     solve.add_argument("--disjoint", action="store_true", help="forbid replication")
     solve.add_argument(
         "--pin",

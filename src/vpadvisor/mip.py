@@ -53,7 +53,7 @@ from .report import (
     STATUS_OPTIMAL,
     SolveReport,
 )
-from .workload import CostModel, Instance, derive
+from .workload import CostModel, Instance, _reader_classes, derive
 
 # The full program's names, served here too: ``vpadvisor.mip.build_mip``
 # is ``vpadvisor.program.build_mip``.
@@ -96,11 +96,13 @@ def _compact_model(
     forbid_replication: bool,
     fixed_replicas: Sequence[Tuple[int, int]],
 ) -> Dict[str, object]:
-    """The solve-time program, as keyword arguments of
+    """The solve-time program of ``model``, as keyword arguments of
     ``scipy.optimize.milp``; :class:`_HighsModel` takes the same.
 
-    It has the optimum of :func:`build_mip`'s program with fewer columns
-    and rows:
+    ``model`` is the instance's full model or a merged one (see
+    :func:`_reader_classes`), whose rows it places as attributes; the
+    pins name those rows.  It has the optimum of :func:`build_mip`'s
+    program on the same rows with fewer columns and rows:
 
     * ``u[t,a,s]`` exists only where the product ``x[t,s] * y[a,s]``
       carries an objective or load coefficient or enters a latency row.
@@ -122,7 +124,7 @@ def _compact_model(
     ``u[t,a,s]``, ``m``, then one indicator per priced write query.
     """
     n_txns = instance.transaction_count
-    n_attrs = instance.attribute_count
+    n_attrs = model.replica_cost.size
     n_sites = instance.site_count
     lam = float(instance.cost_weight)
     reads = model.txn_reads  # (A, T)
@@ -301,8 +303,12 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     """Solve the linearized program to a proven optimum of the weighted
     score.
 
-    HiGHS's branch-and-cut solves the compact program of
-    :func:`_compact_model` through :class:`_HighsModel`.  Every stage
+    HiGHS's branch-and-cut solves, through :class:`_HighsModel`, the
+    compact program (:func:`_compact_model`) of the merged model of
+    :func:`_reader_classes`, in which the read attributes that the same
+    transactions read are one row and each pinned attribute keeps its
+    own; the optimum is the full model's.  The replica rows of each
+    layout it returns are expanded to every attribute.  Every stage
     stops at the one deadline ``config.time_limit`` from the start, and
     a stage starts only while time is left:
 
@@ -331,6 +337,8 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     n_sites = instance.site_count
     nx = n_txns * n_sites
     pins = _sorted_pins(config.fixed_replicas, n_attrs, n_sites)
+    merged, classes = _reader_classes(model, keep=[a for a, _ in pins])
+    n_classes = merged.replica_cost.size
 
     incumbent: Optional[Tuple[Partitioning, CostBreakdown]] = None
 
@@ -355,7 +363,7 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
             return False
         return consider(
             np.argmax(run.x[:nx].reshape(n_txns, n_sites), axis=1),
-            run.x[nx : nx + n_attrs * n_sites].reshape(n_attrs, n_sites) > 0.5,
+            run.x[nx : nx + n_classes * n_sites].reshape(n_classes, n_sites)[classes] > 0.5,
         )
 
     # Cheap starting incumbents: one site carries everything (plus pins).
@@ -383,9 +391,9 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
         highs = _HighsModel(
             _compact_model(
                 instance,
-                model,
+                merged,
                 forbid_replication=config.forbid_replication,
-                fixed_replicas=pins,
+                fixed_replicas=tuple((int(classes[a]), s) for a, s in pins),
             ),
             config.gap,
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -141,19 +141,16 @@ class CostModel:
     by, can be off from :func:`evaluate`'s sums by its own size on
     non-integral inputs; reported scores are re-priced by ``evaluate``.
 
-    Flags (boolean):
-
-    * ``attr_access[a, q]`` — query ``q`` touches attribute ``a`` directly.
-    * ``txn_reads[a, t]`` — some read query of ``t`` touches ``a`` directly,
-      so ``a`` must be co-located with ``t``'s site.
+    The flag matrix ``txn_reads[a, t]``: some read query of ``t`` touches
+    ``a`` directly, so ``a`` must be co-located with ``t``'s site.
 
     The write queries, which the latency charge reads on every
     evaluation: ``write_queries`` (their ids, ascending),
-    ``write_attr_access = attr_access[:, write_queries]``, and each one's
-    transaction ``write_txn`` and frequency ``write_frequencies``.
+    ``write_attr_access[a, w]`` (write query ``w`` touches ``a``
+    directly), and each one's transaction ``write_txn`` and frequency
+    ``write_frequencies``.
     """
 
-    attr_access: np.ndarray
     txn_reads: np.ndarray
     coloc_cost: np.ndarray
     replica_cost: np.ndarray
@@ -391,7 +388,6 @@ def derive(instance: Instance) -> CostModel:
 
     writes = np.flatnonzero(is_write)
     return CostModel(
-        attr_access=_freeze(attr_access),
         txn_reads=_freeze(txn_reads),
         coloc_cost=_freeze(coloc_cost),
         replica_cost=_freeze(replica_cost),
@@ -403,3 +399,48 @@ def derive(instance: Instance) -> CostModel:
         write_txn=_freeze(txn_of_query[writes]),
         write_frequencies=_freeze(freqs[writes]),
     )
+
+
+def _reader_classes(model: CostModel, keep: Iterable[int] = ()) -> Tuple[CostModel, np.ndarray]:
+    """Merge the read attributes that the same transactions read.
+
+    An unforced replica never lowers the score (see :class:`CostModel`),
+    so at every cost weight, and with replication forbidden too, some
+    optimum gives each read attribute the sites of its readers and no
+    other: read attributes with equal ``txn_reads`` rows can share one
+    replica set.  Each class of them is one row of the returned model,
+    its cost and load rows summed in member order and its flags OR-ed;
+    the write queries carry over.  Unread attributes and those in
+    ``keep`` (pinned ones, whose pins widen their replica sets) stay
+    singletons.  Classes are numbered in order of their first member, so
+    the unread attributes keep their order.
+
+    Returns the merged model and each attribute's class; a layout's
+    replica rows on the merged model expand as ``replica[classes]``.
+    """
+    reads = model.txn_reads
+    mergeable = reads.any(axis=1)
+    mergeable[list(keep)] = False
+    first: Dict[object, int] = {}
+    classes = np.array([
+        first.setdefault(row.tobytes() if merge else a, len(first))
+        for a, (row, merge) in enumerate(zip(reads, mergeable))
+    ], dtype=np.int64)
+
+    def summed(rows: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+        out = np.zeros((len(first),) + rows.shape[1:], dtype=rows.dtype)
+        ufunc.at(out, classes, rows)
+        return out
+
+    return CostModel(
+        txn_reads=summed(reads, np.logical_or),
+        coloc_cost=summed(model.coloc_cost),
+        replica_cost=summed(model.replica_cost),
+        coloc_load=summed(model.coloc_load),
+        replica_load=summed(model.replica_load),
+        coloc_transfer=summed(model.coloc_transfer),
+        write_queries=model.write_queries,
+        write_attr_access=summed(model.write_attr_access, np.logical_or),
+        write_txn=model.write_txn,
+        write_frequencies=model.write_frequencies,
+    ), classes

@@ -11,10 +11,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from vpadvisor import (
     ExactConfig,
     GenParams,
+    Partitioning,
     SaConfig,
     brute_force,
     build_mip,
@@ -23,7 +25,6 @@ from vpadvisor import (
     enumeration_size,
     evaluate,
     generate,
-    group_attributes,
     save_instance,
     solve_exact,
     solve_sa,
@@ -33,6 +34,7 @@ from vpadvisor import (
 from vpadvisor.anneal import accept_move, initial_temperature
 from vpadvisor.cli import main as cli_main
 from vpadvisor.report import STATUS_OPTIMAL
+from vpadvisor.workload import _reader_classes
 
 from conftest import (
     check_point,
@@ -228,21 +230,56 @@ def test_criterion_7_local_vs_remote():
 
 
 # ---------------------------------------------------------------------------
-# 8. attribute grouping preserves the pure-cost optimum
+# 8. merging attributes with equal reader sets preserves the exact optimum
+
+
+def _full_program_optimum(inst, model, pins=()):
+    """evaluate's price of the layout of scipy's ``milp`` optimum of the
+    unmerged full program of ``build_mip``."""
+    mip = build_mip(inst, fixed_replicas=pins)
+    res = milp(mip.c, integrality=mip.integrality, bounds=Bounds(0.0, mip.upper),
+               constraints=LinearConstraint(mip.matrix, mip.row_lower, mip.row_upper),
+               options={"mip_rel_gap": 0.0})
+    assert res.success, res.message
+    sites = range(inst.site_count)
+    txn_site = [np.argmax([res.x[mip.x_index(t, s)] for s in sites])
+                for t in range(inst.transaction_count)]
+    replica = [[res.x[mip.y_index(a, s)] > 0.5 for s in sites]
+               for a in range(inst.attribute_count)]
+    return evaluate(inst, model, Partitioning(txn_site, replica)).score
 
 
 def test_criterion_8_grouping_preserves_exact_optimum():
+    # solve_exact solves the merged model of _reader_classes; milp solves
+    # the unmerged full program.  A pinned attribute that shares its
+    # reader set with another stays apart from it: pinned on every site,
+    # its replicas would otherwise all be the other attribute's too.
+    merging = pinned = 0
     for seed in range(25):
-        inst = replace(_tiny_instance(seed), cost_weight=1.0)
-        reduced, _ = group_attributes(inst, derive(inst))
-        original = solve_exact(inst, ExactConfig(gap=0.0))
-        grouped = solve_exact(reduced, ExactConfig(gap=0.0))
-        assert grouped.score == original.score, (
-            f"seed {seed}: grouped {grouped.score!r} != original {original.score!r} "
-            f"({inst.attribute_count} -> {reduced.attribute_count} attributes)"
-        )
-    print("\n[criterion 8] grouped == original exact optimum on 25/25 "
-          "instances: PASS")
+        for lam in (0.0, 0.1, 1.0):
+            inst = replace(_tiny_instance(seed), cost_weight=lam)
+            model = derive(inst)
+            merged, classes = _reader_classes(model)
+            merging += merged.replica_cost.size < inst.attribute_count
+            exact = solve_exact(inst, ExactConfig(gap=0.0))
+            reference = _full_program_optimum(inst, model)
+            assert exact.status == STATUS_OPTIMAL
+            assert exact.score == reference, (
+                f"seed {seed}, lambda {lam}: merged {exact.score!r} != full {reference!r} "
+                f"({inst.attribute_count} -> {merged.replica_cost.size} attributes)"
+            )
+            shared = np.flatnonzero(np.bincount(classes)[classes] > 1)
+            if shared.size:
+                pins = tuple((int(shared[0]), site) for site in range(inst.site_count))
+                exact = solve_exact(inst, ExactConfig(gap=0.0, fixed_replicas=pins))
+                reference = _full_program_optimum(inst, model, pins)
+                assert exact.score == reference, (
+                    f"seed {seed}, lambda {lam}, pins {pins}: merged {exact.score!r} "
+                    f"!= full {reference!r}")
+                pinned += 1
+    assert merging >= 25 and pinned >= 25
+    print(f"\n[criterion 8] merged == full exact optimum on 75/75 instance-lambda "
+          f"pairs ({merging} with merged attributes) and {pinned} pinned cases: PASS")
 
 
 # ---------------------------------------------------------------------------

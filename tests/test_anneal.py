@@ -100,7 +100,7 @@ def test_fix_transactions_recovers_t1_optimum():
     model = derive(inst)
     tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
     replicas, _, _ = solve_subproblem_fix_transactions(
-        model, np.array([0], dtype=np.int64), tables)
+        np.array([0], dtype=np.int64), tables)
     part = Partitioning(txn_site=np.array([0]), replica=replicas)
     assert check_feasible(inst, model, part) == []
     assert evaluate(inst, model, part).score == pytest.approx(80.0)
@@ -110,7 +110,7 @@ def test_fix_transactions_on_t2_keeps_single_cheap_replica(t2):
     model = derive(t2)
     tables = _RepairTables.build(model, t2.site_count, t2.cost_weight)
     replicas, _, _ = solve_subproblem_fix_transactions(
-        model, np.array([0], dtype=np.int64), tables)
+        np.array([0], dtype=np.int64), tables)
     # replicating the written attribute would raise the score by 3.6
     assert replicas.sum() == 1
     part = Partitioning(txn_site=np.array([0]), replica=replicas)
@@ -124,7 +124,7 @@ def test_subproblem_outputs_always_feasible(seed):
     rng = np.random.default_rng(seed)
     txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
     tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
-    replicas, _, _ = solve_subproblem_fix_transactions(model, txn_site, tables)
+    replicas, _, _ = solve_subproblem_fix_transactions(txn_site, tables)
     part = Partitioning(txn_site=txn_site, replica=replicas)
     assert check_feasible(inst, model, part) == []
 
@@ -216,7 +216,7 @@ def test_solve_sa_returns_the_replica_repair_of_its_assignment(name):
     tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
     for seed in range(3):
         part = solve_sa(inst, SaConfig(seed=seed), model=model)[0].partitioning
-        want, _, _ = solve_subproblem_fix_transactions(model, part.txn_site, tables)
+        want, _, _ = solve_subproblem_fix_transactions(part.txn_site, tables)
         assert np.array_equal(part.replica, want), (name, seed)
 
 
@@ -232,7 +232,7 @@ def test_solve_sa_returns_the_fresh_repair_on_fractional_instances(penalty):
         tables = _RepairTables.build(model, inst.site_count, inst.cost_weight)
         for sa_seed in range(3):
             part = solve_sa(inst, SaConfig(seed=sa_seed), model=model)[0].partitioning
-            want, _, _ = solve_subproblem_fix_transactions(model, part.txn_site, tables)
+            want, _, _ = solve_subproblem_fix_transactions(part.txn_site, tables)
             assert np.array_equal(part.replica, want), (seed, sa_seed)
 
 

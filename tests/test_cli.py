@@ -187,45 +187,6 @@ def test_solve_overrides_change_pricing(small_path, capsys):
     assert overridden["breakdown"]["score"] != base["breakdown"]["score"]
 
 
-def test_solve_group_flag_preserves_feasibility(small_path, tmp_path, capsys):
-    part = tmp_path / "g.json"
-    assert main(
-        ["solve", small_path, "--algo", "exact", "--group", "--out", str(part)]
-    ) == 0
-    assert main(["eval", small_path, str(part)]) == 0
-
-
-def _grouped_and_plain(algo, cost_weight, tmp_path, capsys):
-    """The structured reports of ``solve --algo ALGO`` on an instance
-    whose grouping merges attributes, without and with ``--group``."""
-    path = tmp_path / "merged.json"
-    save_instance(random_instance(136, site_count=2, cost_weight=cost_weight), str(path))
-    reports = []
-    for extra in ([], ["--group"]):
-        argv = ["solve", str(path), "--algo", algo, "--gap", "0", "--format", "structured"]
-        assert main(argv + extra) == 0
-        reports.append(json.loads(capsys.readouterr().out)["report"])
-    return reports
-
-
-@pytest.mark.parametrize("algo", ["brute", "exact"])
-def test_grouped_solve_claims_no_optimum_below_lambda_one(algo, tmp_path, capsys):
-    # at lambda 0 splitting a group across the sites balances the load
-    # better than any grouped layout can
-    plain, grouped = _grouped_and_plain(algo, 0.0, tmp_path, capsys)
-    assert (plain["status"], plain["bound_gap"], plain["score"]) == ("optimal", 0.0, 100.0)
-    assert grouped["score"] == 160.0
-    assert (grouped["status"], grouped["bound_gap"]) == ("feasible-time-limit", None)
-
-
-@pytest.mark.parametrize("algo", ["brute", "exact"])
-def test_grouped_solve_keeps_its_optimum_at_lambda_one(algo, tmp_path, capsys):
-    plain, grouped = _grouped_and_plain(algo, 1.0, tmp_path, capsys)
-    assert grouped["status"] == plain["status"] == "optimal"
-    assert grouped["bound_gap"] == plain["bound_gap"] == 0.0
-    assert grouped["score"] == pytest.approx(plain["score"], rel=1e-12)
-
-
 def test_solve_runs_flag(small_path, capsys):
     assert main(
         ["solve", small_path, "--algo", "sa", "--runs", "3", "--format", "structured"]
@@ -361,9 +322,9 @@ EXIT_PATHS = {
     "pin-site-out-of-range": (
         ["solve", "{small}", "--algo", "exact", "--pin", "tab0.c0=2"], 1, "err",
         "--pin site out of range [0, 2): 'tab0.c0=2'\n"),
-    "pin-with-group": (
-        ["solve", "{small}", "--algo", "exact", "--group", "--pin", "tab0.c0=0"], 1, "err",
-        "--pin cannot be combined with --group\n"),
+    "group-is-unknown": (
+        ["solve", "{small}", "--group"], 1, "err",
+        "vpadvisor: unrecognized arguments: --group\n"),
     "disjoint-with-sa": (
         ["solve", "{small}", "--algo", "sa", "--disjoint"], 1, "err",
         "--disjoint is only supported with --algo exact or brute\n"),
@@ -508,8 +469,6 @@ ECHO_CASES = {
     "sa": (["solve", "--algo", "sa", "--gap", "0.5", "--seed", "5", "--runs", "2",
             "--time-limit", "30", "--budget", "100"],
            {"algo": "sa", "seed": 5, "runs": 2, "time_limit": 30.0}),
-    "sa-group": (["solve", "--algo", "sa", "--group", "--time-limit", "30"],
-                 {"algo": "sa", "time_limit": 30.0, "group": True}),
     "exact": (["solve", "--algo", "exact", "--seed", "5", "--runs", "3", "--time-limit", "30",
                "--gap", "0.01", "--pin", "tab0.c0=1", "--budget", "100"],
               {"algo": "exact", "time_limit": 30.0, "gap": 0.01, "pin": ["tab0.c0=1"]}),

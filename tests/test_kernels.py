@@ -50,7 +50,6 @@ def _model(txn_reads, coloc_cost, replica_cost, coloc_load, replica_load):
     """A cost model holding the given coefficients and no write query."""
     n_attrs = coloc_cost.shape[0]
     return CostModel(
-        attr_access=np.zeros((n_attrs, 0), bool),
         txn_reads=txn_reads,
         coloc_cost=coloc_cost,
         replica_cost=replica_cost,
@@ -88,7 +87,7 @@ def test_greedy_replicas_paths_agree_and_are_feasible(seed):
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         got, objective, max_load = solve_subproblem_fix_transactions(
-            model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
+            txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
         # feasibility: coverage and per-reader co-location
         assert got.any(axis=1).all()
         for t in range(inst.transaction_count):
@@ -107,7 +106,7 @@ def _repair_prices(inst, seed):
     for _ in range(4):
         txn_site = rng.integers(0, inst.site_count, inst.transaction_count)
         replicas, *price = solve_subproblem_fix_transactions(
-            model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
+            txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
         full = evaluate(inst, model, Partitioning(txn_site, replicas))
         yield tuple(price), (full.objective, full.max_load)
 
@@ -221,7 +220,7 @@ def test_repair_kernels_match_reference(kind, cost_weight, n_sites):
                 cost_weight, n_sites)
         want = _ref_greedy_replicas(*args)
         got, _, _ = solve_subproblem_fix_transactions(
-            model, txn_site, _RepairTables.build(model, n_sites, cost_weight))
+            txn_site, _RepairTables.build(model, n_sites, cost_weight))
         assert np.array_equal(got, want)
 
 
@@ -253,7 +252,7 @@ def test_repairs_match_reference_when_every_item_is_scanned(n_sites, cost_weight
     want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                 replica_load, cost_weight, n_sites)
     got, _, max_load = solve_subproblem_fix_transactions(
-        model, txn_site, _RepairTables.build(model, n_sites, cost_weight))
+        txn_site, _RepairTables.build(model, n_sites, cost_weight))
     assert np.array_equal(got, want)
     if cost_weight == 1.0:
         # no load term: each unread attribute stays on the cheapest site
@@ -273,7 +272,7 @@ def test_repairs_on_one_site_match_reference(cost_weight):
         want = _ref_greedy_replicas(txn_site, reads, coloc_cost, replica_cost, coloc_load,
                                     replica_load, cost_weight, 1)
         got, _, _ = solve_subproblem_fix_transactions(
-            model, txn_site, _RepairTables.build(model, 1, cost_weight))
+            txn_site, _RepairTables.build(model, 1, cost_weight))
         assert np.array_equal(got, want) and want.all()
 
 
@@ -453,7 +452,7 @@ def test_greedy_replicas_matches_reference_at_any_penalty(case):
     args = (txn_site, model.txn_reads, model.coloc_cost, model.replica_cost,
             model.coloc_load, model.replica_load, inst.cost_weight, inst.site_count)
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
+        txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     assert np.array_equal(got, _ref_greedy_replicas(*args))
 
 
@@ -465,7 +464,7 @@ def test_replica_repair_adds_one_site_per_unread_attribute(case):
     inst, txn_site = case
     model = derive(inst)
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
+        txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     forced = np.zeros_like(got)
     for t, s in enumerate(txn_site):
         forced[model.txn_reads[:, t], s] = True
@@ -523,7 +522,7 @@ def test_replica_repair_adds_no_replica_at_huge_penalties():
     assert model.replica_cost[0] + np.minimum(model.coloc_cost[0], 0.0).sum() < 0.0
     txn_site = np.array([0, 0, 1])
     got, _, _ = solve_subproblem_fix_transactions(
-        model, txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
+        txn_site, _RepairTables.build(model, inst.site_count, inst.cost_weight))
     assert got.tolist() == [[False, True]]
     alone, both = (evaluate(inst, model, Partitioning(txn_site, replica)).score
                    for replica in (got, np.ones_like(got)))

@@ -14,7 +14,6 @@ from vpadvisor import (
     brute_force,
     derive,
     evaluate,
-    group_attributes,
     load_partitioning,
     save_instance,
     solve_exact,
@@ -22,13 +21,9 @@ from vpadvisor import (
     solve_sa_best_of,
 )
 from vpadvisor import cli
+from vpadvisor.workload import _reader_classes
 
 from conftest import random_instance
-
-
-def _grouped_cli_solve(instance):
-    argv = ["solve", "unused.json", "--group", "--format", "structured"]
-    return cli._solve_instance(instance, cli.build_parser().parse_args(argv))
 
 
 SOLVERS = {
@@ -36,16 +31,15 @@ SOLVERS = {
     "solve_sa_best_of": lambda inst: solve_sa_best_of(inst, 3, SaConfig(seed=1))[0],
     "solve_exact": lambda inst: solve_exact(inst, ExactConfig(gap=0.0)),
     "brute_force": brute_force,
-    "cli-solve-group": _grouped_cli_solve,
 }
 
 
 @pytest.fixture
 def instance():
-    # latency priced, and attributes that --group merges (4 into 2)
+    # latency priced, and attributes that the solvers merge (4 into 2)
     inst = random_instance(0, site_count=2, latency_penalty=3.0)
-    reduced, _ = group_attributes(inst, derive(inst))
-    assert reduced.attribute_count < inst.attribute_count
+    merged, _ = _reader_classes(derive(inst))
+    assert merged.replica_cost.size < inst.attribute_count
     return inst
 
 
@@ -57,14 +51,14 @@ def test_report_carries_the_breakdown_of_its_layout(solve, instance):
     assert report.objective == report.breakdown.objective
 
 
-def test_grouped_structured_record_prints_the_breakdown(instance, tmp_path, capsys):
+
+def test_structured_record_prints_the_breakdown_of_its_layout(instance, tmp_path, capsys):
     path, out = tmp_path / "inst.json", tmp_path / "layout.json"
     save_instance(instance, str(path))
-    argv = ["solve", str(path), "--group", "--format", "structured", "--out", str(out)]
+    argv = ["solve", str(path), "--format", "structured", "--out", str(out)]
     assert cli.main(argv) == 0
     record = json.loads(capsys.readouterr().out)
     priced = evaluate(instance, derive(instance), load_partitioning(instance, str(out)))
     assert record["breakdown"] == json.loads(json.dumps(dataclasses.asdict(priced)))
     assert record["report"]["score"] == priced.score
     assert record["report"]["objective"] == priced.objective
-

@@ -15,7 +15,6 @@ PUBLIC = [
     "Attribute", "Table", "Query", "Transaction", "Instance", "CostModel",
     "derive", "validate", "lint",
     "Partitioning", "CostBreakdown", "evaluate", "weighted_score", "check_feasible",
-    "AttributeGrouping", "group_attributes", "expand_solution",
     "SaConfig", "SaTrace", "solve_sa", "solve_sa_best_of",
     "MipModel", "build_mip", "export_model", "ExactConfig", "solve_exact",
     "brute_force", "enumeration_size", "DEFAULT_ENUMERATION_BUDGET",
