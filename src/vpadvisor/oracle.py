@@ -4,7 +4,6 @@ can be optimal, scored in vectorized chunks.  It needs numpy only, so
 """
 from __future__ import annotations
 
-import math
 import time
 from itertools import product
 
@@ -42,18 +41,19 @@ def brute_force(
     :func:`enumeration_size` as ``node_count``.
 
     Transaction assignments are walked in lexicographic order, the last
-    transaction fastest.  For each, an attribute's only candidate replica
-    set is the set of sites its readers run on; an attribute nobody
-    reads has each single site as a candidate, in site order.  A replica
-    beyond those never lowers the score but for rounding (the bound
-    stated on :class:`CostModel`), so larger sets are not priced.  When
-    replication is forbidden, an assignment that reads some attribute on
-    two sites is skipped.  The choices of one set per attribute are
-    scored in vectorized chunks, the last attribute fastest.  When the
-    instance prices latency, a write query pays ``latency_penalty *
-    frequency`` (weighted into the score like the rest of the objective)
-    whenever any updated attribute keeps a replica off the transaction's
-    site.
+    transaction fastest.  For each, a read attribute's only candidate
+    replica set is the set of sites its readers run on; an attribute
+    nobody reads has each single site as a candidate, in site order.  A
+    replica beyond those never lowers the score but for rounding (the
+    bound stated on :class:`CostModel`), so larger sets are not priced.
+    When replication is forbidden, an assignment that reads some
+    attribute on two sites is skipped.  Each replica is priced once per
+    assignment and the forced ones are summed once; only the unread
+    attributes' sites are enumerated, in vectorized chunks, the last
+    attribute fastest.  When the instance prices latency, a write query
+    pays ``latency_penalty * frequency`` (weighted into the score like the
+    rest of the objective) whenever any updated attribute keeps a replica
+    off the transaction's site.
 
     Refuses instances whose nominal search space exceeds ``budget``.
     """
@@ -72,45 +72,41 @@ def brute_force(
     lam = float(instance.cost_weight)
     reads_f = model.txn_reads.astype(np.float64)
     eye = np.eye(n_sites)
-    single = np.arange(n_sites)
 
     best_score = np.inf
     for homes in product(range(n_sites), repeat=instance.transaction_count):
         x = np.array(homes, dtype=np.int64)
         onehot = eye[x]
-        csum = model.coloc_cost @ onehot
-        lsum = model.coloc_load @ onehot
         forced = (reads_f @ onehot) > 0.0
         if forbid_replication and (forced.sum(axis=1) > 1).any():
             continue  # some attribute is read on two sites
-        # Candidate sets as 0/1 rows of ``site_sets``: each single site,
-        # then each attribute's forced sites.  Per attribute, one row per
-        # candidate: its objective, its load on each site and its replica
-        # count off each write query's site.
-        site_sets = np.vstack((eye, forced))
-        choices = [np.array([n_sites + a]) if row.any() else single
-                   for a, row in enumerate(forced)]
-        set_sizes = site_sets.sum(axis=1)
-        tables = [np.column_stack((
-            site_sets[rows] @ csum[a] + set_sizes[rows] * model.replica_cost[a],
-            site_sets[rows] * (lsum[a] + model.replica_load[a]),
-            (set_sizes[rows][:, None] - site_sets[rows][:, x[write_txn]]) * write_attr[a],
-        )) for a, rows in enumerate(choices)]
-        counts = [rows.size for rows in choices]
-        total = math.prod(counts)
-        for start in range(0, total, _ENUMERATION_CHUNK):
-            idx = np.arange(start, min(start + _ENUMERATION_CHUNK, total))
-            digits = np.unravel_index(idx, (1, *counts))[1:]  # the 1 allows no attributes
-            sums = np.zeros((idx.size, 1 + n_sites + write_txn.size))
-            for table, d in zip(tables, digits):
-                sums += table[d]
+        # rows[a, s]: what a replica of attribute a on site s adds to a
+        # layout: its objective, its load on each site and, per write
+        # query, whether it is an updated replica off that query's site
+        rows = np.concatenate((
+            (model.coloc_cost @ onehot + model.replica_cost[:, None])[:, :, None],
+            eye * (model.coloc_load @ onehot + model.replica_load[:, None])[:, :, None],
+            (1.0 - onehot[write_txn].T) * write_attr[:, None, :],
+        ), axis=2)
+        # A chunk is ``tail``, the forced replicas' sum plus every choice
+        # of sites for the last unread attributes (as many as fit in one
+        # chunk, the last fastest), plus one choice ``head`` for the rest.
+        free = np.flatnonzero(~forced.any(axis=1))
+        split, tail = free.size, rows[forced].sum(axis=0)[None]
+        while split and tail.shape[0] * n_sites <= _ENUMERATION_CHUNK:
+            split -= 1
+            tail = (rows[free[split], :, None] + tail).reshape(-1, tail.shape[1])
+        for head in product(range(n_sites), repeat=split):
+            sums = tail + rows[free[:split], list(head)].sum(axis=0)
             latency = latency_penalty * ((sums[:, 1 + n_sites :] > 0) @ write_freq)
             score = weighted_score(sums[:, 0], sums[:, 1 : 1 + n_sites].max(axis=1), latency, lam)
             k = int(np.argmin(score))
             if score[k] < best_score:
                 best_score = score[k]
                 best_x = x
-                best_replica = site_sets[[rows[d[k]] for rows, d in zip(choices, digits)]]
+                best_replica = forced.copy()
+                tail_sites = np.unravel_index(k, (n_sites,) * (free.size - split))
+                best_replica[free, [*head, *tail_sites]] = True
 
     part = Partitioning(txn_site=best_x, replica=best_replica)
     return SolveReport(

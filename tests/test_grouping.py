@@ -19,6 +19,7 @@ from vpadvisor import (
     Transaction,
     brute_force,
     derive,
+    enumeration_size,
     evaluate,
     solve_exact,
     tpcc,
@@ -93,12 +94,18 @@ def test_grouping_is_idempotent():
     assert np.array_equal(again.coloc_cost, merged.coloc_cost)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_grouped_optimum_equals_original_at_pure_cost(seed):
+@pytest.mark.parametrize("seed,size", [
+    *(pytest.param(seed, {}, id=str(seed)) for seed in range(8)),
+    # 23 attributes, 5 of them unread: far over the default budget
+    pytest.param(0, dict(site_count=3, transaction_count=8, table_count=6,
+                         max_attributes_per_table=6), id="23-attributes"),
+])
+def test_grouped_optimum_equals_original_at_pure_cost(seed, size):
     # solve_exact searches the merged model, brute_force every layout of
     # the full one
-    inst = random_instance(seed, cost_weight=1.0)
-    assert solve_exact(inst, ExactConfig(gap=0.0)).score == brute_force(inst).score
+    inst = random_instance(seed, cost_weight=1.0, **size)
+    brute = brute_force(inst, budget=enumeration_size(inst))
+    assert solve_exact(inst, ExactConfig(gap=0.0)).score == brute.score
 
 
 def test_attributes_only_writes_touch_are_not_merged():
