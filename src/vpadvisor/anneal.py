@@ -213,6 +213,14 @@ def _shifted_sums(
     return shifted
 
 
+def _key_dtype(site_count: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every site id below
+    ``site_count``.  An assignment cast to it and read as bytes is an
+    exact key of :func:`solve_sa`'s price table, about one byte per
+    transaction."""
+    return np.min_scalar_type(site_count - 1)
+
+
 def _place(
     first: List[int],
     cost: List[float],
@@ -313,7 +321,13 @@ def solve_sa(
     read attributes that the same transactions read are one row; its
     best layout is expanded to every attribute and priced by
     :func:`evaluate` on ``model``, the instance's full model.  The run
-    is deterministic for a given instance and ``config.seed``.  The
+    is deterministic for a given instance and ``config.seed``.
+
+    Each distinct assignment is repaired and priced once per run: a
+    table maps its bytes (:func:`_key_dtype`) to its Metropolis score,
+    and a candidate seen before takes its score from there, its column
+    sums shifted only if it is accepted.  The report's ``node_count``
+    counts the candidates, not the repairs.  The
     report's status is always ``feasible-time-limit``: the annealer
     proves no bound, so ``bound_gap`` is ``inf``.
     """
@@ -341,6 +355,10 @@ def solve_sa(
     cur_x = rng.integers(0, n_sites, size=n_txns).astype(np.int64)
     cur_y, objective, max_load = solve_subproblem_fix_transactions(cur_x, tables)
     cur_score = score(cur_x, cur_y, objective, max_load)
+    # the price table: each distinct assignment is repaired and priced
+    # once per run, keyed by its exact bytes
+    key_dtype = _key_dtype(n_sites)
+    prices = {cur_x.astype(key_dtype).tobytes(): cur_score}
 
     best_x, best_score = cur_x, cur_score
 
@@ -368,13 +386,19 @@ def solve_sa(
             if time.perf_counter() >= deadline:
                 break
             cand_x = perturb_transactions(cur_x, n_sites, _MOVE_FRACTION, rng)
-            cand_sums = _shifted_sums(cur_sums, cur_x, cand_x, tables)
-            cand_y, objective, max_load = solve_subproblem_fix_transactions(
-                cand_x, tables, cand_sums)
             evaluations += 1
-            cand_score = score(cand_x, cand_y, objective, max_load)
+            key = cand_x.astype(key_dtype).tobytes()
+            cand_score = prices.get(key)
+            cand_sums = None
+            if cand_score is None:
+                cand_sums = _shifted_sums(cur_sums, cur_x, cand_x, tables)
+                cand_y, objective, max_load = solve_subproblem_fix_transactions(
+                    cand_x, tables, cand_sums)
+                cand_score = prices[key] = score(cand_x, cand_y, objective, max_load)
             delta = cand_score - cur_score
             if accept_move(delta, tau, rng):
+                if cand_sums is None:
+                    cand_sums = _shifted_sums(cur_sums, cur_x, cand_x, tables)
                 cur_x, cur_sums, cur_score = cand_x, cand_sums, cand_score
                 accepted += 1
                 if cur_score < best_score:

@@ -320,8 +320,9 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     3. the main run, with the bounds restored and started from the
        re-solve's column vector when it has one.
 
-    Every layout is re-priced by the definitional evaluator and kept
-    only if it scores lower than those before it, so an earlier stage
+    Every layout is re-priced by the definitional evaluator (the
+    annealer's report carries its price already) and kept only if it
+    scores lower than those before it, so an earlier stage
     wins a tie; reported objectives and scores never drift from
     ``evaluate``.  The bound gap compares that score with the main run's
     dual bound, and ``node_count`` adds up the nodes of both HiGHS runs.
@@ -342,10 +343,15 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
 
     incumbent: Optional[Tuple[Partitioning, CostBreakdown]] = None
 
+    def keep(part: Partitioning, breakdown: CostBreakdown) -> None:
+        """Keep a priced layout if it beats the incumbent."""
+        nonlocal incumbent
+        if incumbent is None or breakdown.score < incumbent[1].score:
+            incumbent = (part, breakdown)
+
     def consider(txn_site: np.ndarray, replica: np.ndarray) -> bool:
         """Price a candidate and keep it if it beats the incumbent;
         return whether it is a valid layout."""
-        nonlocal incumbent
         part = Partitioning(txn_site=txn_site, replica=replica)
         if config.forbid_replication and int(part.replica.sum(axis=1).max(initial=0)) > 1:
             return False
@@ -353,8 +359,7 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
             breakdown = evaluate(instance, model, part)
         except InfeasibleLayoutError:
             return False
-        if incumbent is None or breakdown.score < incumbent[1].score:
-            incumbent = (part, breakdown)
+        keep(part, breakdown)
         return True
 
     def consider_run(run: _HighsRun) -> bool:
@@ -385,8 +390,10 @@ def solve_exact(instance: Instance, config: Optional[ExactConfig] = None) -> Sol
     warm: Optional[Partitioning] = None
     if not pins and not config.forbid_replication and time_left() > 0:
         warm_cfg = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0, time_limit=time_left())
-        warm = solve_sa(instance, warm_cfg, model=model)[0].partitioning
-        consider(warm.txn_site, warm.replica)
+        # the annealer's report already holds evaluate's price on model
+        warm_report = solve_sa(instance, warm_cfg, model=model)[0]
+        warm = warm_report.partitioning
+        keep(warm, warm_report.breakdown)
     if time_left() > 0:
         highs = _HighsModel(
             _compact_model(

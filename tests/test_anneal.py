@@ -24,6 +24,7 @@ from vpadvisor import (
 import vpadvisor.anneal as anneal_module
 from vpadvisor.anneal import (
     _RepairTables,
+    _key_dtype,
     accept_move,
     initial_temperature,
     perturb_transactions,
@@ -251,6 +252,62 @@ def test_solve_sa_shifts_column_sums_instead_of_rebuilding_them(monkeypatch):
     report, trace = solve_sa(GOLDEN_INSTANCES["gen-sa-read"](), SaConfig(seed=0))
     assert report.node_count == 2550
     assert len(calls) <= len(trace) + 2
+
+
+def _count_repairs_and_moves(monkeypatch):
+    """Record the assignment of every replica repair and every candidate
+    move that :func:`solve_sa` makes."""
+    repaired, moved = [], []
+    repair, perturb = solve_subproblem_fix_transactions, perturb_transactions
+
+    def counted_repair(txn_site, *args):
+        repaired.append(tuple(txn_site.tolist()))
+        return repair(txn_site, *args)
+
+    def counted_perturb(*args):
+        cand = perturb(*args)
+        moved.append(tuple(cand.tolist()))
+        return cand
+
+    monkeypatch.setattr(anneal_module, "solve_subproblem_fix_transactions", counted_repair)
+    monkeypatch.setattr(anneal_module, "perturb_transactions", counted_perturb)
+    return repaired, moved
+
+
+def test_solve_sa_repairs_each_distinct_assignment_once(monkeypatch):
+    # the TPC-C warm start of solve_exact draws 210 candidates from a
+    # space of 32 assignments: each distinct one is repaired once, and
+    # the returned layout once more, afresh
+    repaired, moved = _count_repairs_and_moves(monkeypatch)
+    warm = SaConfig(inner_loops=30, freeze_stall_loops=6, seed=0)
+    report, _ = solve_sa(tpcc(site_count=2), warm)
+    assert report.node_count == len(moved) == 210
+    visited = set(moved) | {repaired[0]}
+    assert set(repaired[:-1]) == visited
+    assert len(repaired) - 1 == len(visited) == 19
+    assert repaired[-1] == tuple(report.partitioning.txn_site.tolist())
+
+
+def test_solve_sa_repairs_every_candidate_when_none_repeats(monkeypatch):
+    # every candidate of this run is new, so every one is repaired: the
+    # table never answers for an assignment it has not seen
+    repaired, moved = _count_repairs_and_moves(monkeypatch)
+    report, _ = solve_sa(GOLDEN_INSTANCES["gen-sa-read"](), SaConfig(seed=0))
+    assert report.node_count == len(moved) == 2550
+    assert len(repaired) == report.node_count + 2
+    assert repaired[1:-1] == moved
+
+
+def test_price_keys_tell_apart_site_ids_beyond_one_byte():
+    # 300 and 44 share their low byte; the key's dtype holds both whole
+    dtype = _key_dtype(301)
+    low = np.array([0, 44, 2], dtype=np.int64)
+    high = np.array([0, 300, 2], dtype=np.int64)
+    assert low.astype(dtype).tobytes() != high.astype(dtype).tobytes()
+    assert np.array_equal(np.frombuffer(high.astype(dtype).tobytes(), dtype), high)
+    assert low.astype(np.uint8).tobytes() == high.astype(np.uint8).tobytes()
+    assert _key_dtype(1) == _key_dtype(256) == np.uint8
+    assert _key_dtype(257) == np.uint16
 
 
 @pytest.mark.parametrize("seed", range(3))
