@@ -27,18 +27,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import optimize
-from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize._highspy._core import (
-    HighsLp,
     HighsModelStatus,
     HighsSolution,
     HighsStatus,
-    HighsVarType,
     MatrixFormat,
+    ObjSense,
     _Highs,
 )
 
@@ -46,7 +44,7 @@ from . import program
 from .anneal import SaConfig, solve_sa
 from .errors import InfeasibleLayoutError
 from .partitioning import CostBreakdown, Partitioning, evaluate
-from .program import _per_site, _placement_rows, _Rows, _sorted_pins, _symmetry_rows
+from .program import _per_site, _placement_rows, _Rows, _symmetry_rows
 from .report import (
     STATUS_FEASIBLE_TIME_LIMIT,
     STATUS_NO_SOLUTION_TIME_LIMIT,
@@ -89,6 +87,19 @@ class ExactConfig:
             raise ValueError("gap must be nonnegative")
 
 
+def _sorted_pins(
+    fixed_replicas: Sequence[Tuple[int, int]], n_attrs: int, n_sites: int
+) -> List[Tuple[int, int]]:
+    """Distinct ``(attribute, site)`` pins in order; rejects unknown ids."""
+    pins = sorted({(int(a), int(s)) for a, s in fixed_replicas})
+    for a, s in pins:
+        if not 0 <= a < n_attrs:
+            raise ValueError(f"pinned replica names unknown attribute {a}")
+        if not 0 <= s < n_sites:
+            raise ValueError(f"pinned replica names unknown site {s}")
+    return pins
+
+
 def _compact_model(
     instance: Instance,
     model: CostModel,
@@ -96,8 +107,10 @@ def _compact_model(
     forbid_replication: bool,
     fixed_replicas: Sequence[Tuple[int, int]],
 ) -> Dict[str, object]:
-    """The solve-time program of ``model``, as keyword arguments of
-    ``scipy.optimize.milp``; :class:`_HighsModel` takes the same.
+    """The solve-time program of ``model`` as the plain arrays that
+    :class:`_HighsModel` passes to HiGHS: ``c``, ``integrality``, column
+    bounds ``lower`` and ``upper``, and the CSR ``matrix`` with its row
+    bounds ``row_lower`` and ``row_upper``.
 
     ``model`` is the instance's full model or a merged one (see
     :func:`_reader_classes`), whose rows it places as attributes; the
@@ -216,11 +229,15 @@ def _compact_model(
     integrality = np.zeros(n, dtype=np.int8)
     integrality[:u0] = 1
     integrality[psi0:] = 1
+    matrix, row_lower, row_upper = rows.arrays()
     return {
         "c": c,
         "integrality": integrality,
-        "bounds": Bounds(lb, ub),
-        "constraints": LinearConstraint(*rows.arrays()),
+        "lower": lb,
+        "upper": ub,
+        "matrix": matrix,
+        "row_lower": row_lower,
+        "row_upper": row_upper,
     }
 
 
@@ -242,25 +259,19 @@ class _HighsModel:
     """
 
     def __init__(self, arrays: Dict[str, object], gap: float) -> None:
-        bounds, constraints = arrays["bounds"], arrays["constraints"]
-        matrix = constraints.A.tocsc()
+        matrix = arrays["matrix"]
         n_rows, n_cols = matrix.shape
-        lp = HighsLp()
-        lp.num_col_, lp.num_row_ = n_cols, n_rows
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = arrays["c"], bounds.lb, bounds.ub
-        lp.row_lower_, lp.row_upper_ = constraints.lb, constraints.ub
-        lp.a_matrix_.num_col_, lp.a_matrix_.num_row_ = n_cols, n_rows
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_ = matrix.indptr, matrix.indices
-        lp.a_matrix_.value_ = matrix.data.astype(np.float64)
-        kinds = (HighsVarType.kContinuous, HighsVarType.kInteger)
-        lp.integrality_ = [kinds[k] for k in arrays["integrality"].tolist()]
         self._highs = _Highs()
         # The binding picks a setter by the value's Python type, so the
         # double options are passed as floats.
         self._highs.setOptionValue("output_flag", False)
         self._highs.setOptionValue("mip_rel_gap", float(gap))
-        if self._highs.passModel(lp) == HighsStatus.kError:
+        status = self._highs.passModel(
+            n_cols, n_rows, matrix.nnz, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
+            arrays["c"], arrays["lower"], arrays["upper"], arrays["row_lower"], arrays["row_upper"],
+            matrix.indptr, matrix.indices, matrix.data, arrays["integrality"],
+        )
+        if status == HighsStatus.kError:
             raise RuntimeError("HiGHS refused the compact program")
 
     def bound_columns(self, count: int, lower: np.ndarray, upper: np.ndarray) -> None:

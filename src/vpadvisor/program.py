@@ -47,11 +47,11 @@ class MipModel:
     ``m``, then one indicator per write query when the latency term is
     modeled.  Base row order: assignment, coverage, read co-location,
     per-site load, linearization triples; the symmetry-breaking rows
-    (when ``symmetry``), one row per pin of ``pins`` and the latency
-    rows follow.  The model stores no names: :meth:`column_names` and
-    :meth:`row_names` format them from this layout on each call, decoded
-    from the fixed-width byte arrays that both export writers lay into
-    their lines (``_column_labels``, ``_row_labels``).
+    (when ``symmetry``) and the latency rows follow.  The model stores no
+    names: :meth:`column_names` and :meth:`row_names` format them from
+    this layout on each call, decoded from the fixed-width byte arrays
+    that both export writers lay into their lines (``_column_labels``,
+    ``_row_labels``).
     """
 
     c: np.ndarray
@@ -64,7 +64,6 @@ class MipModel:
     n_sites: int
     write_query_ids: Tuple[int, ...] = ()
     symmetry: bool = False
-    pins: Tuple[Tuple[int, int], ...] = ()
 
     @property
     def upper(self) -> np.ndarray:
@@ -112,7 +111,6 @@ class MipModel:
     def _row_labels(self) -> _Labels:
         """:meth:`row_names`, by row index."""
         t, a, s = (_ids(np.arange(n)) for n in (self.n_txns, self.n_attrs, self.n_sites))
-        pins = np.array(self.pins, dtype=np.int64).reshape(-1, 2)
         sides = np.array([b"x", b"y", b"xy"])
         return _Labels([
             _listed(_join(b"assign_t", t)),
@@ -123,7 +121,6 @@ class MipModel:
             (_join(b"lin_", sides[:, None], b"_t", t).reshape(3, -1),
              _join(b"_a", a[:, None], b"_s", s)),
             _listed(_join(b"sym_t", t[:, None], b"_s", s[1:] if self.symmetry else s[:0])),
-            _listed(_join(b"pin_a", _ids(pins[:, 0]), b"_s", _ids(pins[:, 1]))),
             _listed(_join(b"remote_q", _ids(self.write_query_ids))),
         ])
 
@@ -135,8 +132,8 @@ class MipModel:
     def row_names(self) -> List[str]:
         """Names in row order, one block per kind of row:
         ``assign_t{t}``, ``cover_a{a}``, ``coloc_a{a}_t{t}_s{s}``,
-        ``load_s{s}``, ``lin_{x|y|xy}_t{t}_a{a}_s{s}``, ``sym_t{t}_s{s}``,
-        ``pin_a{a}_s{s}`` and ``remote_q{query}``."""
+        ``load_s{s}``, ``lin_{x|y|xy}_t{t}_a{a}_s{s}``, ``sym_t{t}_s{s}``
+        and ``remote_q{query}``."""
         return _lines(self._row_labels().every(), b"\n").splitlines()
 
 
@@ -277,37 +274,21 @@ def _symmetry_rows(rows: _Rows, n_txns: int, n_sites: int) -> None:
              -np.inf, 0.0)
 
 
-def _sorted_pins(
-    fixed_replicas: Sequence[Tuple[int, int]], n_attrs: int, n_sites: int
-) -> List[Tuple[int, int]]:
-    """Distinct ``(attribute, site)`` pins in order; rejects unknown ids."""
-    pins = sorted({(int(a), int(s)) for a, s in fixed_replicas})
-    for a, s in pins:
-        if not 0 <= a < n_attrs:
-            raise ValueError(f"pinned replica names unknown attribute {a}")
-        if not 0 <= s < n_sites:
-            raise ValueError(f"pinned replica names unknown site {s}")
-    return pins
-
-
 def build_mip(
     instance: Instance,
     *,
     use_symmetry: bool = False,
     forbid_replication: bool = False,
-    fixed_replicas: Sequence[Tuple[int, int]] = (),
 ) -> MipModel:
     """Construct the linearized program for ``instance``.
 
     The base model minimizes the weighted score.  ``use_symmetry`` adds
     site-ordering rows (site ``s`` may host a transaction only after
-    some earlier transaction uses site ``s-1``) — valid only while
-    sites are interchangeable, so callers must leave it off when
-    pinning replicas.  ``forbid_replication`` turns the coverage rows
-    into equalities (each attribute on exactly one site).
-    ``fixed_replicas`` pins ``y[a,s] = 1`` for the given pairs.  The
-    latency indicators and rows are there when the instance prices
-    latency.
+    some earlier transaction uses site ``s-1``), which keep the optimum
+    because the program's sites are interchangeable.
+    ``forbid_replication`` turns the coverage rows into equalities (each
+    attribute on exactly one site).  The latency indicators and rows are
+    there when the instance prices latency.
     """
     model = derive(instance)
     n_txns = instance.transaction_count
@@ -315,7 +296,6 @@ def build_mip(
     n_sites = instance.site_count
     lam = float(instance.cost_weight)
     has_latency = instance.latency_penalty is not None
-    pins = _sorted_pins(fixed_replicas, n_attrs, n_sites)
     priced = slice(None) if has_latency else slice(0)  # the write queries with indicators
     write_ids = model.write_queries[priced]
 
@@ -366,8 +346,6 @@ def build_mip(
     symmetry = use_symmetry and n_sites > 1
     if symmetry:
         _symmetry_rows(rows, n_txns, n_sites)
-    pin_cols = nx + np.array(pins, dtype=np.int64).reshape(-1, 2) @ np.array([n_sites, 1])
-    rows.add(len(pins), [(np.arange(len(pins)), pin_cols, 1.0)], 1.0, 1.0)
     # A write query's indicator turns on when any updated attribute keeps
     # a replica away from the transaction's site (no rows without latency).
     pos, touched = np.nonzero(model.write_attr_access[:, priced].T)
@@ -390,7 +368,6 @@ def build_mip(
         n_sites=n_sites,
         write_query_ids=tuple(int(q) for q in write_ids),
         symmetry=symmetry,
-        pins=tuple(pins),
     )
 
 

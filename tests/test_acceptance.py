@@ -235,9 +235,12 @@ def test_criterion_7_local_vs_remote():
 
 def _full_program_optimum(inst, model, pins=()):
     """evaluate's price of the layout of scipy's ``milp`` optimum of the
-    unmerged full program of ``build_mip``."""
-    mip = build_mip(inst, fixed_replicas=pins)
-    res = milp(mip.c, integrality=mip.integrality, bounds=Bounds(0.0, mip.upper),
+    unmerged full program of ``build_mip``, with ``pins`` as lower bounds
+    on its ``y`` columns."""
+    mip = build_mip(inst)
+    lower = np.zeros(mip.variable_count)
+    lower[[mip.y_index(a, s) for a, s in pins]] = 1.0
+    res = milp(mip.c, integrality=mip.integrality, bounds=Bounds(lower, mip.upper),
                constraints=LinearConstraint(mip.matrix, mip.row_lower, mip.row_upper),
                options={"mip_rel_gap": 0.0})
     assert res.success, res.message

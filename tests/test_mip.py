@@ -170,8 +170,6 @@ def test_export_rejects_unknown_format(t1):
 ])
 def test_pins_naming_unknown_ids_are_rejected(t1, pin, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        build_mip(t1, fixed_replicas=(pin,))
-    with pytest.raises(ValueError, match=f"^{message}$"):
         solve_exact(t1, ExactConfig(fixed_replicas=((0, 0), pin)))
 
 
@@ -185,14 +183,16 @@ def test_exported_mps_matches_lp_variable_sets(t1):
 
 
 # The sha256 of each free-MPS text as the object-per-row build_mip of
-# commit f6eba67 wrote it, before the model moved to sparse arrays.
+# commit f6eba67 wrote it, before the model moved to sparse arrays; the
+# disjoint row, which pinned replicas until the full program lost its
+# pins, as the writer of commit c78a087 wrote it.
 EXPORT_HASHES = [
     ("t1", {}, "db3188c9553353cb2e572a9f18ff1a140781a533942891bf0ad72f020df753c6"),
     ("t1", {"use_symmetry": True},
      "eb5282529d8e837fec969fc7222cfcbcc53e9de8ccc68746de2c48c4ff8a18e1"),
     ("latency", {}, "4816ea22f92d0c1e921fa3454c06ed35842f8edf2630ca78992a5203e9a59210"),
-    ("latency", {"forbid_replication": True, "fixed_replicas": ((0, 1), (1, 0))},
-     "7bca2e171437e739d487d4e3c74e99c96de9dc718b1a75b75f9099731538389c"),
+    ("latency", {"forbid_replication": True},
+     "d81de436e9d38b0114fe7504daddcb57ffe6385b9db451daa4f14fab7e1a5952"),
 ]
 
 
@@ -215,16 +215,18 @@ def test_mps_export_text_is_pinned(name, options, digest):
 
 # The sha256 of each LP text, for the cases of EXPORT_HASHES and one
 # with wrapped rows, as the writer of commit a1c7fdf (one joined string
-# per export) produced it.
+# per export) produced it; the disjoint and wide rows, which pinned
+# replicas until the full program lost its pins, as the writer of commit
+# c78a087 produced them.
 LP_EXPORT_HASHES = [
     ("t1", {}, "f4f0c425c4a86327209cfab88e680693018f73474d777971531bd5c1ff9de72f"),
     ("t1", {"use_symmetry": True},
      "6775eb4470ea57bc7f2baff6a2c68a423dead81dd5eaee92e76fde5ce7e957a4"),
     ("latency", {}, "ec72eb2ed3457ac6356ebed86351b2a3bc0e4931e6dfbadcd7a6e18c371db066"),
-    ("latency", {"forbid_replication": True, "fixed_replicas": ((0, 1), (1, 0))},
-     "e95adfcefcda4060700017b77f7fc70cd6fbb86b345fba6de3953bc0a18f9f7e"),
-    ("wide", {"use_symmetry": True, "fixed_replicas": ((0, 1),)},
-     "160c5c36d4140326037dde9e3ddd16aec64bdbb4700a5fd9773539e7e62e1c00"),
+    ("latency", {"forbid_replication": True},
+     "8502f1d30b1e1022b472efca2cb8e4b7ab5d85b0518f41ab14beb8345433492b"),
+    ("wide", {"use_symmetry": True},
+     "6f6e5808011a819c87fa3ef8a7c23957e2cb10705c74e315be49535ad679d5f8"),
 ]
 
 
@@ -247,7 +249,7 @@ class _SpyFile:
 
 @pytest.mark.parametrize("fmt", ["free-mps", "lp-text"])
 def test_export_streams_in_bounded_writes(fmt, monkeypatch):
-    mip = build_mip(_pinned_instance("wide"), use_symmetry=True, fixed_replicas=((0, 1),))
+    mip = build_mip(_pinned_instance("wide"), use_symmetry=True)
     assert mip.constraint_count > 2000
     whole = _SpyFile()
     monkeypatch.setattr(program_module, "EXPORT_CHUNK_LINES", 10**9)
@@ -267,7 +269,7 @@ def test_export_streams_in_bounded_writes(fmt, monkeypatch):
 
 def test_model_holds_no_names_and_formats_them_on_request():
     inst = random_instance(2, site_count=3, latency_penalty=7.0, update_percent=60.0)
-    mip = build_mip(inst, use_symmetry=True, fixed_replicas=((1, 2), (0, 1)))
+    mip = build_mip(inst, use_symmetry=True)
     for field in dataclasses.fields(mip):
         value = getattr(mip, field.name)
         if isinstance(value, (tuple, list)):
@@ -277,7 +279,6 @@ def test_model_holds_no_names_and_formats_them_on_request():
     assert len(rows) == len(set(rows)) == mip.constraint_count
     assert columns[mip.u_index(1, 2, 1)] == "u_1_2_1"
     assert columns[mip.psi_index(0)] == f"psi_q{mip.write_query_ids[0]}"
-    assert [name for name in rows if name.startswith("pin_")] == ["pin_a0_s1", "pin_a1_s2"]
     assert sum(name.startswith("sym_") for name in rows) == inst.transaction_count * 2
     assert rows[-1] == f"remote_q{mip.write_query_ids[-1]}"
 
@@ -314,7 +315,6 @@ def _reference_names(mip):
         + [f"lin_{side}_t{t}_a{a}_s{s}"
            for t in txns for a in attrs for s in sites for side in ("x", "y", "xy")]
         + ([f"sym_t{t}_s{s}" for t in txns for s in sites[1:]] if mip.symmetry else [])
-        + [f"pin_a{a}_s{s}" for a, s in mip.pins]
         + [f"remote_q{q}" for q in mip.write_query_ids]
     )
     return columns, rows
@@ -417,29 +417,25 @@ def _chunked_export(mip, fmt, chunk):
 
 
 # (generator seed, sites, transactions, update percent, cost weight,
-# latency penalty, use_symmetry, forbid_replication, pins); pins are
-# taken modulo the instance's attribute and site counts.
+# latency penalty, use_symmetry, forbid_replication).
 _EXPORT_CASES = st.tuples(
     st.integers(0, 2**16), st.integers(1, 4), st.integers(1, 12),
     st.sampled_from([0.0, 30.0, 100.0]), st.sampled_from([0.0, 0.4, 1.0]),
     st.sampled_from([None, 3.5]), st.booleans(), st.booleans(),
-    st.lists(st.tuples(st.integers(0, 99), st.integers(0, 3)), max_size=3),
 )
 _EXPORT_PROPERTY = settings(max_examples=40, deadline=None,
                             suppress_health_check=[HealthCheck.too_slow])
 # No write query at all; and latency indicators whose first column both
 # opens an integer block and carries an objective coefficient.
-_NO_WRITES = (5, 3, 11, 0.0, 0.4, 3.5, True, False, [(4, 2)])
-_PRICED_MARKER = (2, 2, 3, 60.0, 0.1, 7.0, False, True, [(0, 1), (1, 0)])
+_NO_WRITES = (5, 3, 11, 0.0, 0.4, 3.5, True, False)
+_PRICED_MARKER = (2, 2, 3, 60.0, 0.1, 7.0, False, True)
 
 
 def _case_model(case):
-    seed, sites, txns, update, weight, latency, symmetry, disjoint, pins = case
+    seed, sites, txns, update, weight, latency, symmetry, disjoint = case
     inst = random_instance(seed, site_count=sites, transaction_count=txns,
                            update_percent=update, cost_weight=weight, latency_penalty=latency)
-    pins = [(a % inst.attribute_count, s % sites) for a, s in pins]
-    return build_mip(inst, use_symmetry=symmetry, forbid_replication=disjoint,
-                     fixed_replicas=pins)
+    return build_mip(inst, use_symmetry=symmetry, forbid_replication=disjoint)
 
 
 def test_export_cases_cover_the_marked_edges():
@@ -550,7 +546,7 @@ def _zero_objective_instance():
 
 @pytest.mark.parametrize("chunk", [1, 7, 200])
 def test_lp_export_wraps_long_rows_and_writes_an_empty_objective(chunk):
-    wide = build_mip(_pinned_instance("wide"), use_symmetry=True, fixed_replicas=((0, 1),))
+    wide = build_mip(_pinned_instance("wide"), use_symmetry=True)
     text = _chunked_export(wide, "lp-text", chunk)
     assert text == _reference_lp(wide)
     assert any(line.startswith("   ") for line in text.splitlines())  # continued lines
@@ -607,12 +603,13 @@ def test_export_reads_back_through_highs_as_the_model(name, fmt, suffix, tmp_pat
 # independent integer solver on the exported matrices
 
 
-def _full_optimum(mip):
+def _full_optimum(mip, lower=0.0, **options):
     res = milp(
         mip.c,
         integrality=mip.integrality,
-        bounds=Bounds(0.0, mip.upper),
+        bounds=Bounds(lower, mip.upper),
         constraints=LinearConstraint(mip.matrix, mip.row_lower, mip.row_upper),
+        options=options,
     )
     assert res.success, res.message
     return res.fun
@@ -635,6 +632,19 @@ def test_latency_model_agrees_with_reference_integer_solver():
     assert ours.score == pytest.approx(reference, rel=1e-7, abs=1e-7)
 
 
+@pytest.mark.parametrize("disjoint", [False, True], ids=["replicated", "disjoint"])
+@pytest.mark.parametrize("latency", [None, 5.0], ids=["no-latency", "latency"])
+@pytest.mark.parametrize("sites", [2, 3])
+def test_symmetry_rows_keep_the_full_models_optimum(sites, latency, disjoint):
+    for seed in range(8):
+        inst = random_instance(seed, site_count=sites, transaction_count=4,
+                               latency_penalty=latency, update_percent=60.0)
+        plain = _full_optimum(build_mip(inst, forbid_replication=disjoint), mip_rel_gap=0.0)
+        ordered = _full_optimum(build_mip(inst, use_symmetry=True, forbid_replication=disjoint),
+                                mip_rel_gap=0.0)
+        assert ordered == pytest.approx(plain, rel=1e-7, abs=1e-7), seed
+
+
 # Write-heavy instances: a positive network penalty makes some
 # co-location costs negative; at p = 0 only the latency rows want a
 # large product.  (seed, sites, cost_weight, p, latency, disjoint, pins)
@@ -654,6 +664,17 @@ COMPACT_CASES = [
 ]
 
 
+def _compact_optimum(arrays):
+    res = milp(
+        arrays["c"],
+        integrality=arrays["integrality"],
+        bounds=Bounds(arrays["lower"], arrays["upper"]),
+        constraints=LinearConstraint(arrays["matrix"], arrays["row_lower"], arrays["row_upper"]),
+    )
+    assert res.success, res.message
+    return res.fun
+
+
 @pytest.mark.parametrize("seed,sites,lam,p,latency,disjoint,pins", COMPACT_CASES)
 def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, disjoint, pins):
     inst = random_instance(
@@ -661,14 +682,15 @@ def test_compact_model_optimum_equals_full_model(seed, sites, lam, p, latency, d
         update_percent=60.0, transaction_count=4,
     )
     model = derive(inst)
-    reference = _full_optimum(
-        build_mip(inst, forbid_replication=disjoint, fixed_replicas=pins)
-    )
-    compact = milp(**_compact_model(
+    # the full program has no pin rows: pins are lower bounds on its y
+    full = build_mip(inst, forbid_replication=disjoint)
+    lower = np.zeros(full.variable_count)
+    lower[[full.y_index(a, s) for a, s in pins]] = 1.0
+    reference = _full_optimum(full, lower)
+    compact = _compact_optimum(_compact_model(
         inst, model, forbid_replication=disjoint, fixed_replicas=pins,
     ))
-    assert compact.success, compact.message
-    assert compact.fun == pytest.approx(reference, rel=1e-7, abs=1e-7)
+    assert compact == pytest.approx(reference, rel=1e-7, abs=1e-7)
     report = solve_exact(inst, ExactConfig(
         gap=0.0, forbid_replication=disjoint, fixed_replicas=pins,
     ))
@@ -684,7 +706,7 @@ def _gen_instance(cost_weight):
 
 
 # (name, instance, forbid_replication, pins): sha256 prefixes of every
-# array _compact_model hands to milp, dtypes included, recorded with the
+# array _compact_model returns, dtypes included, recorded with the
 # builder that filtered the load-row coefficients itself and added one
 # latency row per write query, and re-recorded when the matrix's indices
 # became int32 with every value unchanged.
@@ -704,13 +726,12 @@ COMPACT_DIGESTS = [
 
 
 def _compact_digest(arrays) -> str:
-    constraint = arrays["constraints"]
-    matrix = constraint.A.copy()
+    matrix = arrays["matrix"].copy()
     matrix.sort_indices()
     parts = [
-        arrays["c"], arrays["integrality"], arrays["bounds"].lb, arrays["bounds"].ub,
+        arrays["c"], arrays["integrality"], arrays["lower"], arrays["upper"],
         np.array(matrix.shape), matrix.indptr, matrix.indices, matrix.data,
-        constraint.lb, constraint.ub,
+        arrays["row_lower"], arrays["row_upper"],
     ]
     h = hashlib.sha256()
     for part in parts:
@@ -918,8 +939,8 @@ def test_exact_starts_highs_from_the_fixed_homes_re_solve(monkeypatch, name):
     (_, fixed_lower, fixed_upper), (_, resolved), (_, start), (_, lower, upper), _ = log
     merged, _ = _reader_classes(derive(inst))
     arrays = _compact_model(inst, merged, forbid_replication=False, fixed_replicas=())
-    assert np.array_equal(lower, arrays["bounds"].lb)  # the x bounds were restored
-    assert np.array_equal(upper, arrays["bounds"].ub)
+    assert np.array_equal(lower, arrays["lower"])  # the x bounds were restored
+    assert np.array_equal(upper, arrays["upper"])
     nx = inst.transaction_count * inst.site_count
     # the re-solve fixed every home, sites numbered in order of first use
     assert np.array_equal(fixed_lower[:nx], fixed_upper[:nx])
@@ -986,6 +1007,27 @@ def test_highs_run_treats_a_spent_deadline_as_no_time_left():
     run = highs.run(-0.5)  # time ran out while the model was built
     assert run.status == HighsModelStatus.kTimeLimit
     assert run.x is None and run.nodes == 0
+
+
+@pytest.mark.parametrize("name", ["tpcc-2", "gen-0.5-pinned-disjoint"])
+def test_highs_holds_the_compact_program(name):
+    _, make, disjoint, pins, _ = next(case for case in COMPACT_DIGESTS if case[0] == name)
+    inst = make()
+    arrays = _compact_model(inst, derive(inst), forbid_replication=disjoint, fixed_replicas=pins)
+    lp = mip_module._HighsModel(arrays, 1e-3)._highs.getLp()
+    for field, got in [("c", lp.col_cost_), ("lower", lp.col_lower_), ("upper", lp.col_upper_),
+                       ("row_lower", lp.row_lower_), ("row_upper", lp.row_upper_)]:
+        assert np.array_equal(np.asarray(got), arrays[field]), field
+    kinds = np.array([int(kind) for kind in lp.integrality_])
+    assert np.array_equal(kinds, arrays["integrality"])
+    a = lp.a_matrix_
+    assert a.format_ == MatrixFormat.kColwise  # HiGHS stores the row-wise matrix by column
+    held = sp.csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).tocsr()
+    held.sort_indices()
+    expected = arrays["matrix"].copy()
+    expected.sort_indices()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(held, part), getattr(expected, part)), part
 
 
 @pytest.mark.parametrize("sites,optimum", [(2, 8449.1), (3, 7593.4), (4, 7574.2)])
